@@ -7,16 +7,11 @@ or input error.  Big integers are serialized as decimal strings in JSON.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
-from .involution import (
-    InvolutionCase,
-    cancellation_stats,
-    enumerate_fixed_points,
-    involute,
-    orbit_audit,
-)
+from .involution import InvolutionCase, cancellation_stats, enumerate_fixed_points, involute
 from .partitions import DistinctPartition, format_partition, parse_partition
 from .qseries import euler_product, format_series, rhs_fixed_points, rhs_general
 from .staircase import render_ferrers, staircase
@@ -25,6 +20,7 @@ from .verify import (
     check_durfee_decomposition,
     check_fixed_point_formula,
     check_general_formula,
+    check_involution_laws,
     check_sylvester,
 )
 
@@ -41,7 +37,13 @@ def _display_partition(p: DistinctPartition) -> str:
     return format_partition(p) if p.n else "()"
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="write output to a file instead of stdout")
+    m = argparse.ArgumentParser(add_help=False)
+    m.add_argument("--m", type=int, default=0, help="parts must exceed m")
+
     parser = argparse.ArgumentParser(
         prog="franklin",
         description=(
@@ -52,8 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("expand", help="print a truncated series expansion")
-    p.add_argument("--m", type=int, default=0, help="expand the product over parts > m")
+    p = sub.add_parser("expand", parents=[m, out], help="print a truncated series expansion")
     p.add_argument("--order", type=int, required=True, help="truncation order in q")
     p.add_argument(
         "--rhs",
@@ -61,33 +62,26 @@ def _build_parser() -> argparse.ArgumentParser:
         help="print a closed form instead of the product",
     )
     p.add_argument("--raw", action="store_true", help="comma-separated coefficients")
-    p.add_argument("--out", help="write output to a file instead of stdout")
 
-    p = sub.add_parser("staircase", help="describe the m-landing staircase")
+    p = sub.add_parser("staircase", parents=[m, out], help="describe the m-landing staircase")
     p.add_argument("--partition", required=True, help="comma-separated parts, largest first")
-    p.add_argument("--m", type=int, default=0)
     p.add_argument("--render", action="store_true", help="draw the labelled diagram")
-    p.add_argument("--out", help="write output to a file instead of stdout")
 
-    p = sub.add_parser("involve", help="apply the involution once")
+    p = sub.add_parser("involve", parents=[m, out], help="apply the involution once")
     p.add_argument("--partition", required=True)
-    p.add_argument("--m", type=int, default=0)
     p.add_argument("--trace", action="store_true", help="draw both diagrams")
-    p.add_argument("--out", help="write output to a file instead of stdout")
 
-    p = sub.add_parser("fixed-points", help="list involution fixed points by size")
-    p.add_argument("--m", type=int, default=0)
+    p = sub.add_parser(
+        "fixed-points", parents=[m, out], help="list involution fixed points by size"
+    )
     p.add_argument("--max-size", type=int, required=True)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--out", help="write output to a file instead of stdout")
 
-    p = sub.add_parser("stats", help="per-size cancellation statistics")
-    p.add_argument("--m", type=int, default=0)
+    p = sub.add_parser("stats", parents=[m, out], help="per-size cancellation statistics")
     p.add_argument("--max-size", type=int, required=True)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--out", help="write output to a file instead of stdout")
 
-    p = sub.add_parser("verify", help="run identity checks")
+    p = sub.add_parser("verify", parents=[out], help="run identity checks")
     p.add_argument(
         "--suite",
         choices=("all", "general", "sylvester", "durfee", "involution"),
@@ -97,7 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, help="override the default truncation order")
     p.add_argument("--max-size", type=int, help="involution audit size bound")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--out", help="write output to a file instead of stdout")
     return parser
 
 
@@ -186,24 +179,8 @@ def _cmd_stats(args) -> tuple[int, str]:
     return 0, "\n".join(lines) + "\n"
 
 
-def _audit_report(m: int, max_size: int) -> VerificationReport:
-    audit = orbit_audit(m, max_size)
-    mismatch = None
-    if audit.violations:
-        law, parts = audit.violations[0]
-        mismatch = {"law": law, "partition": ",".join(map(str, parts))}
-    return VerificationReport(
-        identity="involution-audit",
-        params={
-            "m": m,
-            "maxSize": max_size,
-            "totalPartitions": audit.total_partitions,
-            "pairedCount": audit.paired_count,
-            "fixedCount": audit.fixed_count,
-        },
-        verdict="Fail" if mismatch else "Pass",
-        first_mismatch=mismatch,
-    )
+def _or_default(value: int | None, default: int) -> int:
+    return default if value is None else value
 
 
 def _cmd_verify(args) -> tuple[int, str]:
@@ -211,18 +188,18 @@ def _cmd_verify(args) -> tuple[int, str]:
     reports: list[VerificationReport] = []
     if args.suite in ("all", "general"):
         for m in ms:
-            reports.append(check_general_formula(m, args.order or _GENERAL_ORDER))
-            reports.append(check_fixed_point_formula(m, args.order or _FIXED_ORDER))
+            reports.append(check_general_formula(m, _or_default(args.order, _GENERAL_ORDER)))
+            reports.append(check_fixed_point_formula(m, _or_default(args.order, _FIXED_ORDER)))
     if args.suite in ("all", "sylvester"):
-        order = args.order or _SYLVESTER_ORDER
+        order = _or_default(args.order, _SYLVESTER_ORDER)
         reports.append(check_sylvester(order, order))
     if args.suite in ("all", "durfee"):
         reports.append(
-            check_durfee_decomposition(args.order or _DURFEE_ORDER, _DURFEE_DIMENSION)
+            check_durfee_decomposition(_or_default(args.order, _DURFEE_ORDER), _DURFEE_DIMENSION)
         )
     if args.suite in ("all", "involution"):
         for m in ms:
-            reports.append(_audit_report(m, args.max_size or _AUDIT_SIZE))
+            reports.append(check_involution_laws(m, _or_default(args.max_size, _AUDIT_SIZE)))
     failed = [r for r in reports if not r.passed]
     if args.json:
         payload = [
@@ -259,7 +236,7 @@ def run(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if getattr(args, "out", None):
+    if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -273,3 +250,7 @@ def run(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

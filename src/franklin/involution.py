@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .partitions import DistinctPartition, SignedMonomial, _distinct_tuples
+from .qseries import _product_coeffs
 from .staircase import _require_valid, _walk
 
 
@@ -336,18 +337,14 @@ def combine_audit_reports(a: AuditReport, b: AuditReport) -> AuditReport:
 def cancellation_stats(m: int, max_size: int) -> list[SizeStats]:
     """Per-size cancellation statistics up to max_size.
 
-    Partition totals come from the counting DP; fixed-point tallies come
-    from enumerating the two box-partition families (never from full
-    partition enumeration).  The product coefficient is the signed excess
-    fixed_positive - fixed_negative.
+    Partition totals are the coefficients of the product of (1 + q**k)
+    over k > m; fixed-point tallies come from enumerating the two
+    box-partition families (never from full partition enumeration).  The
+    product coefficient is the signed excess fixed_positive - fixed_negative.
     """
     if m < 0 or max_size < 0:
         raise ValueError("m and max_size must be nonnegative")
-    counts = [0] * (max_size + 1)
-    counts[0] = 1
-    for part in range(m + 1, max_size + 1):
-        for s in range(max_size, part - 1, -1):
-            counts[s] += counts[s - part]
+    counts = _product_coeffs(m + 1, max_size, max_size, 1)
     pos = [0] * (max_size + 1)
     neg = [0] * (max_size + 1)
     n = 0

@@ -10,6 +10,8 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from .qseries import _product_coeffs
+
 
 class NotInStaircaseForm(ValueError):
     """Partition is not (minimal staircase with parts > m) plus a box partition."""
@@ -175,16 +177,21 @@ def weight(p: DistinctPartition) -> SignedMonomial:
     return SignedMonomial(-1 if p.n % 2 else 1, p.size)
 
 
-def durfee(p: DistinctPartition) -> DurfeeInfo:
-    """Durfee square dimension d = max{i : part_i >= i} and its category."""
+def _durfee(parts: tuple[int, ...]) -> tuple[int, DurfeeCategory]:
+    """Durfee dimension and category of raw parts, largest first."""
     d = 0
-    for i, part in enumerate(p.parts, start=1):
+    for i, part in enumerate(parts, start=1):
         if part >= i:
             d = i
         else:
             break
-    two = p.n > d and p.parts[d] == d
-    return DurfeeInfo(d, DurfeeCategory.TWO if two else DurfeeCategory.ONE)
+    two = len(parts) > d and parts[d] == d
+    return d, DurfeeCategory.TWO if two else DurfeeCategory.ONE
+
+
+def durfee(p: DistinctPartition) -> DurfeeInfo:
+    """Durfee square dimension d = max{i : part_i >= i} and its category."""
+    return DurfeeInfo(*_durfee(p.parts))
 
 
 def _distinct_tuples(total: int, m: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -213,19 +220,14 @@ def enumerate_distinct(size: int, m: int = 0) -> Iterator[DistinctPartition]:
 def count_distinct_signed(m: int, n_max: int) -> list[tuple[int, int]]:
     """Per-size (count, signed sum) over partitions into distinct parts > m.
 
-    Entry N holds (number of such partitions of N, sum of (-1)**#parts),
-    computed by dynamic programming; the signed column is the coefficient
-    list of the product of (1 - q**k) over m < k <= n_max.
+    Entry N holds (number of such partitions of N, sum of (-1)**#parts):
+    the coefficients of the products of (1 + q**k) and of (1 - q**k) over
+    m < k <= n_max.
     """
     if m < 0 or n_max < 0:
         raise ValueError("m and n_max must be nonnegative")
-    counts = [0] * (n_max + 1)
-    signed = [0] * (n_max + 1)
-    counts[0] = signed[0] = 1
-    for part in range(m + 1, n_max + 1):
-        for s in range(n_max, part - 1, -1):
-            counts[s] += counts[s - part]
-            signed[s] -= signed[s - part]
+    counts = _product_coeffs(m + 1, n_max, n_max, 1)
+    signed = _product_coeffs(m + 1, n_max, n_max, -1)
     return list(zip(counts, signed))
 
 

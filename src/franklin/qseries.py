@@ -9,6 +9,7 @@ binary operations require matching truncation parameters.
 from __future__ import annotations
 
 from math import isqrt
+from operator import add, sub
 from typing import Iterable, Sequence
 
 
@@ -57,10 +58,6 @@ class QSeries:
         if not 0 <= k <= self.order:
             raise IndexError(f"exponent {k} outside truncation order {self.order}")
         return self.coeffs[k]
-
-    def resize(self, order: int) -> "QSeries":
-        """Truncate, or zero-pad upward (exact only when self is a polynomial)."""
-        return QSeries(order, self.coeffs[: order + 1])
 
     def shift(self, k: int) -> "QSeries":
         """Multiply by q**k, dropping coefficients pushed past the order."""
@@ -265,26 +262,6 @@ class ZQSeries:
 
     __rmul__ = __mul__
 
-    def invert(self) -> "ZQSeries":
-        """Inverse up to both truncations; constant term must be a unit."""
-        u = self.grid[0][0]
-        if u not in (1, -1):
-            raise NonUnitConstantTerm(f"constant term {u} is not +1 or -1")
-        n, d = self.q_order, self.z_degree
-        a_items = [(j, k, v) for j, k, v in self._items() if (j, k) != (0, 0)]
-        out = [[0] * (d + 1) for _ in range(n + 1)]
-        out[0][0] = u
-        for j in range(n + 1):
-            for k in range(d + 1):
-                if j == 0 and k == 0:
-                    continue
-                acc = 0
-                for j1, k1, v in a_items:
-                    if j1 <= j and k1 <= k:
-                        acc += v * out[j - j1][k - k1]
-                out[j][k] = -u * acc
-        return ZQSeries(n, d, out)
-
     def eval_z_at_monomial(self, coeff: int, q_exp: int) -> QSeries:
         """Substitute z = coeff * q**q_exp, collapsing to a series in q.
 
@@ -331,41 +308,31 @@ class ZQSeries:
     __repr__ = __str__
 
 
+def _product_coeffs(lo: int, hi: int, order: int, sign: int) -> list[int]:
+    """Coefficients of prod (1 + sign*q**k) over lo <= k <= hi, up to q**order.
+
+    The knapsack update c[i] += sign*c[i-k] must read only old values; the
+    slice assignment builds the whole right side before writing any of it.
+    """
+    op = add if sign > 0 else sub
+    c = [1] + [0] * order
+    for k in range(lo, min(hi, order) + 1):
+        c[k:] = map(op, c[k:], c)
+    return c
+
+
 def euler_product(m: int, order: int) -> QSeries:
     """Product of (1 - q**k) over m < k <= order, truncated at order."""
     if m < 0 or order < 0:
         raise ValueError("m and order must be nonnegative")
-    c = [0] * (order + 1)
-    c[0] = 1
-    for k in range(m + 1, order + 1):
-        for i in range(order, k - 1, -1):
-            c[i] -= c[i - k]
-    return QSeries(order, c)
+    return QSeries(order, _product_coeffs(m + 1, order, order, -1))
 
 
 def pochhammer_q(n: int, order: int) -> QSeries:
     """(q)_n = product of (1 - q**i) for 1 <= i <= n, truncated at order."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    c = [0] * (order + 1)
-    c[0] = 1
-    for k in range(1, min(n, order) + 1):
-        for i in range(order, k - 1, -1):
-            c[i] -= c[i - k]
-    return QSeries(order, c)
-
-
-def pochhammer_zq(n: int, q_order: int, z_degree: int) -> ZQSeries:
-    """(z)_n = product of (1 - z q**i) for 0 <= i < n, truncated."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    acc = ZQSeries.one(q_order, z_degree)
-    for i in range(n):
-        acc = acc * (
-            ZQSeries.one(q_order, z_degree)
-            - ZQSeries.monomial(1, i, 1, q_order, z_degree)
-        )
-    return acc
+    return QSeries(order, _product_coeffs(1, n, order, -1))
 
 
 def pochhammer_neg_zq(n: int, q_order: int, z_degree: int) -> ZQSeries:
@@ -493,12 +460,7 @@ def sylvester_sides(q_order: int, z_degree: int) -> tuple[ZQSeries, ZQSeries]:
     """
     if q_order < 0 or z_degree < 0:
         raise ValueError("truncation parameters must be nonnegative")
-    lhs = ZQSeries.one(q_order, z_degree)
-    for k in range(1, q_order + 1):
-        lhs = lhs * (
-            ZQSeries.one(q_order, z_degree)
-            + ZQSeries.monomial(1, k, 1, q_order, z_degree)
-        )
+    lhs = pochhammer_neg_zq(q_order, q_order, z_degree)
     rhs = ZQSeries.one(q_order, z_degree)
     n = 1
     while n <= z_degree and (3 * n * n - n) // 2 <= q_order:

@@ -1,9 +1,15 @@
-"""Three-way identity checkers: closed forms vs products vs enumeration.
+"""Identity checkers: each compares routes that are different algorithms.
 
-Each check computes the compared quantities along routes that share no
-intermediate code (dynamic programming, explicit products, closed-form
-summation, or brute-force enumeration) so a single bug cannot silently
-pass.  Checks report a verdict instead of raising: Fail is data, not an
+* general-product-formula: the product over parts > m (knapsack
+  expansion) vs the closed Gaussian-binomial sum.
+* fixed-point-formula: the fixed-point generating function vs the
+  product vs enumeration of the involution's fixed points.
+* sylvester: the product of (1 + z q**n) vs the Durfee-square sum.
+* durfee-decomposition: enumeration of distinct-part partitions graded
+  by Durfee class vs the expansion of each class's term.
+* involution-audit: every involution law on every partition in range.
+
+Checks report a verdict instead of raising: Fail is data, not an
 exception.
 """
 
@@ -12,12 +18,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .involution import enumerate_fixed_points
-from .partitions import (
-    DurfeeCategory,
-    _distinct_tuples,
-    count_distinct_signed,
-)
+from .involution import enumerate_fixed_points, orbit_audit
+from .partitions import DurfeeCategory, _distinct_tuples, _durfee
 from .qseries import (
     QSeries,
     ZQSeries,
@@ -89,14 +91,11 @@ def _report(identity: str, params: dict, mismatch: dict | None, start: float) ->
 
 
 def check_general_formula(m: int, order: int) -> VerificationReport:
-    """Product over parts > m vs its closed form vs DP signed counts."""
+    """Product over parts > m vs its closed form."""
     start = time.perf_counter()
-    product = euler_product(m, order)
-    closed = rhs_general(m, order)
-    dp = QSeries(order, [signed for _, signed in count_distinct_signed(m, order)])
-    mismatch = _qseries_mismatch(product, closed, "product", "closed-form")
-    if mismatch is None:
-        mismatch = _qseries_mismatch(product, dp, "product", "signed-dp")
+    mismatch = _qseries_mismatch(
+        euler_product(m, order), rhs_general(m, order), "product", "closed-form"
+    )
     return _report(
         "general-product-formula", {"m": m, "order": order}, mismatch, start
     )
@@ -127,17 +126,6 @@ def check_sylvester(q_order: int, z_degree: int) -> VerificationReport:
     )
 
 
-def _durfee_class(parts: tuple[int, ...]) -> tuple[int, DurfeeCategory]:
-    d = 0
-    for i, part in enumerate(parts, start=1):
-        if part >= i:
-            d = i
-        else:
-            break
-    two = len(parts) > d and parts[d] == d
-    return d, DurfeeCategory.TWO if two else DurfeeCategory.ONE
-
-
 def _durfee_term(d: int, shift: int, z_extra: int, q_order: int, z_degree: int) -> ZQSeries:
     """z^{d+z_extra} q^{(3d^2-d)/2 + shift} (-zq)_{d-1} / (q)_d, truncated."""
     lead = (3 * d * d - d) // 2 + shift
@@ -155,52 +143,52 @@ def check_durfee_decomposition(order: int, max_dimension: int) -> VerificationRe
     """
     start = time.perf_counter()
     z_cap = max_distinct_parts(order)
-    tallies: dict[tuple[int, DurfeeCategory], dict[tuple[int, int], int]] = {}
+    counted: dict[tuple[int, DurfeeCategory], ZQSeries] = {}
     for size in range(order + 1):
         for parts in _distinct_tuples(size, 0):
-            key = _durfee_class(parts)
-            tallies.setdefault(key, {})
-            cell = (size, len(parts))
-            tallies[key][cell] = tallies[key].get(cell, 0) + 1
+            key = _durfee(parts)
+            if key not in counted:
+                counted[key] = ZQSeries(order, z_cap)
+            counted[key].grid[size][len(parts)] += 1
     mismatch = None
     for d in range(max_dimension + 1):
-        if mismatch:
-            break
         for category, z_extra, q_extra in (
             (DurfeeCategory.ONE, 0, 0),
             (DurfeeCategory.TWO, 1, 2 * d),
         ):
-            counted = tallies.get((d, category), {})
-            if d == 0:
+            if d:
+                term = _durfee_term(d, q_extra, z_extra, order, z_cap)
+            else:
                 # dimension 0 is the empty partition alone, category One
-                expected = {(0, 0): 1} if category is DurfeeCategory.ONE else {}
-                if counted != expected:
-                    mismatch = {"dimension": d, "category": category.value}
-                    break
-                continue
-            term = _durfee_term(d, q_extra, z_extra, order, z_cap)
-            for j in range(order + 1):
-                row = term.grid[j]
-                for k in range(z_cap + 1):
-                    if row[k] != counted.get((j, k), 0):
-                        mismatch = {
-                            "dimension": d,
-                            "category": category.value,
-                            "qExponent": j,
-                            "zExponent": k,
-                            "lhs": counted.get((j, k), 0),
-                            "rhs": row[k],
-                            "lhsRoute": "enumeration",
-                            "rhsRoute": "term-expansion",
-                        }
-                        break
-                if mismatch:
-                    break
-            if mismatch:
+                term = ZQSeries(order, z_cap) if z_extra else ZQSeries.one(order, z_cap)
+            enumerated = counted.get((d, category), ZQSeries(order, z_cap))
+            found = _zq_mismatch(enumerated, term, "enumeration", "term-expansion")
+            if found:
+                mismatch = {"dimension": d, "category": category.value, **found}
                 break
+        if mismatch:
+            break
     return _report(
         "durfee-decomposition",
         {"order": order, "maxDimension": max_dimension},
         mismatch,
         start,
     )
+
+
+def check_involution_laws(m: int, max_size: int) -> VerificationReport:
+    """Every involution law on each partition of size <= max_size (orbit_audit)."""
+    start = time.perf_counter()
+    audit = orbit_audit(m, max_size)
+    mismatch = None
+    if audit.violations:
+        law, parts = audit.violations[0]
+        mismatch = {"law": law, "partition": ",".join(map(str, parts))}
+    params = {
+        "m": m,
+        "maxSize": max_size,
+        "totalPartitions": audit.total_partitions,
+        "pairedCount": audit.paired_count,
+        "fixedCount": audit.fixed_count,
+    }
+    return _report("involution-audit", params, mismatch, start)

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +40,18 @@ class TestExpand:
         out, _ = out_of(capsys)
         assert out == ""
         assert target.read_text() == "1 - q - q^2 + q^5\n"
+
+    def test_module_entry_point(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "franklin.cli", "expand", "--order", "5"],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": src},
+            timeout=60,
+        )
+        assert done.returncode == 0
+        assert done.stdout == "1 - q - q^2 + q^5\n"
 
 
 class TestStaircaseCmd:
@@ -154,6 +169,42 @@ class TestVerifyCmd:
         assert code == 0
         out, _ = out_of(capsys)
         assert "involution-audit" in out
+
+    def test_order_zero_is_honoured(self, capsys):
+        code = run(["verify", "--suite", "general", "--m", "0", "--order", "0", "--json"])
+        assert code == 0
+        payload = json.loads(out_of(capsys)[0])
+        assert [r["params"]["order"] for r in payload] == [0, 0]
+
+    def test_max_size_zero_is_honoured(self, capsys):
+        code = run(["verify", "--suite", "involution", "--m", "2", "--max-size", "0", "--json"])
+        assert code == 0
+        payload = json.loads(out_of(capsys)[0])
+        assert payload[0]["params"]["maxSize"] == 0
+        assert payload[0]["params"]["totalPartitions"] == 1
+
+    def test_involution_audit_is_timed(self, capsys):
+        assert run(["verify", "--suite", "involution", "--json"]) == 0
+        payload = json.loads(out_of(capsys)[0])
+        assert len(payload) == 5
+        assert all(r["elapsedSeconds"] > 0 for r in payload)
+
+    def test_involution_fault_fails(self, capsys, monkeypatch):
+        import franklin.involution as involution
+
+        real = involution._tau_tuple
+
+        def corrupted(parts, m, lands, t):
+            image = real(parts, m, lands, t)
+            return (image[0] + 1,) + image[1:]
+
+        monkeypatch.setattr(involution, "_tau_tuple", corrupted)
+        code = run(["verify", "--suite", "involution", "--m", "0", "--max-size", "10", "--json"])
+        assert code == 1
+        [report] = json.loads(out_of(capsys)[0])
+        assert report["verdict"] == "Fail"
+        # (3,) is the first sigma-moved partition: tau of its image (2, 1) must give it back
+        assert report["firstMismatch"] == {"law": "tau-sigma-roundtrip", "partition": "3"}
 
     def test_json_reports(self, capsys):
         code = run(

@@ -17,7 +17,6 @@ from franklin.qseries import (
     max_distinct_parts,
     pochhammer_neg_zq,
     pochhammer_q,
-    pochhammer_zq,
     rhs_fixed_points,
     rhs_general,
     sylvester_sides,
@@ -163,28 +162,11 @@ class TestPochhammer:
             ZQSeries.one(3, 2) + ZQSeries.monomial(1, 1, 1, 3, 2)
         )
 
-    def test_zq_two(self):
-        # (z)_2 = (1 - z)(1 - zq) = 1 - z - zq + z^2 q
-        got = pochhammer_zq(2, 2, 2)
-        expected = ZQSeries(2, 2, [[1, -1, 0], [0, -1, 1], [0, 0, 0]])
-        assert got == expected
-
-    def test_zq_zero(self):
-        assert pochhammer_zq(0, 4, 4) == ZQSeries.one(4, 4)
-
 
 class TestZQSeries:
     def test_mismatch_rejected(self):
         with pytest.raises(TruncationMismatch):
             ZQSeries.one(2, 3) * ZQSeries.one(3, 3)
-
-    def test_invert_roundtrip(self):
-        a = pochhammer_zq(3, 8, 5)
-        assert a * a.invert() == ZQSeries.one(8, 5)
-
-    def test_invert_requires_unit(self):
-        with pytest.raises(NonUnitConstantTerm):
-            (ZQSeries.one(2, 2) * 3).invert()
 
     def test_z_slice(self):
         s = pochhammer_neg_zq(3, 6, 3)
