@@ -134,18 +134,34 @@ def _cmd_involve(args) -> tuple[int, str]:
     return 0, "\n".join(lines) + "\n"
 
 
+def _json_payload(m: int, max_size: int, key: str, rows: list[str]) -> str:
+    """``json.dumps({"m": .., "maxSize": .., key: [..]}, indent=2)`` plus a newline.
+
+    `rows` are the list's objects, already laid out at depth two.  With
+    ``indent`` set, ``json.dumps`` falls back to its pure-Python encoder;
+    writing the fixed layout directly gives the same bytes several times
+    faster.
+    """
+    body = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+    return f'{{\n  "m": {m},\n  "maxSize": {max_size},\n  "{key}": {body}\n}}\n'
+
+
+def _json_int_list(values: tuple[int, ...]) -> str:
+    """An int list as ``json.dumps(.., indent=2)`` writes it at depth three."""
+    if not values:
+        return "[]"
+    return "[\n        " + ",\n        ".join(map(str, values)) + "\n      ]"
+
+
 def _cmd_fixed_points(args) -> tuple[int, str]:
     points = list(enumerate_fixed_points(args.m, args.max_size))
     if args.json:
-        payload = {
-            "m": args.m,
-            "maxSize": args.max_size,
-            "fixedPoints": [
-                {"parts": list(p.parts), "size": w.exponent, "sign": w.sign}
-                for p, w in points
-            ],
-        }
-        return 0, json.dumps(payload, indent=2) + "\n"
+        rows = [
+            f'    {{\n      "parts": {_json_int_list(p.parts)},\n'
+            f'      "size": {w.exponent},\n      "sign": {w.sign}\n    }}'
+            for p, w in points
+        ]
+        return 0, _json_payload(args.m, args.max_size, "fixedPoints", rows)
     lines = [f"{w} {_display_partition(p)}" for p, w in points]
     return 0, "\n".join(lines) + ("\n" if lines else "")
 
@@ -153,23 +169,18 @@ def _cmd_fixed_points(args) -> tuple[int, str]:
 def _cmd_stats(args) -> tuple[int, str]:
     table = cancellation_stats(args.m, args.max_size)
     if args.json:
-        payload = {
-            "m": args.m,
-            "maxSize": args.max_size,
-            "perSize": [
-                {
-                    "size": row.size,
-                    "partitions": str(row.partitions),
-                    "fixed": row.fixed,
-                    "fixedPositive": row.fixed_positive,
-                    "fixedNegative": row.fixed_negative,
-                    "residual": row.residual,
-                    "productCoefficient": str(row.product_coefficient),
-                }
-                for row in table
-            ],
-        }
-        return 0, json.dumps(payload, indent=2) + "\n"
+        # partitions and productCoefficient may exceed 64 bits: decimal strings
+        rows = [
+            f'    {{\n      "size": {row.size},\n'
+            f'      "partitions": "{row.partitions}",\n'
+            f'      "fixed": {row.fixed},\n'
+            f'      "fixedPositive": {row.fixed_positive},\n'
+            f'      "fixedNegative": {row.fixed_negative},\n'
+            f'      "residual": {row.residual},\n'
+            f'      "productCoefficient": "{row.product_coefficient}"\n    }}'
+            for row in table
+        ]
+        return 0, _json_payload(args.m, args.max_size, "perSize", rows)
     lines = ["size partitions fixed fixed+ fixed- residual coefficient"]
     for row in table:
         lines.append(
@@ -235,6 +246,12 @@ def run(argv: list[str] | None = None) -> int:
         code, text = _HANDLERS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(
+            f"error: out of memory running {args.command}; lower --order or --max-size",
+            file=sys.stderr,
+        )
         return 2
     if args.out:
         try:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .partitions import DistinctPartition, SignedMonomial, _distinct_tuples
-from .qseries import _product_coeffs
+from .qseries import _fixed_point_tallies, _product_coeffs
 from .staircase import _require_valid, _walk
 
 
@@ -338,24 +338,17 @@ def cancellation_stats(m: int, max_size: int) -> list[SizeStats]:
     """Per-size cancellation statistics up to max_size.
 
     Partition totals are the coefficients of the product of (1 + q**k)
-    over k > m; fixed-point tallies come from enumerating the two
-    box-partition families (never from full partition enumeration).  The
-    product coefficient is the signed excess fixed_positive - fixed_negative.
+    over k > m.  Fixed-point tallies are read off the closed form, no
+    partition being enumerated: the fixed points with n parts are counted
+    by q^{(3n^2-n)/2 + nm} ([n+m, m]_q + q^{n+m} [n+m-1, m]_q) and all
+    carry the sign (-1)^n, so even n fill fixed_positive and odd n
+    fixed_negative.  The product coefficient is the signed excess
+    fixed_positive - fixed_negative.
     """
     if m < 0 or max_size < 0:
         raise ValueError("m and max_size must be nonnegative")
     counts = _product_coeffs(m + 1, max_size, max_size, 1)
-    pos = [0] * (max_size + 1)
-    neg = [0] * (max_size + 1)
-    n = 0
-    while True:
-        base_size = (3 * n * n - n) // 2 + n * m
-        if base_size > max_size:
-            break
-        tally = neg if n % 2 else pos
-        for parts in _fixed_point_parts(n, m, max_size - base_size):
-            tally[sum(parts)] += 1
-        n += 1
+    pos, neg = _fixed_point_tallies(m, max_size)
     return [
         SizeStats(
             size=s,

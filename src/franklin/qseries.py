@@ -8,6 +8,7 @@ binary operations require matching truncation parameters.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import isqrt
 from operator import add, sub
 from typing import Iterable, Sequence
@@ -348,39 +349,41 @@ def pochhammer_neg_zq(n: int, q_order: int, z_degree: int) -> ZQSeries:
     return acc
 
 
+def _gauss_step(c: list[int], n: int, m: int) -> None:
+    """Turn [n+m-1, m]_q into [n+m, m]_q in place, truncated at len(c) - 1.
+
+    [n+m, m] = [n+m-1, m] (1 - q^{n+m}) / (1 - q^n) for n >= 1.  The product
+    is a descending subtract, c[k] -= c[k-n-m]; the quotient is an ascending
+    stride-n running sum, c[k] += c[k-n].  Both read only lower
+    coefficients, so the truncation loses nothing a kept coefficient needs,
+    and no integer division occurs.
+    """
+    c[n + m :] = map(sub, c[n + m :], c)  # the right side is built before any write
+    for r in range(min(n, len(c) - n)):
+        c[r::n] = accumulate(c[r::n])
+
+
+def _add_shifted(out: list[int], c: Sequence[int], shift: int, op) -> None:
+    """out[shift + k] = op(out[shift + k], c[k]) wherever shift + k stays in out."""
+    end = min(len(out), shift + len(c))
+    if shift < end:
+        out[shift:end] = map(op, out[shift:end], c)
+
+
 def gauss_binomial(a: int, b: int) -> QSeries:
     """The Gaussian binomial [a, b]_q as an exact polynomial of degree b(a-b).
 
-    Computed with the q-Pascal recurrence [i, j] = [i-1, j-1] + q^j [i-1, j]
-    over integer coefficient lists; no division occurs and every
-    coefficient is positive.
+    Stepped up from [m, m] = 1 to [n+m, m] by `_gauss_step`, with n the
+    smaller of b and a-b (the polynomial is symmetric in the two); integer
+    coefficient lists only, no division, and every coefficient is positive.
     """
     if b < 0 or b > a:
         raise ValueError(f"need 0 <= b <= a, got a={a}, b={b}")
-    row: list[list[int]] = [[1]]  # entries [i, j] for j = 0..min(i, b)
-    for i in range(1, a + 1):
-        new: list[list[int]] = [[1]]
-        for j in range(1, min(i, b) + 1):
-            if j == i:
-                new.append([1])
-                continue
-            left = row[j - 1]
-            right = row[j]
-            out = [0] * max(len(left), j + len(right))
-            for k, v in enumerate(left):
-                out[k] += v
-            for k, v in enumerate(right):
-                out[k + j] += v
-            new.append(out)
-        row = new
-    return QSeries(b * (a - b), row[b])
-
-
-def _gauss_coeffs_or_zero(a: int, b: int) -> list[int]:
-    """Coefficient list of [a, b]_q, treating out-of-range b as zero."""
-    if b < 0 or b > a:
-        return []
-    return gauss_binomial(a, b).coeffs
+    n, m = sorted((b, a - b))
+    c = [1] + [0] * (n * m)
+    for k in range(1, n + 1):
+        _gauss_step(c, k, m)
+    return QSeries(n * m, c)
 
 
 def rhs_general(m: int, order: int) -> QSeries:
@@ -388,27 +391,21 @@ def rhs_general(m: int, order: int) -> QSeries:
 
     Sum over n >= 0 of (-1)^n [n+m, m]_q q^{(3n^2+n)/2 + nm} (1 - q^{2n+m+1}),
     including terms while their leading exponent stays within the order.
+    One column, stepped from [n+m-1, m] to [n+m, m], serves every n.
     """
     if m < 0 or order < 0:
         raise ValueError("m and order must be nonnegative")
     c = [0] * (order + 1)
-    n = 0
-    while True:
-        lead = (3 * n * n + n) // 2 + n * m
-        if lead > order:
-            break
-        sign = -1 if n % 2 else 1
-        g = gauss_binomial(n + m, m).coeffs
-        for k, v in enumerate(g):
-            if lead + k > order:
-                break
-            c[lead + k] += sign * v
-        drop = lead + 2 * n + m + 1
-        for k, v in enumerate(g):
-            if drop + k > order:
-                break
-            c[drop + k] -= sign * v
+    column = [1] + [0] * order
+    n = lead = 0
+    while lead <= order:
+        if n:
+            _gauss_step(column, n, m)
+        plus, minus = (sub, add) if n % 2 else (add, sub)
+        _add_shifted(c, column, lead, plus)
+        _add_shifted(c, column, lead + 2 * n + m + 1, minus)
         n += 1
+        lead = (3 * n * n + n) // 2 + n * m
     return QSeries(order, c)
 
 
@@ -420,35 +417,47 @@ def fixed_point_polynomial(n: int, m: int) -> QSeries:
     """
     if n < 0 or m < 0:
         raise ValueError("n and m must be nonnegative")
+    if n == 0:
+        return QSeries.one(0)
     base = (3 * n * n - n) // 2 + n * m
-    sign = -1 if n % 2 else 1
-    a = gauss_binomial(n + m, m).coeffs
-    b = _gauss_coeffs_or_zero(n + m - 1, m)
-    degree = base + max(len(a) - 1, (n + m + len(b) - 1) if b else 0)
-    c = [0] * (degree + 1)
-    for k, v in enumerate(a):
-        c[base + k] += sign * v
-    for k, v in enumerate(b):
-        c[base + n + m + k] += sign * v
-    return QSeries(degree, c)
+    op = sub if n % 2 else add
+    previous = gauss_binomial(n + m - 1, m).coeffs + [0] * m
+    column = previous.copy()
+    _gauss_step(column, n, m)
+    c = [0] * (base + n * m + n + 1)
+    _add_shifted(c, column, base, op)
+    _add_shifted(c, previous, base + n + m, op)
+    return QSeries(len(c) - 1, c)
+
+
+def _fixed_point_tallies(m: int, order: int) -> tuple[list[int], list[int]]:
+    """Fixed points counted by size up to order: (even part count, odd part count).
+
+    The n-part fixed points are counted by q^{(3n^2-n)/2 + nm} ([n+m, m]_q +
+    q^{n+m} [n+m-1, m]_q), whose coefficients are nonnegative; their sign is
+    (-1)^n.  [n+m-1, m] is the column before its step to [n+m, m].
+    """
+    even = [0] * (order + 1)
+    odd = [0] * (order + 1)
+    column = [1] + [0] * order
+    n = base = 0
+    while base <= order:
+        tally = odd if n % 2 else even
+        if n:
+            _add_shifted(tally, column, base + n + m, add)
+            _gauss_step(column, n, m)
+        _add_shifted(tally, column, base, add)
+        n += 1
+        base = (3 * n * n - n) // 2 + n * m
+    return even, odd
 
 
 def rhs_fixed_points(m: int, order: int) -> QSeries:
     """Sum of the per-n fixed-point polynomials, truncated at order."""
     if m < 0 or order < 0:
         raise ValueError("m and order must be nonnegative")
-    c = [0] * (order + 1)
-    n = 0
-    while True:
-        base = (3 * n * n - n) // 2 + n * m
-        if base > order:
-            break
-        for k, v in enumerate(fixed_point_polynomial(n, m).coeffs):
-            if k > order:
-                break
-            c[k] += v
-        n += 1
-    return QSeries(order, c)
+    even, odd = _fixed_point_tallies(m, order)
+    return QSeries(order, list(map(sub, even, odd)))
 
 
 def sylvester_sides(q_order: int, z_degree: int) -> tuple[ZQSeries, ZQSeries]:

@@ -7,6 +7,7 @@ import pytest
 
 import franklin.cli as cli
 from franklin.cli import run
+from franklin.involution import cancellation_stats, enumerate_fixed_points
 
 
 def out_of(capsys):
@@ -121,6 +122,20 @@ class TestFixedPointsCmd:
         }
         assert entries[(12, 11, 10, 9, 8)]["sign"] == -1
 
+    @pytest.mark.parametrize("m,max_size", [(0, 0), (0, 30), (3, 50), (10, 160), (3, -1)])
+    def test_json_bytes_match_the_encoder(self, capsys, m, max_size):
+        payload = {
+            "m": m,
+            "maxSize": max_size,
+            "fixedPoints": [
+                {"parts": list(p.parts), "size": w.exponent, "sign": w.sign}
+                for p, w in enumerate_fixed_points(m, max_size)
+            ],
+        }
+        run(["fixed-points", "--m", str(m), "--max-size", str(max_size), "--json"])
+        out, _ = out_of(capsys)
+        assert out == json.dumps(payload, indent=2) + "\n"
+
 
 class TestStatsCmd:
     def test_json_headline_statistics(self, capsys):
@@ -145,6 +160,28 @@ class TestStatsCmd:
         assert row["fixedNegative"] == 1
         assert row["residual"] == 1
         assert row["productCoefficient"] == "0"
+
+    @pytest.mark.parametrize("m,max_size", [(0, 0), (0, 30), (3, 50), (10, 160)])
+    def test_json_bytes_match_the_encoder(self, capsys, m, max_size):
+        payload = {
+            "m": m,
+            "maxSize": max_size,
+            "perSize": [
+                {
+                    "size": row.size,
+                    "partitions": str(row.partitions),
+                    "fixed": row.fixed,
+                    "fixedPositive": row.fixed_positive,
+                    "fixedNegative": row.fixed_negative,
+                    "residual": row.residual,
+                    "productCoefficient": str(row.product_coefficient),
+                }
+                for row in cancellation_stats(m, max_size)
+            ],
+        }
+        run(["stats", "--m", str(m), "--max-size", str(max_size), "--json"])
+        out, _ = out_of(capsys)
+        assert out == json.dumps(payload, indent=2) + "\n"
 
     def test_text_table(self, capsys):
         run(["stats", "--m", "0", "--max-size", "5"])
@@ -236,6 +273,18 @@ class TestVerifyCmd:
 
 
 class TestUsageErrors:
+    def test_out_of_memory_exits_2(self, capsys, monkeypatch):
+        def exhausted(args):
+            raise MemoryError
+
+        monkeypatch.setitem(cli._HANDLERS, "expand", exhausted)
+        code = run(["expand", "--m", "0", "--order", "5"])
+        out, err = out_of(capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: out of memory")
+        assert "Traceback" not in err
+
     def test_unknown_flag(self):
         with pytest.raises(SystemExit) as exc:
             run(["expand", "--m", "0", "--order", "5", "--bogus"])

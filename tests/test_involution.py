@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from franklin.involution import (
     InvolutionCase,
     PreconditionViolated,
+    _fixed_point_parts,
     cancellation_stats,
     combine_audit_reports,
     enumerate_fixed_points,
@@ -21,6 +22,7 @@ from franklin.partitions import (
     enumerate_distinct,
     weight,
 )
+from franklin.qseries import _product_coeffs, euler_product
 from franklin.staircase import staircase
 
 
@@ -255,3 +257,23 @@ class TestCancellationStats:
                 assert row.fixed == per_size[row.size]
                 assert row.fixed == row.fixed_positive + row.fixed_negative
                 assert row.residual == min(row.fixed_positive, row.fixed_negative)
+
+    @pytest.mark.parametrize("m", range(7))
+    def test_closed_form_tallies_match_box_enumeration(self, m):
+        for max_size in (0, 1, 7, 60):
+            pos = [0] * (max_size + 1)
+            neg = [0] * (max_size + 1)
+            n = 0
+            while (base := (3 * n * n - n) // 2 + n * m) <= max_size:
+                tally = neg if n % 2 else pos
+                for parts in _fixed_point_parts(n, m, max_size - base):
+                    tally[sum(parts)] += 1
+                n += 1
+            table = cancellation_stats(m, max_size)
+            assert [row.fixed_positive for row in table] == pos
+            assert [row.fixed_negative for row in table] == neg
+
+    def test_m20_to_400_matches_the_product(self):
+        table = cancellation_stats(20, 400)
+        assert [r.fixed_positive - r.fixed_negative for r in table] == euler_product(20, 400).coeffs
+        assert [r.partitions for r in table] == _product_coeffs(21, 400, 400, 1)

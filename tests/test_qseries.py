@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from franklin.partitions import count_distinct_signed, enumerate_distinct
 from franklin.qseries import (
     NonUnitConstantTerm,
+    _gauss_step,
     QSeries,
     TruncationMismatch,
     ZQSeries,
@@ -130,10 +131,20 @@ class TestGaussBinomial:
         for b in range(a + 1):
             assert sum(gauss_binomial(a, b).coeffs) == comb(a, b)
 
-    @pytest.mark.parametrize("a,b", [(5, 2), (6, 3), (7, 1), (8, 4), (9, 2)])
+    @pytest.mark.parametrize("a,b", [(a, b) for a in range(15) for b in range(a + 1)])
     def test_counts_box_partitions(self, a, b):
         # coefficient k = number of partitions of k inside a b x (a-b) box
         assert gauss_binomial(a, b).coeffs == box_poly_oracle(b, a - b)
+
+    @pytest.mark.parametrize("m", [0, 1, 3, 7])
+    def test_truncated_steps_match_full_binomial(self, m):
+        # a column shorter than the degree n*m stays exact up to its order
+        for order in (0, 1, 5, 17):
+            column = [1] + [0] * order
+            for n in range(1, 9):
+                _gauss_step(column, n, m)
+                full = gauss_binomial(n + m, m).coeffs + [0] * order
+                assert column == full[: order + 1]
 
     @given(st.integers(0, 10), st.data())
     @settings(max_examples=40, deadline=None)
@@ -198,6 +209,11 @@ class TestRhsGeneral:
     @pytest.mark.parametrize("m", range(5))
     def test_matches_product(self, m):
         assert rhs_general(m, 80) == euler_product(m, 80)
+
+    def test_series_workload_orders(self):
+        # the last terms are cut by the truncation, lead + n*m > order
+        assert rhs_general(30, 2000) == euler_product(30, 2000)
+        assert rhs_fixed_points(20, 2000) == euler_product(20, 2000)
 
 
 class TestFixedPointClosedForms:
