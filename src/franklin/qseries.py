@@ -3,7 +3,9 @@
 QSeries holds coefficients c[0..order]; ZQSeries holds a dense grid
 c[j][k] for q**j z**k with j <= q_order and k <= z_degree.  All arithmetic
 is exact (Python integers) and never reads or writes past the truncation;
-binary operations require matching truncation parameters.
+binary operations require matching truncation parameters.  The expansions
+step plain coefficient lists in place and invert no series: times (1 +- q^k)
+or (1 + z q^i) by a shifted add, over (1 - q^n) by a stride running sum.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from itertools import accumulate
 from math import isqrt
 from operator import add, sub
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class TruncationMismatch(ValueError):
@@ -171,10 +173,6 @@ class ZQSeries:
             self.grid = [list(r) for r in grid]
 
     @classmethod
-    def zero(cls, q_order: int, z_degree: int) -> "ZQSeries":
-        return cls(q_order, z_degree)
-
-    @classmethod
     def one(cls, q_order: int, z_degree: int) -> "ZQSeries":
         s = cls(q_order, z_degree)
         s.grid[0][0] = 1
@@ -187,13 +185,6 @@ class ZQSeries:
         s = cls(q_order, z_degree)
         if q_exp <= q_order and z_exp <= z_degree:
             s.grid[q_exp][z_exp] = coeff
-        return s
-
-    @classmethod
-    def from_qseries(cls, qs: QSeries, z_degree: int) -> "ZQSeries":
-        s = cls(qs.order, z_degree)
-        for j, c in enumerate(qs.coeffs):
-            s.grid[j][0] = c
         return s
 
     def coeff(self, q_exp: int, z_exp: int) -> int:
@@ -229,17 +220,6 @@ class ZQSeries:
             self.z_degree,
             [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.grid, other.grid)],
         )
-
-    def __sub__(self, other: "ZQSeries") -> "ZQSeries":
-        self._check(other)
-        return ZQSeries(
-            self.q_order,
-            self.z_degree,
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.grid, other.grid)],
-        )
-
-    def __neg__(self) -> "ZQSeries":
-        return ZQSeries(self.q_order, self.z_degree, [[-a for a in r] for r in self.grid])
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -277,9 +257,6 @@ class ZQSeries:
             if e <= self.q_order:
                 out[e] += v * coeff**k
         return QSeries(self.q_order, out)
-
-    def is_zero(self) -> bool:
-        return not any(any(row) for row in self.grid)
 
     def __eq__(self, other) -> bool:
         return (
@@ -336,31 +313,22 @@ def pochhammer_q(n: int, order: int) -> QSeries:
     return QSeries(order, _product_coeffs(1, n, order, -1))
 
 
-def pochhammer_neg_zq(n: int, q_order: int, z_degree: int) -> ZQSeries:
-    """(-zq)_n = product of (1 + z q**i) for 1 <= i <= n, truncated."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    acc = ZQSeries.one(q_order, z_degree)
-    for i in range(1, n + 1):
-        acc = acc * (
-            ZQSeries.one(q_order, z_degree)
-            + ZQSeries.monomial(1, i, 1, q_order, z_degree)
-        )
-    return acc
+def _divide_step(c: list[int], n: int) -> None:
+    """Divide c by (1 - q^n) in place: a stride-n running sum, c[k] += c[k-n]."""
+    for r in range(min(n, len(c) - n)):
+        c[r::n] = accumulate(c[r::n])
 
 
 def _gauss_step(c: list[int], n: int, m: int) -> None:
     """Turn [n+m-1, m]_q into [n+m, m]_q in place, truncated at len(c) - 1.
 
     [n+m, m] = [n+m-1, m] (1 - q^{n+m}) / (1 - q^n) for n >= 1.  The product
-    is a descending subtract, c[k] -= c[k-n-m]; the quotient is an ascending
-    stride-n running sum, c[k] += c[k-n].  Both read only lower
-    coefficients, so the truncation loses nothing a kept coefficient needs,
-    and no integer division occurs.
+    is a descending subtract, c[k] -= c[k-n-m], then `_divide_step`.  Both
+    read only lower coefficients, so the truncation loses nothing a kept
+    coefficient needs.
     """
     c[n + m :] = map(sub, c[n + m :], c)  # the right side is built before any write
-    for r in range(min(n, len(c) - n)):
-        c[r::n] = accumulate(c[r::n])
+    _divide_step(c, n)
 
 
 def _add_shifted(out: list[int], c: Sequence[int], shift: int, op) -> None:
@@ -368,6 +336,62 @@ def _add_shifted(out: list[int], c: Sequence[int], shift: int, op) -> None:
     end = min(len(out), shift + len(c))
     if shift < end:
         out[shift:end] = map(op, out[shift:end], c)
+
+
+def _unit_columns(q_order: int, z_degree: int) -> list[list[int]]:
+    """1 as q-coefficient lists of z^k, for the k <= max_distinct_parts(q_order): the rest stay 0."""
+    if q_order < 0 or z_degree < 0:
+        raise ValueError("truncation parameters must be nonnegative")
+    columns = [[0] * (q_order + 1) for _ in range(min(z_degree, max_distinct_parts(q_order)) + 1)]
+    columns[0][0] = 1
+    return columns
+
+
+def _times_one_plus_zq(columns: list[list[int]], i: int) -> None:
+    """Multiply z-columns by (1 + z q^i) in place, highest power of z first."""
+    for k in range(len(columns) - 1, 0, -1):
+        _add_shifted(columns[k], columns[k - 1], i, add)
+
+
+def _zq_from_columns(
+    columns: list[list[int]], lead: int, z_shift: int, q_order: int, z_degree: int
+) -> ZQSeries:
+    """z^{z_shift} q^{lead} times the z-columns, as a truncated ZQSeries."""
+    zero = [0] * (q_order + 1)
+    shifted = [zero] * (z_degree + 1)
+    for k, c in enumerate(columns[: max(z_degree + 1 - z_shift, 0)]):
+        shifted[k + z_shift] = (zero[:lead] + c)[: q_order + 1]
+    return ZQSeries(q_order, z_degree, list(zip(*shifted)))
+
+
+def pochhammer_neg_zq(n: int, q_order: int, z_degree: int) -> ZQSeries:
+    """(-zq)_n = product of (1 + z q**i) for 1 <= i <= n, truncated."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    columns = _unit_columns(q_order, z_degree)
+    for i in range(1, min(n, q_order) + 1):
+        _times_one_plus_zq(columns, i)
+    return _zq_from_columns(columns, 0, 0, q_order, z_degree)
+
+
+def _durfee_terms(q_order: int, z_degree: int) -> Iterator[tuple[int, ZQSeries, ZQSeries]]:
+    """Yield (d, one, two) for d >= 1 while z^d q^{(3d^2-d)/2} stays in the truncation.
+
+    one = z^d q^{(3d^2-d)/2} (-zq)_{d-1} / (q)_d counts the distinct-part
+    partitions of Durfee dimension d in category One, two = z q^{2d} one
+    those in category Two; every later term is zero within the truncation.
+    One list of z-columns is stepped in place: divided by (1 - q^d) it holds
+    (-zq)_{d-1} / (q)_d for the yield, then times (1 + z q^d) it is set for d + 1.
+    """
+    columns = _unit_columns(q_order, z_degree)
+    d = 1
+    while d <= z_degree and (lead := (3 * d * d - d) // 2) <= q_order:
+        for c in columns:
+            _divide_step(c, d)
+        one = _zq_from_columns(columns, lead, d, q_order, z_degree)
+        yield d, one, _zq_from_columns(columns, lead + 2 * d, d + 1, q_order, z_degree)
+        _times_one_plus_zq(columns, d)
+        d += 1
 
 
 def gauss_binomial(a: int, b: int) -> QSeries:
@@ -465,24 +489,12 @@ def sylvester_sides(q_order: int, z_degree: int) -> tuple[ZQSeries, ZQSeries]:
 
     Left: product of (1 + z q**n) for n >= 1.  Right: 1 plus the sum over
     n >= 1 of z^n q^{(3n^2-n)/2} (1 + z q^{2n}) (-zq)_{n-1} / (q)_n, the
-    division realized by exact series inversion of (q)_n.
+    terms of `_durfee_terms`.
     """
-    if q_order < 0 or z_degree < 0:
-        raise ValueError("truncation parameters must be nonnegative")
     lhs = pochhammer_neg_zq(q_order, q_order, z_degree)
     rhs = ZQSeries.one(q_order, z_degree)
-    n = 1
-    while n <= z_degree and (3 * n * n - n) // 2 <= q_order:
-        lead = (3 * n * n - n) // 2
-        term = ZQSeries.monomial(1, lead, n, q_order, z_degree)
-        term = term * (
-            ZQSeries.one(q_order, z_degree)
-            + ZQSeries.monomial(1, 2 * n, 1, q_order, z_degree)
-        )
-        term = term * pochhammer_neg_zq(n - 1, q_order, z_degree)
-        term = term * ZQSeries.from_qseries(pochhammer_q(n, q_order).invert(), z_degree)
-        rhs = rhs + term
-        n += 1
+    for _, one, two in _durfee_terms(q_order, z_degree):
+        rhs = rhs + one + two
     return lhs, rhs
 
 

@@ -6,7 +6,7 @@
   product vs enumeration of the involution's fixed points.
 * sylvester: the product of (1 + z q**n) vs the Durfee-square sum.
 * durfee-decomposition: enumeration of distinct-part partitions graded
-  by Durfee class vs the expansion of each class's term.
+  by Durfee class vs each class's term, the summands of sylvester's side.
 * involution-audit: every involution law on every partition in range.
 
 Checks report a verdict instead of raising: Fail is data, not an
@@ -16,17 +16,18 @@ exception.
 from __future__ import annotations
 
 import time
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain
 
 from .involution import enumerate_fixed_points, orbit_audit
 from .partitions import DurfeeCategory, _distinct_tuples, _durfee
 from .qseries import (
     QSeries,
     ZQSeries,
+    _durfee_terms,
     euler_product,
     max_distinct_parts,
-    pochhammer_neg_zq,
-    pochhammer_q,
     rhs_fixed_points,
     rhs_general,
     sylvester_sides,
@@ -126,14 +127,6 @@ def check_sylvester(q_order: int, z_degree: int) -> VerificationReport:
     )
 
 
-def _durfee_term(d: int, shift: int, z_extra: int, q_order: int, z_degree: int) -> ZQSeries:
-    """z^{d+z_extra} q^{(3d^2-d)/2 + shift} (-zq)_{d-1} / (q)_d, truncated."""
-    lead = (3 * d * d - d) // 2 + shift
-    term = ZQSeries.monomial(1, lead, d + z_extra, q_order, z_degree)
-    term = term * pochhammer_neg_zq(d - 1, q_order, z_degree)
-    return term * ZQSeries.from_qseries(pochhammer_q(d, q_order).invert(), z_degree)
-
-
 def check_durfee_decomposition(order: int, max_dimension: int) -> VerificationReport:
     """Durfee classification of distinct-part partitions vs the two summands.
 
@@ -141,27 +134,22 @@ def check_durfee_decomposition(order: int, max_dimension: int) -> VerificationRe
     Durfee dimension, category), and compares against the expansions of
     the category-One and category-Two terms for each dimension.
     """
+    if order < 0 or max_dimension < 0:
+        raise ValueError("order and max_dimension must be nonnegative")
     start = time.perf_counter()
     z_cap = max_distinct_parts(order)
-    counted: dict[tuple[int, DurfeeCategory], ZQSeries] = {}
+    zero = ZQSeries(order, z_cap)
+    counted = defaultdict(lambda: ZQSeries(order, z_cap))
     for size in range(order + 1):
         for parts in _distinct_tuples(size, 0):
-            key = _durfee(parts)
-            if key not in counted:
-                counted[key] = ZQSeries(order, z_cap)
-            counted[key].grid[size][len(parts)] += 1
+            counted[_durfee(parts)].grid[size][len(parts)] += 1
+    # dimension 0 is the empty partition alone, category One
+    terms = chain([(0, ZQSeries.one(order, z_cap), zero)], _durfee_terms(order, z_cap))
     mismatch = None
     for d in range(max_dimension + 1):
-        for category, z_extra, q_extra in (
-            (DurfeeCategory.ONE, 0, 0),
-            (DurfeeCategory.TWO, 1, 2 * d),
-        ):
-            if d:
-                term = _durfee_term(d, q_extra, z_extra, order, z_cap)
-            else:
-                # dimension 0 is the empty partition alone, category One
-                term = ZQSeries(order, z_cap) if z_extra else ZQSeries.one(order, z_cap)
-            enumerated = counted.get((d, category), ZQSeries(order, z_cap))
+        _, one, two = next(terms, (d, zero, zero))
+        for category, term in ((DurfeeCategory.ONE, one), (DurfeeCategory.TWO, two)):
+            enumerated = counted.get((d, category), zero)
             found = _zq_mismatch(enumerated, term, "enumeration", "term-expansion")
             if found:
                 mismatch = {"dimension": d, "category": category.value, **found}

@@ -243,6 +243,12 @@ class TestVerifyCmd:
         # (3,) is the first sigma-moved partition: tau of its image (2, 1) must give it back
         assert report["firstMismatch"] == {"law": "tau-sigma-roundtrip", "partition": "3"}
 
+    def test_negative_durfee_order_exits_2(self, capsys):
+        assert run(["verify", "--suite", "durfee", "--order", "-3"]) == 2
+        out, err = out_of(capsys)
+        assert out == ""
+        assert err == "error: order and max_dimension must be nonnegative\n"
+
     def test_json_reports(self, capsys):
         code = run(
             ["verify", "--suite", "sylvester", "--order", "12", "--json"]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from franklin.partitions import count_distinct_signed, enumerate_distinct
 from franklin.qseries import (
     NonUnitConstantTerm,
+    _durfee_terms,
     _gauss_step,
     QSeries,
     TruncationMismatch,
@@ -273,6 +274,48 @@ class TestSylvester:
         one_plus_z = ZQSeries.one(order, order) + ZQSeries.monomial(1, 0, 1, order, order)
         collapsed = (one_plus_z * lhs).eval_z_at_monomial(-1, m + 1)
         assert collapsed == euler_product(m, order)
+
+
+def neg_zq_by_products(n, q_order, z_degree):
+    """(-zq)_n multiplied out one (1 + z q^i) at a time with ZQSeries.__mul__."""
+    acc = ZQSeries.one(q_order, z_degree)
+    for i in range(1, n + 1):
+        acc = acc * (ZQSeries.one(q_order, z_degree) + ZQSeries.monomial(1, i, 1, q_order, z_degree))
+    return acc
+
+
+def durfee_term_by_inversion(d, q_shift, z_shift, q_order, z_degree):
+    """z^{d+z_shift} q^{(3d^2-d)/2+q_shift} (-zq)_{d-1} times the series inverse of (q)_d."""
+    lead = (3 * d * d - d) // 2 + q_shift
+    term = ZQSeries.monomial(1, lead, d + z_shift, q_order, z_degree)
+    term = term * neg_zq_by_products(d - 1, q_order, z_degree)
+    inverse = pochhammer_q(d, q_order).invert()
+    return term * ZQSeries(q_order, z_degree, [[c] + [0] * z_degree for c in inverse.coeffs])
+
+
+# order 0, z degree 0, z degree past max_distinct_parts(order), and leads past
+# the order: at (8, 8) the dimension-2 category-Two term starts at q^9
+TRUNCATIONS = [(0, 0), (0, 4), (7, 0), (6, 1), (8, 8), (5, 10), (12, 2), (10, 10), (26, 26), (30, 6)]
+
+
+class TestSteppedColumns:
+    @pytest.mark.parametrize("q_order,z_degree", TRUNCATIONS)
+    def test_durfee_terms_match_inversion(self, q_order, z_degree):
+        terms = list(_durfee_terms(q_order, z_degree))
+        last = len(terms)
+        assert [d for d, _, _ in terms] == list(range(1, last + 1))
+        for d, one, two in terms:
+            assert one == durfee_term_by_inversion(d, 0, 0, q_order, z_degree)
+            assert two == durfee_term_by_inversion(d, 2 * d, 1, q_order, z_degree)
+        zero = ZQSeries(q_order, z_degree)
+        for d in range(last + 1, last + 4):
+            assert durfee_term_by_inversion(d, 0, 0, q_order, z_degree) == zero
+            assert durfee_term_by_inversion(d, 2 * d, 1, q_order, z_degree) == zero
+
+    @pytest.mark.parametrize("q_order,z_degree", TRUNCATIONS)
+    def test_neg_zq_matches_products(self, q_order, z_degree):
+        for n in (0, 1, 3, 7, 12):
+            assert pochhammer_neg_zq(n, q_order, z_degree) == neg_zq_by_products(n, q_order, z_degree)
 
 
 class TestFormat:

@@ -1,5 +1,6 @@
 import pytest
 
+import franklin.qseries as qseries
 import franklin.verify as verify
 from franklin.qseries import rhs_general
 from franklin.verify import (
@@ -8,6 +9,17 @@ from franklin.verify import (
     check_general_formula,
     check_sylvester,
 )
+
+
+real_durfee_terms = qseries._durfee_terms
+
+
+def corrupted_durfee_terms(q_order, z_degree):
+    """The shared Durfee terms with the dimension-2 category-One term off by z^2 q^5."""
+    for d, one, two in real_durfee_terms(q_order, z_degree):
+        if d == 2:
+            one.grid[5][2] += 1
+        yield d, one, two
 
 
 class TestGeneralFormula:
@@ -76,6 +88,12 @@ class TestSylvester:
         assert report.first_mismatch["qExponent"] == 3
         assert report.first_mismatch["zExponent"] == 1
 
+    def test_durfee_term_fault(self, monkeypatch):
+        monkeypatch.setattr(qseries, "_durfee_terms", corrupted_durfee_terms)
+        report = check_sylvester(8, 8)
+        assert report.verdict == "Fail"
+        assert (report.first_mismatch["qExponent"], report.first_mismatch["zExponent"]) == (5, 2)
+
 
 class TestDurfee:
     def test_passes(self):
@@ -87,18 +105,15 @@ class TestDurfee:
         assert check_durfee_decomposition(10, 0).verdict == "Pass"
 
     def test_fault_injection(self, monkeypatch):
-        real = verify.pochhammer_q
-
-        def corrupted(n, order):
-            series = real(n, order)
-            if n == 2:
-                series.coeffs[2] += 1
-            return series
-
-        monkeypatch.setattr(verify, "pochhammer_q", corrupted)
+        monkeypatch.setattr(verify, "_durfee_terms", corrupted_durfee_terms)
         report = check_durfee_decomposition(14, 3)
         assert report.verdict == "Fail"
         assert report.first_mismatch["dimension"] == 2
+
+    @pytest.mark.parametrize("order,max_dimension", [(10, -1), (-3, 5)])
+    def test_negative_arguments_rejected(self, order, max_dimension):
+        with pytest.raises(ValueError, match="^order and max_dimension must be nonnegative$"):
+            check_durfee_decomposition(order, max_dimension)
 
 
 class TestReportShape:
