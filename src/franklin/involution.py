@@ -53,6 +53,8 @@ class AuditReport:
     total_partitions: int
     paired_count: int
     fixed_count: int
+    tau_moved: int
+    sigma_moved: int
     violations: list[tuple[str, tuple[int, ...]]] = field(default_factory=list)
 
 
@@ -93,7 +95,10 @@ def _sigma_tuple(parts: tuple[int, ...], cells: list[int], s: int) -> tuple[int,
     return tuple(new)
 
 
-def _guards(parts: tuple[int, ...], m: int) -> tuple[bool, bool, list[int], list[int], int]:
+_Guards = tuple[bool, bool, list[int], list[int], int]
+
+
+def _guards(parts: tuple[int, ...], m: int) -> _Guards:
     """Evaluate both move guards; returns (tau_ok, sigma_ok, cells, lands, s_m)."""
     n = len(parts)
     t = parts[-1]
@@ -226,20 +231,30 @@ def _audit_one(
     m: int,
     size: int,
     violations: list[tuple[str, tuple[int, ...]]],
-) -> bool:
-    """Check every involution law on one partition; True when it is fixed."""
+    known: dict[tuple[int, ...], _Guards],
+) -> InvolutionCase | None:
+    """Check every involution law on one partition; returns its case.
+
+    `known` maps the sigma image of each partition of this size that passed
+    every law to that image's guards.  A partition found there is the tau
+    side of a pair already checked from its partner, so only its own
+    laws are checked again.  None means both guards hold.
+    """
     n = len(parts)
     if n == 0:
         if not _fixed_criterion(parts, m):
             violations.append(("fixed-criterion", parts))
-        return True
+        return InvolutionCase.FIXED
+    before = len(violations)
     t = parts[-1]
-    tau_ok, sigma_ok, cells, lands, s = _guards(parts, m)
+    guards = known.pop(parts, None)
+    partner_checked = guards is not None
+    tau_ok, sigma_ok, cells, lands, s = guards if partner_checked else _guards(parts, m)
     if not (m + 1 <= s <= m + n):
         violations.append(("staircase-bounds", parts))
     if tau_ok and sigma_ok:
         violations.append(("guards-overlap", parts))
-        return False
+        return None
     crit = _fixed_criterion(parts, m)
     overlap = cells[-1] if len(cells) == n else 0
     # maximal staircase + box form pins down the sigma guard quantity
@@ -252,36 +267,41 @@ def _audit_one(
             violations.append(("fixed-criterion", parts))
         if t < m + n or s != m + n:
             violations.append(("fixed-shape", parts))
-        return True
+        return InvolutionCase.FIXED
     if crit:
         violations.append(("fixed-criterion", parts))
     if tau_ok:
+        if partner_checked:
+            return InvolutionCase.TAU_MOVED
         img = _tau_tuple(parts, m, lands, t)
         if len(img) != n - 1 or sum(img) != size or not _is_valid_distinct(img, m):
             violations.append(("tau-image", parts))
-            return False
+            return InvolutionCase.TAU_MOVED
         i_tau, i_sigma, i_cells, _, i_s = _guards(img, m)
         if i_s != t:
             violations.append(("tau-staircase-transfer", parts))
         if i_tau or not i_sigma:
             violations.append(("tau-image-guard", parts))
-            return False
+            return InvolutionCase.TAU_MOVED
         if _sigma_tuple(img, i_cells, i_s) != parts:
             violations.append(("sigma-tau-roundtrip", parts))
-    else:
-        img = _sigma_tuple(parts, cells, s)
-        if len(img) != n + 1 or sum(img) != size or not _is_valid_distinct(img, m):
-            violations.append(("sigma-image", parts))
-            return False
-        if img[-1] != s:
-            violations.append(("sigma-top-transfer", parts))
-        i_tau, i_sigma, _, i_lands, _ = _guards(img, m)
-        if not i_tau or i_sigma:
-            violations.append(("sigma-image-guard", parts))
-            return False
-        if _tau_tuple(img, m, i_lands, img[-1]) != parts:
-            violations.append(("tau-sigma-roundtrip", parts))
-    return False
+        return InvolutionCase.TAU_MOVED
+    img = _sigma_tuple(parts, cells, s)
+    if len(img) != n + 1 or sum(img) != size or not _is_valid_distinct(img, m):
+        violations.append(("sigma-image", parts))
+        return InvolutionCase.SIGMA_MOVED
+    if img[-1] != s:
+        violations.append(("sigma-top-transfer", parts))
+    i_guards = _guards(img, m)
+    i_tau, i_sigma, _, i_lands, _ = i_guards
+    if not i_tau or i_sigma:
+        violations.append(("sigma-image-guard", parts))
+        return InvolutionCase.SIGMA_MOVED
+    if _tau_tuple(img, m, i_lands, img[-1]) != parts:
+        violations.append(("tau-sigma-roundtrip", parts))
+    elif len(violations) == before:
+        known[img] = i_guards
+    return InvolutionCase.SIGMA_MOVED
 
 
 def orbit_audit(m: int, max_size: int, sizes: Iterable[int] | None = None) -> AuditReport:
@@ -293,6 +313,26 @@ def orbit_audit(m: int, max_size: int, sizes: Iterable[int] | None = None) -> Au
     laws, weight antisymmetry (size preserved, part count changed by one),
     and agreement of the fixed-point criterion with the applied case.
 
+    Each moved pair is walked and moved once, from its sigma side.  When a
+    sigma-moved partition q passes every law, its image p = sigma(q) and
+    p's guards, computed for the round trip, are kept for the rest of the
+    size; when the enumerator reaches p, p's own laws (staircase bounds,
+    guard overlap, taxicab, fixed criterion) are checked on those guards
+    and its tau move is not redone.  That is safe because:
+
+      * tau raises the largest part, tau(p)[0] = p[0] + (m - placed) + 1,
+        so in decreasing lex order the sigma side q = tau(p) of a pair
+        comes before p;
+      * each tau-side law skipped on p follows from one checked on q:
+        tau-image from len(p) == n + 1 and tau(p) == q, where n = len(q);
+        tau-staircase-transfer (s_m(q) == t(p)) from sigma-top-transfer;
+        tau-image-guard from q's own guards, sigma and not tau;
+        sigma-tau-roundtrip because p is sigma(q) by definition.
+
+    A partition not kept this way gets every check, so for deterministic
+    helpers, faulty or not, the violations are those of checking every
+    pair from both sides.
+
     `sizes` restricts the audit to a subset of sizes so runs can be
     sharded; reports for disjoint shards add component-wise.
     """
@@ -300,22 +340,28 @@ def orbit_audit(m: int, max_size: int, sizes: Iterable[int] | None = None) -> Au
         raise ValueError("m and max_size must be nonnegative")
     size_list = sorted(sizes) if sizes is not None else list(range(max_size + 1))
     violations: list[tuple[str, tuple[int, ...]]] = []
-    total = paired = fixed = 0
+    total = fixed = tau_moved = sigma_moved = 0
     for size in size_list:
+        known: dict[tuple[int, ...], _Guards] = {}
         for parts in _distinct_tuples(size, m):
             total += 1
-            if _audit_one(parts, m, size, violations):
+            case = _audit_one(parts, m, size, violations, known)
+            if case is InvolutionCase.FIXED:
                 fixed += 1
-            else:
-                paired += 1
+            elif case is InvolutionCase.TAU_MOVED:
+                tau_moved += 1
+            elif case is InvolutionCase.SIGMA_MOVED:
+                sigma_moved += 1
     lo = size_list[0] if size_list else 0
     hi = size_list[-1] if size_list else 0
     return AuditReport(
         m=m,
         size_range=(lo, hi),
         total_partitions=total,
-        paired_count=paired,
+        paired_count=total - fixed,
         fixed_count=fixed,
+        tau_moved=tau_moved,
+        sigma_moved=sigma_moved,
         violations=violations,
     )
 
@@ -330,6 +376,8 @@ def combine_audit_reports(a: AuditReport, b: AuditReport) -> AuditReport:
         total_partitions=a.total_partitions + b.total_partitions,
         paired_count=a.paired_count + b.paired_count,
         fixed_count=a.fixed_count + b.fixed_count,
+        tau_moved=a.tau_moved + b.tau_moved,
+        sigma_moved=a.sigma_moved + b.sigma_moved,
         violations=sorted(a.violations + b.violations),
     )
 

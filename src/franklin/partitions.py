@@ -194,19 +194,34 @@ def durfee(p: DistinctPartition) -> DurfeeInfo:
     return DurfeeInfo(*_durfee(p.parts))
 
 
-def _distinct_tuples(total: int, m: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Strictly decreasing tuples of parts > m summing to total, decreasing lex order."""
+def _distinct_tuples(total: int, m: int) -> Iterator[tuple[int, ...]]:
+    """Strictly decreasing tuples of parts > m summing to total, decreasing lex order.
+
+    Depth-first without recursion: `parts` holds the chosen prefix and
+    `stack` one `(rest, part)` per open level, the amount that level still
+    has to fill and the next part it will try there.
+    """
     if total == 0:
         yield ()
         return
-    hi = total if max_part is None else min(total, max_part)
-    for p in range(hi, m, -1):
-        rest = total - p
-        # parts below p can contribute at most (m+1) + ... + (p-1)
-        if rest > (p + m) * (p - 1 - m) // 2:
-            break
-        for tail in _distinct_tuples(rest, m, p - 1):
-            yield (p,) + tail
+    parts: list[int] = []
+    stack = [(total, total)]
+    while stack:
+        rest, part = stack.pop()
+        while part > m:
+            left = rest - part
+            # parts below `part` can contribute at most (m+1) + ... + (part-1)
+            if left > (part + m) * (part - 1 - m) // 2:
+                break
+            if left:
+                stack.append((rest, part - 1))
+                parts.append(part)
+                rest, part = left, left if left < part else part - 1
+            else:
+                yield (*parts, part)
+                part -= 1
+        if parts:
+            parts.pop()
 
 
 def enumerate_distinct(size: int, m: int = 0) -> Iterator[DistinctPartition]:

@@ -178,5 +178,7 @@ def check_involution_laws(m: int, max_size: int) -> VerificationReport:
         "totalPartitions": audit.total_partitions,
         "pairedCount": audit.paired_count,
         "fixedCount": audit.fixed_count,
+        "tauMoved": audit.tau_moved,
+        "sigmaMoved": audit.sigma_moved,
     }
     return _report("involution-audit", params, mismatch, start)

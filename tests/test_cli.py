@@ -226,6 +226,12 @@ class TestVerifyCmd:
         assert len(payload) == 5
         assert all(r["elapsedSeconds"] > 0 for r in payload)
 
+    def test_involution_audit_counts_moves(self, capsys):
+        assert run(["verify", "--suite", "involution", "--max-size", "20", "--json"]) == 0
+        for r in json.loads(out_of(capsys)[0]):
+            p = r["params"]
+            assert p["tauMoved"] == p["sigmaMoved"] == p["pairedCount"] // 2
+
     def test_involution_fault_fails(self, capsys, monkeypatch):
         import franklin.involution as involution
 

@@ -1,7 +1,11 @@
+import inspect
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import franklin.involution as involution
 from franklin.involution import (
     InvolutionCase,
     PreconditionViolated,
@@ -17,6 +21,7 @@ from franklin.involution import (
 )
 from franklin.partitions import (
     DistinctPartition,
+    _distinct_tuples,
     base_partition,
     count_distinct_signed,
     enumerate_distinct,
@@ -222,9 +227,212 @@ class TestOrbitAudit:
         assert merged.size_range == whole.size_range
         assert merged.violations == whole.violations
 
+    def test_moves_split_the_pairs(self):
+        for m in range(4):
+            report = orbit_audit(m, 30)
+            assert report.tau_moved == report.sigma_moved == report.paired_count // 2
+
+    def test_sharded_moves_add_up(self):
+        whole = orbit_audit(2, 24)
+        merged = combine_audit_reports(
+            orbit_audit(2, 24, sizes=range(0, 12)), orbit_audit(2, 24, sizes=range(12, 25))
+        )
+        assert (merged.tau_moved, merged.sigma_moved) == (whole.tau_moved, whole.sigma_moved)
+        assert merged.tau_moved == merged.sigma_moved == merged.paired_count // 2
+
+    @pytest.mark.parametrize("m", range(5))
+    def test_one_walk_per_partition(self, monkeypatch, m):
+        calls = 0
+        real = involution._walk
+
+        def counted(parts, m):
+            nonlocal calls
+            calls += 1
+            return real(parts, m)
+
+        monkeypatch.setattr(involution, "_walk", counted)
+        report = orbit_audit(m, 30)
+        assert report.violations == []
+        # every partition but the empty one is walked exactly once
+        assert calls == report.total_partitions - 1
+
     def test_merge_requires_same_m(self):
         with pytest.raises(ValueError):
             combine_audit_reports(orbit_audit(0, 4), orbit_audit(1, 4))
+
+
+# One corruption of one audit helper per law that _audit_one names: each
+# wraps the real helper and bends its result so that the law must fire.
+def _flip_fixed(real):
+    return lambda parts, m: not real(parts, m)
+
+
+def _staircase_too_long(real):
+    def guards(parts, m):
+        tau_ok, sigma_ok, cells, lands, s = real(parts, m)
+        return tau_ok, sigma_ok, cells, lands, s + m + len(parts)
+
+    return guards
+
+
+def _both_guards(real):
+    def guards(parts, m):
+        _, _, cells, lands, s = real(parts, m)
+        return True, True, cells, lands, s
+
+    return guards
+
+
+def _top_overlap_plus_one(real):
+    def guards(parts, m):
+        tau_ok, sigma_ok, cells, lands, s = real(parts, m)
+        if len(cells) == len(parts):
+            cells = cells[:-1] + [cells[-1] + 1]
+        return tau_ok, sigma_ok, cells, lands, s
+
+    return guards
+
+
+def _no_guards(real):
+    def guards(parts, m):
+        _, _, cells, lands, s = real(parts, m)
+        return False, False, cells, lands, s
+
+    return guards
+
+
+def _tau_extra_part(real):
+    return lambda parts, m, lands, t: real(parts, m, lands, t) + (0,)
+
+
+def _staircase_plus_one(real):
+    def guards(parts, m):
+        tau_ok, sigma_ok, cells, lands, s = real(parts, m)
+        return tau_ok, sigma_ok, cells, lands, s + 1
+
+    return guards
+
+
+def _sigma_never(real):
+    def guards(parts, m):
+        tau_ok, _, cells, lands, s = real(parts, m)
+        return tau_ok, False, cells, lands, s
+
+    return guards
+
+
+def _sigma_top_cell_to_bottom(real):
+    def moved(parts, cells, s):
+        image = real(parts, cells, s)
+        return (image[0] + 1,) + image[1:-1] + (image[-1] - 1,)
+
+    return moved
+
+
+def _sigma_drops_top(real):
+    return lambda parts, cells, s: real(parts, cells, s)[:-1]
+
+
+def _tau_never(real):
+    def guards(parts, m):
+        _, sigma_ok, cells, lands, s = real(parts, m)
+        return False, sigma_ok, cells, lands, s
+
+    return guards
+
+
+def _tau_bottom_plus_one(real):
+    def moved(parts, m, lands, t):
+        image = real(parts, m, lands, t)
+        return (image[0] + 1,) + image[1:]
+
+    return moved
+
+
+AUDIT_FAULTS = {
+    "fixed-criterion": ("_fixed_criterion", _flip_fixed),
+    "staircase-bounds": ("_guards", _staircase_too_long),
+    "guards-overlap": ("_guards", _both_guards),
+    "taxicab": ("_guards", _top_overlap_plus_one),
+    "fixed-shape": ("_guards", _no_guards),
+    "tau-image": ("_tau_tuple", _tau_extra_part),
+    "tau-staircase-transfer": ("_guards", _staircase_plus_one),
+    "tau-image-guard": ("_guards", _sigma_never),
+    "sigma-tau-roundtrip": ("_sigma_tuple", _sigma_top_cell_to_bottom),
+    "sigma-image": ("_sigma_tuple", _sigma_drops_top),
+    "sigma-top-transfer": ("_sigma_tuple", _sigma_top_cell_to_bottom),
+    "sigma-image-guard": ("_guards", _tau_never),
+    "tau-sigma-roundtrip": ("_tau_tuple", _tau_bottom_plus_one),
+}
+
+
+def _two_sided_violations(m, max_size):
+    """Every law checked on every partition, nothing taken from a partner."""
+    violations = []
+    for size in range(max_size + 1):
+        for parts in _distinct_tuples(size, m):
+            involution._audit_one(parts, m, size, violations, {})
+    return violations
+
+
+class TestAuditFaults:
+    def test_every_law_has_a_fault(self):
+        source = inspect.getsource(involution._audit_one)
+        assert set(re.findall(r'violations\.append\(\("([a-z-]+)"', source)) == set(AUDIT_FAULTS)
+
+    @pytest.mark.parametrize("law", sorted(AUDIT_FAULTS))
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_fault_is_reported(self, monkeypatch, law, m):
+        helper, fault = AUDIT_FAULTS[law]
+        monkeypatch.setattr(involution, helper, fault(getattr(involution, helper)))
+        report = orbit_audit(m, 16)
+        assert law in {name for name, _ in report.violations}
+
+    @pytest.mark.parametrize("law", sorted(AUDIT_FAULTS))
+    def test_partial_fault_matches_the_two_sided_audit(self, monkeypatch, law):
+        # the fault hits about a third of the partitions, so it can spare one
+        # side of a pair and not the other
+        helper, fault = AUDIT_FAULTS[law]
+        real = getattr(involution, helper)
+        bent = fault(real)
+
+        def sometimes(parts, *rest):
+            return (bent if sum(x * x for x in parts) % 3 == 1 else real)(parts, *rest)
+
+        monkeypatch.setattr(involution, helper, sometimes)
+        for m in range(3):
+            assert orbit_audit(m, 20).violations == _two_sided_violations(m, 20)
+
+    def test_broken_transfer_with_a_sound_round_trip(self, monkeypatch):
+        # sigma's image loses a top-row cell to the bottom row and tau undoes
+        # exactly that, so the round trip holds while sigma-top-transfer fails:
+        # the image must then get its tau-side checks, tau-staircase-transfer
+        # among them
+        real_sigma, real_tau, real_guards = (
+            involution._sigma_tuple, involution._tau_tuple, involution._guards
+        )
+        made = {}
+
+        def sigma(parts, cells, s):
+            image = real_sigma(parts, cells, s)
+            bent = (image[0] + 1,) + image[1:-1] + (image[-1] - 1,)
+            made[bent] = image
+            return bent
+
+        def tau(parts, m, lands, t):
+            if parts in made:
+                image = made[parts]
+                return real_tau(image, m, real_guards(image, m)[3], image[-1])
+            return real_tau(parts, m, lands, t)
+
+        monkeypatch.setattr(involution, "_sigma_tuple", sigma)
+        monkeypatch.setattr(involution, "_tau_tuple", tau)
+        for m in range(3):
+            report = orbit_audit(m, 20)
+            assert {"sigma-top-transfer", "tau-staircase-transfer"} <= {
+                name for name, _ in report.violations
+            }
+            assert report.violations == _two_sided_violations(m, 20)
 
 
 class TestCancellationStats:

@@ -10,6 +10,7 @@ from franklin.partitions import (
     DurfeeCategory,
     NotInStaircaseForm,
     SignedMonomial,
+    _distinct_tuples,
     base_partition,
     count_distinct_signed,
     durfee,
@@ -165,6 +166,25 @@ class TestEnumerate:
         for p in enumerate_distinct(total, m):
             assert p.size == total
             assert p.n == 0 or p.min_part() > m
+
+
+class TestDistinctTuples:
+    @pytest.mark.parametrize("m", range(5))
+    def test_valid_strictly_decreasing_lex_and_counted(self, m):
+        counts = count_distinct_signed(m, 60)
+        for total in range(61):
+            got = list(_distinct_tuples(total, m))
+            for parts in got:
+                assert sum(parts) == total
+                assert all(a > b for a, b in zip(parts, parts[1:]))
+                assert not parts or parts[-1] > m
+            assert all(a > b for a, b in zip(got, got[1:])), "not strictly decreasing lex"
+            assert len(got) == counts[total][0]
+
+    @pytest.mark.parametrize("m", [0, 3])
+    def test_negative_total_yields_nothing(self, m):
+        assert list(_distinct_tuples(-1, m)) == []
+        assert list(_distinct_tuples(-7, m)) == []
 
 
 class TestCountSigned:
