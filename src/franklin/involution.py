@@ -95,10 +95,7 @@ def _sigma_tuple(parts: tuple[int, ...], cells: list[int], s: int) -> tuple[int,
     return tuple(new)
 
 
-_Guards = tuple[bool, bool, list[int], list[int], int]
-
-
-def _guards(parts: tuple[int, ...], m: int) -> _Guards:
+def _guards(parts: tuple[int, ...], m: int) -> tuple[bool, bool, list[int], list[int], int]:
     """Evaluate both move guards; returns (tau_ok, sigma_ok, cells, lands, s_m)."""
     n = len(parts)
     t = parts[-1]
@@ -231,25 +228,18 @@ def _audit_one(
     m: int,
     size: int,
     violations: list[tuple[str, tuple[int, ...]]],
-    known: dict[tuple[int, ...], _Guards],
 ) -> InvolutionCase | None:
     """Check every involution law on one partition; returns its case.
 
-    `known` maps the sigma image of each partition of this size that passed
-    every law to that image's guards.  A partition found there is the tau
-    side of a pair already checked from its partner, so only its own
-    laws are checked again.  None means both guards hold.
+    None means both guards hold.
     """
     n = len(parts)
     if n == 0:
         if not _fixed_criterion(parts, m):
             violations.append(("fixed-criterion", parts))
         return InvolutionCase.FIXED
-    before = len(violations)
     t = parts[-1]
-    guards = known.pop(parts, None)
-    partner_checked = guards is not None
-    tau_ok, sigma_ok, cells, lands, s = guards if partner_checked else _guards(parts, m)
+    tau_ok, sigma_ok, cells, lands, s = _guards(parts, m)
     if not (m + 1 <= s <= m + n):
         violations.append(("staircase-bounds", parts))
     if tau_ok and sigma_ok:
@@ -271,8 +261,6 @@ def _audit_one(
     if crit:
         violations.append(("fixed-criterion", parts))
     if tau_ok:
-        if partner_checked:
-            return InvolutionCase.TAU_MOVED
         img = _tau_tuple(parts, m, lands, t)
         if len(img) != n - 1 or sum(img) != size or not _is_valid_distinct(img, m):
             violations.append(("tau-image", parts))
@@ -292,15 +280,12 @@ def _audit_one(
         return InvolutionCase.SIGMA_MOVED
     if img[-1] != s:
         violations.append(("sigma-top-transfer", parts))
-    i_guards = _guards(img, m)
-    i_tau, i_sigma, _, i_lands, _ = i_guards
+    i_tau, i_sigma, _, i_lands, _ = _guards(img, m)
     if not i_tau or i_sigma:
         violations.append(("sigma-image-guard", parts))
         return InvolutionCase.SIGMA_MOVED
     if _tau_tuple(img, m, i_lands, img[-1]) != parts:
         violations.append(("tau-sigma-roundtrip", parts))
-    elif len(violations) == before:
-        known[img] = i_guards
     return InvolutionCase.SIGMA_MOVED
 
 
@@ -313,26 +298,6 @@ def orbit_audit(m: int, max_size: int, sizes: Iterable[int] | None = None) -> Au
     laws, weight antisymmetry (size preserved, part count changed by one),
     and agreement of the fixed-point criterion with the applied case.
 
-    Each moved pair is walked and moved once, from its sigma side.  When a
-    sigma-moved partition q passes every law, its image p = sigma(q) and
-    p's guards, computed for the round trip, are kept for the rest of the
-    size; when the enumerator reaches p, p's own laws (staircase bounds,
-    guard overlap, taxicab, fixed criterion) are checked on those guards
-    and its tau move is not redone.  That is safe because:
-
-      * tau raises the largest part, tau(p)[0] = p[0] + (m - placed) + 1,
-        so in decreasing lex order the sigma side q = tau(p) of a pair
-        comes before p;
-      * each tau-side law skipped on p follows from one checked on q:
-        tau-image from len(p) == n + 1 and tau(p) == q, where n = len(q);
-        tau-staircase-transfer (s_m(q) == t(p)) from sigma-top-transfer;
-        tau-image-guard from q's own guards, sigma and not tau;
-        sigma-tau-roundtrip because p is sigma(q) by definition.
-
-    A partition not kept this way gets every check, so for deterministic
-    helpers, faulty or not, the violations are those of checking every
-    pair from both sides.
-
     `sizes` restricts the audit to a subset of sizes so runs can be
     sharded; reports for disjoint shards add component-wise.
     """
@@ -342,10 +307,9 @@ def orbit_audit(m: int, max_size: int, sizes: Iterable[int] | None = None) -> Au
     violations: list[tuple[str, tuple[int, ...]]] = []
     total = fixed = tau_moved = sigma_moved = 0
     for size in size_list:
-        known: dict[tuple[int, ...], _Guards] = {}
         for parts in _distinct_tuples(size, m):
             total += 1
-            case = _audit_one(parts, m, size, violations, known)
+            case = _audit_one(parts, m, size, violations)
             if case is InvolutionCase.FIXED:
                 fixed += 1
             elif case is InvolutionCase.TAU_MOVED:
