@@ -53,7 +53,6 @@ from .qseries import (
     gauss_binomial,
     max_distinct_parts,
     pochhammer_neg_zq,
-    pochhammer_q,
     rhs_fixed_points,
     rhs_general,
     sylvester_sides,
@@ -127,7 +126,6 @@ __all__ = [
     "orbit_audit",
     "parse_partition",
     "pochhammer_neg_zq",
-    "pochhammer_q",
     "render_ferrers",
     "rhs_fixed_points",
     "rhs_general",

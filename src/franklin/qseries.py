@@ -1,9 +1,10 @@
 """Exact truncated power series in q and in (z, q) with integer coefficients.
 
-QSeries holds coefficients c[0..order]; ZQSeries holds a dense grid
-c[j][k] for q**j z**k with j <= q_order and k <= z_degree.  All arithmetic
-is exact (Python integers) and never reads or writes past the truncation;
-binary operations require matching truncation parameters.  The expansions
+QSeries holds coefficients c[0..order]; ZQSeries holds z-columns, the
+q-coefficient lists of z**k for k <= z_degree, stored only up to
+max_distinct_parts(q_order) and zero past it.  All arithmetic is exact
+(Python integers) and never reads or writes past the truncation; binary
+operations require matching truncation parameters.  The expansions
 step plain coefficient lists in place and invert no series: times (1 +- q^k)
 or (1 + z q^i) by a shifted add, over (1 - q^n) by a stride running sum.
 """
@@ -40,35 +41,14 @@ class QSeries:
         self.coeffs = c
 
     @classmethod
-    def zero(cls, order: int) -> "QSeries":
-        return cls(order)
-
-    @classmethod
     def one(cls, order: int) -> "QSeries":
         return cls(order, [1])
-
-    @classmethod
-    def monomial(cls, coeff: int, exponent: int, order: int) -> "QSeries":
-        s = cls(order)
-        if 0 <= exponent <= order:
-            s.coeffs[exponent] = coeff
-        elif exponent < 0:
-            raise ValueError("exponent must be nonnegative")
-        return s
 
     def coeff(self, k: int) -> int:
         """Coefficient of q**k; k beyond the truncation is unknown, not zero."""
         if not 0 <= k <= self.order:
             raise IndexError(f"exponent {k} outside truncation order {self.order}")
         return self.coeffs[k]
-
-    def shift(self, k: int) -> "QSeries":
-        """Multiply by q**k, dropping coefficients pushed past the order."""
-        if k < 0:
-            raise ValueError("shift must be nonnegative")
-        if k > self.order:
-            return QSeries(self.order)
-        return QSeries(self.order, [0] * k + self.coeffs[: self.order + 1 - k])
 
     def _check(self, other: "QSeries") -> None:
         if self.order != other.order:
@@ -77,13 +57,6 @@ class QSeries:
     def __add__(self, other: "QSeries") -> "QSeries":
         self._check(other)
         return QSeries(self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other: "QSeries") -> "QSeries":
-        self._check(other)
-        return QSeries(self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self) -> "QSeries":
-        return QSeries(self.order, [-a for a in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -115,9 +88,6 @@ class QSeries:
                     acc += a[j] * b[k - j]
             b[k] = -u * acc
         return QSeries(self.order, b)
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
 
     def __eq__(self, other) -> bool:
         return (
@@ -156,47 +126,38 @@ def format_series(s: QSeries) -> str:
 
 
 class ZQSeries:
-    """Integer series in q and z, truncated at q_order and z_degree."""
+    """Integer series in q and z, truncated at q_order and z_degree.
 
-    __slots__ = ("q_order", "z_degree", "grid")
+    Stored as z-columns: columns[k] lists the coefficients of q**0..q**q_order
+    in z**k.  Only k <= min(z_degree, max_distinct_parts(q_order)) is stored
+    and every later power of z reads as 0, as in a generating function of
+    distinct-part partitions by part count (k distinct parts sum to at least
+    k(k+1)/2); a nonzero coefficient there is rejected.
+    """
 
-    def __init__(self, q_order: int, z_degree: int, grid: Sequence[Sequence[int]] | None = None):
+    __slots__ = ("q_order", "z_degree", "columns")
+
+    def __init__(self, q_order: int, z_degree: int, columns: Sequence[Sequence[int]] = ()):
         if q_order < 0 or z_degree < 0:
             raise ValueError("truncation parameters must be nonnegative")
+        if len(columns) > z_degree + 1 or any(len(c) > q_order + 1 for c in columns):
+            raise ValueError("columns do not fit the truncation")
+        stored = min(z_degree, max_distinct_parts(q_order)) + 1
+        if any(any(c) for c in columns[stored:]):
+            raise ValueError(f"nonzero z power above max_distinct_parts({q_order})")
         self.q_order = q_order
         self.z_degree = z_degree
-        if grid is None:
-            self.grid = [[0] * (z_degree + 1) for _ in range(q_order + 1)]
-        else:
-            if len(grid) != q_order + 1 or any(len(r) != z_degree + 1 for r in grid):
-                raise ValueError("grid shape does not match truncation")
-            self.grid = [list(r) for r in grid]
+        self.columns = [list(c) + [0] * (q_order + 1 - len(c)) for c in columns[:stored]]
+        self.columns += ([0] * (q_order + 1) for _ in range(stored - len(self.columns)))
 
     @classmethod
     def one(cls, q_order: int, z_degree: int) -> "ZQSeries":
-        s = cls(q_order, z_degree)
-        s.grid[0][0] = 1
-        return s
-
-    @classmethod
-    def monomial(cls, coeff: int, q_exp: int, z_exp: int, q_order: int, z_degree: int) -> "ZQSeries":
-        if q_exp < 0 or z_exp < 0:
-            raise ValueError("exponents must be nonnegative")
-        s = cls(q_order, z_degree)
-        if q_exp <= q_order and z_exp <= z_degree:
-            s.grid[q_exp][z_exp] = coeff
-        return s
+        return cls(q_order, z_degree, [[1]])
 
     def coeff(self, q_exp: int, z_exp: int) -> int:
         if not (0 <= q_exp <= self.q_order and 0 <= z_exp <= self.z_degree):
             raise IndexError(f"({q_exp}, {z_exp}) outside truncation")
-        return self.grid[q_exp][z_exp]
-
-    def z_slice(self, z_exp: int) -> QSeries:
-        """Coefficient of z**z_exp as a series in q."""
-        if not 0 <= z_exp <= self.z_degree:
-            raise IndexError(f"z exponent {z_exp} outside truncation")
-        return QSeries(self.q_order, [row[z_exp] for row in self.grid])
+        return self.columns[z_exp][q_exp] if z_exp < len(self.columns) else 0
 
     def _check(self, other: "ZQSeries") -> None:
         if self.q_order != other.q_order or self.z_degree != other.z_degree:
@@ -205,65 +166,61 @@ class ZQSeries:
                 f" vs ({other.q_order},{other.z_degree})"
             )
 
+    def first_difference(self, other: "ZQSeries") -> tuple[int, int, int, int] | None:
+        """(q_exp, z_exp, own, other's) at the first unequal coefficient, or None.
+
+        The scan is q-major: every power of z at q**0 first, then at q**1.
+        """
+        self._check(other)
+        found = None
+        for k, (a, b) in enumerate(zip(self.columns, other.columns)):
+            if a != b:
+                j = next(j for j, (x, y) in enumerate(zip(a, b)) if x != y)
+                if found is None or j < found[0]:
+                    found = (j, k, a[j], b[j])
+        return found
+
     def _items(self) -> list[tuple[int, int, int]]:
+        """The nonzero (q_exp, z_exp, coefficient) in q-major order."""
         return [
-            (j, k, v)
-            for j, row in enumerate(self.grid)
-            for k, v in enumerate(row)
-            if v
+            (j, k, c[j])
+            for j in range(self.q_order + 1)
+            for k, c in enumerate(self.columns)
+            if c[j]
         ]
 
-    def __add__(self, other: "ZQSeries") -> "ZQSeries":
+    def __iadd__(self, other: "ZQSeries") -> "ZQSeries":
         self._check(other)
-        return ZQSeries(
-            self.q_order,
-            self.z_degree,
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.grid, other.grid)],
-        )
+        for total, c in zip(self.columns, other.columns):
+            total[:] = map(add, total, c)
+        return self
+
+    def __add__(self, other: "ZQSeries") -> "ZQSeries":
+        return ZQSeries(self.q_order, self.z_degree, self.columns).__iadd__(other)
 
     def __mul__(self, other):
         if isinstance(other, int):
             return ZQSeries(
-                self.q_order, self.z_degree, [[other * a for a in r] for r in self.grid]
+                self.q_order, self.z_degree, [[other * a for a in c] for c in self.columns]
             )
         self._check(other)
         n, d = self.q_order, self.z_degree
-        a_items = self._items()
-        b_items = other._items()
-        if len(b_items) > len(a_items):
-            a_items, b_items = b_items, a_items
-        out = [[0] * (d + 1) for _ in range(n + 1)]
-        for j1, k1, v1 in a_items:
-            jmax = n - j1
-            kmax = d - k1
-            for j2, k2, v2 in b_items:
-                if j2 <= jmax and k2 <= kmax:
-                    out[j1 + j2][k1 + k2] += v1 * v2
+        out = [[0] * (n + 1) for _ in range(d + 1)]
+        for k1, a in enumerate(self.columns):
+            for k2, b in enumerate(other.columns[: d + 1 - k1]):
+                for j, v in enumerate(a):
+                    if v:
+                        _add_shifted(out[k1 + k2], [v * x for x in b], j, add)
         return ZQSeries(n, d, out)
 
     __rmul__ = __mul__
-
-    def eval_z_at_monomial(self, coeff: int, q_exp: int) -> QSeries:
-        """Substitute z = coeff * q**q_exp, collapsing to a series in q.
-
-        Exact to q_order provided z powers beyond z_degree cannot reach it,
-        i.e. (z_degree + 1) * q_exp > q_order.
-        """
-        if q_exp < 0:
-            raise ValueError("substitution exponent must be nonnegative")
-        out = [0] * (self.q_order + 1)
-        for j, k, v in self._items():
-            e = j + k * q_exp
-            if e <= self.q_order:
-                out[e] += v * coeff**k
-        return QSeries(self.q_order, out)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ZQSeries)
             and self.q_order == other.q_order
             and self.z_degree == other.z_degree
-            and self.grid == other.grid
+            and self.columns == other.columns
         )
 
     def __str__(self) -> str:
@@ -306,13 +263,6 @@ def euler_product(m: int, order: int) -> QSeries:
     return QSeries(order, _product_coeffs(m + 1, order, order, -1))
 
 
-def pochhammer_q(n: int, order: int) -> QSeries:
-    """(q)_n = product of (1 - q**i) for 1 <= i <= n, truncated at order."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return QSeries(order, _product_coeffs(1, n, order, -1))
-
-
 def _divide_step(c: list[int], n: int) -> None:
     """Divide c by (1 - q^n) in place: a stride-n running sum, c[k] += c[k-n]."""
     for r in range(min(n, len(c) - n)):
@@ -338,40 +288,29 @@ def _add_shifted(out: list[int], c: Sequence[int], shift: int, op) -> None:
         out[shift:end] = map(op, out[shift:end], c)
 
 
-def _unit_columns(q_order: int, z_degree: int) -> list[list[int]]:
-    """1 as q-coefficient lists of z^k, for the k <= max_distinct_parts(q_order): the rest stay 0."""
-    if q_order < 0 or z_degree < 0:
-        raise ValueError("truncation parameters must be nonnegative")
-    columns = [[0] * (q_order + 1) for _ in range(min(z_degree, max_distinct_parts(q_order)) + 1)]
-    columns[0][0] = 1
-    return columns
-
-
 def _times_one_plus_zq(columns: list[list[int]], i: int) -> None:
     """Multiply z-columns by (1 + z q^i) in place, highest power of z first."""
     for k in range(len(columns) - 1, 0, -1):
         _add_shifted(columns[k], columns[k - 1], i, add)
 
 
-def _zq_from_columns(
+def _shifted(
     columns: list[list[int]], lead: int, z_shift: int, q_order: int, z_degree: int
 ) -> ZQSeries:
     """z^{z_shift} q^{lead} times the z-columns, as a truncated ZQSeries."""
-    zero = [0] * (q_order + 1)
-    shifted = [zero] * (z_degree + 1)
-    for k, c in enumerate(columns[: max(z_degree + 1 - z_shift, 0)]):
-        shifted[k + z_shift] = (zero[:lead] + c)[: q_order + 1]
-    return ZQSeries(q_order, z_degree, list(zip(*shifted)))
+    pad = [0] * lead
+    shifted = [(pad + c)[: q_order + 1] for c in columns[: z_degree + 1 - z_shift]]
+    return ZQSeries(q_order, z_degree, [[]] * z_shift + shifted)
 
 
 def pochhammer_neg_zq(n: int, q_order: int, z_degree: int) -> ZQSeries:
     """(-zq)_n = product of (1 + z q**i) for 1 <= i <= n, truncated."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    columns = _unit_columns(q_order, z_degree)
+    series = ZQSeries.one(q_order, z_degree)
     for i in range(1, min(n, q_order) + 1):
-        _times_one_plus_zq(columns, i)
-    return _zq_from_columns(columns, 0, 0, q_order, z_degree)
+        _times_one_plus_zq(series.columns, i)
+    return series
 
 
 def _durfee_terms(q_order: int, z_degree: int) -> Iterator[tuple[int, ZQSeries, ZQSeries]]:
@@ -383,13 +322,13 @@ def _durfee_terms(q_order: int, z_degree: int) -> Iterator[tuple[int, ZQSeries, 
     One list of z-columns is stepped in place: divided by (1 - q^d) it holds
     (-zq)_{d-1} / (q)_d for the yield, then times (1 + z q^d) it is set for d + 1.
     """
-    columns = _unit_columns(q_order, z_degree)
+    columns = ZQSeries.one(q_order, z_degree).columns
     d = 1
     while d <= z_degree and (lead := (3 * d * d - d) // 2) <= q_order:
         for c in columns:
             _divide_step(c, d)
-        one = _zq_from_columns(columns, lead, d, q_order, z_degree)
-        yield d, one, _zq_from_columns(columns, lead + 2 * d, d + 1, q_order, z_degree)
+        one = _shifted(columns, lead, d, q_order, z_degree)
+        yield d, one, _shifted(columns, lead + 2 * d, d + 1, q_order, z_degree)
         _times_one_plus_zq(columns, d)
         d += 1
 
@@ -494,7 +433,8 @@ def sylvester_sides(q_order: int, z_degree: int) -> tuple[ZQSeries, ZQSeries]:
     lhs = pochhammer_neg_zq(q_order, q_order, z_degree)
     rhs = ZQSeries.one(q_order, z_degree)
     for _, one, two in _durfee_terms(q_order, z_degree):
-        rhs = rhs + one + two
+        rhs += one
+        rhs += two
     return lhs, rhs
 
 

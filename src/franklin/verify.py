@@ -67,18 +67,18 @@ def _qseries_mismatch(a: QSeries, b: QSeries, lhs: str, rhs: str) -> dict | None
 
 
 def _zq_mismatch(a: ZQSeries, b: ZQSeries, lhs: str, rhs: str) -> dict | None:
-    for j, (ra, rb) in enumerate(zip(a.grid, b.grid)):
-        for k, (x, y) in enumerate(zip(ra, rb)):
-            if x != y:
-                return {
-                    "qExponent": j,
-                    "zExponent": k,
-                    "lhs": x,
-                    "rhs": y,
-                    "lhsRoute": lhs,
-                    "rhsRoute": rhs,
-                }
-    return None
+    found = a.first_difference(b)
+    if found is None:
+        return None
+    j, k, x, y = found
+    return {
+        "qExponent": j,
+        "zExponent": k,
+        "lhs": x,
+        "rhs": y,
+        "lhsRoute": lhs,
+        "rhsRoute": rhs,
+    }
 
 
 def _report(identity: str, params: dict, mismatch: dict | None, start: float) -> VerificationReport:
@@ -118,7 +118,9 @@ def check_fixed_point_formula(m: int, order: int) -> VerificationReport:
 
 
 def check_sylvester(q_order: int, z_degree: int) -> VerificationReport:
-    """Both sides of the Durfee-square identity on the full (q, z) grid."""
+    """Both sides of the Durfee-square identity, every q**j z**k in the truncation."""
+    if q_order < 0 or z_degree < 0:
+        raise ValueError("q_order and z_degree must be nonnegative")
     start = time.perf_counter()
     lhs, rhs = sylvester_sides(q_order, z_degree)
     mismatch = _zq_mismatch(lhs, rhs, "product-side", "durfee-side")
@@ -139,17 +141,17 @@ def check_durfee_decomposition(order: int, max_dimension: int) -> VerificationRe
     start = time.perf_counter()
     z_cap = max_distinct_parts(order)
     zero = ZQSeries(order, z_cap)
-    counted = defaultdict(lambda: ZQSeries(order, z_cap))
+    counted = defaultdict(lambda: [[0] * (order + 1) for _ in range(z_cap + 1)])
     for size in range(order + 1):
         for parts in _distinct_tuples(size, 0):
-            counted[_durfee(parts)].grid[size][len(parts)] += 1
+            counted[_durfee(parts)][len(parts)][size] += 1
     # dimension 0 is the empty partition alone, category One
     terms = chain([(0, ZQSeries.one(order, z_cap), zero)], _durfee_terms(order, z_cap))
     mismatch = None
     for d in range(max_dimension + 1):
         _, one, two = next(terms, (d, zero, zero))
         for category, term in ((DurfeeCategory.ONE, one), (DurfeeCategory.TWO, two)):
-            enumerated = counted.get((d, category), zero)
+            enumerated = ZQSeries(order, z_cap, counted.get((d, category), ()))
             found = _zq_mismatch(enumerated, term, "enumeration", "term-expansion")
             if found:
                 mismatch = {"dimension": d, "category": category.value, **found}

@@ -9,6 +9,7 @@ from franklin.qseries import (
     NonUnitConstantTerm,
     _durfee_terms,
     _gauss_step,
+    _product_coeffs,
     QSeries,
     TruncationMismatch,
     ZQSeries,
@@ -18,7 +19,6 @@ from franklin.qseries import (
     gauss_binomial,
     max_distinct_parts,
     pochhammer_neg_zq,
-    pochhammer_q,
     rhs_fixed_points,
     rhs_general,
     sylvester_sides,
@@ -71,14 +71,6 @@ class TestQSeriesArithmetic:
             QSeries(3, [1]) * QSeries(4, [1])
         with pytest.raises(TruncationMismatch):
             QSeries(3, [1]) + QSeries(4, [1])
-
-    def test_shift_and_monomial(self):
-        assert qs(1, 2).shift(3) == QSeries(ORDER, [0, 0, 0, 1, 2])
-        assert QSeries.monomial(5, 2, 4) == QSeries(4, [0, 0, 5])
-
-    def test_shift_past_order_is_zero(self):
-        assert QSeries(3, [1, 2]).shift(4) == QSeries.zero(3)
-        assert QSeries(3, [1, 2]).shift(9) == QSeries.zero(3)
 
     def test_too_many_coefficients(self):
         with pytest.raises(ValueError):
@@ -157,21 +149,33 @@ class TestGaussBinomial:
         assert all(v > 0 for v in poly.coeffs)
 
 
+def monomial(q_exp, z_exp, q_order, z_degree):
+    """q^q_exp z^z_exp as a ZQSeries; zero when it lies past the truncation."""
+    if q_exp > q_order or z_exp > z_degree:
+        return ZQSeries(q_order, z_degree)
+    return ZQSeries(q_order, z_degree, [[]] * z_exp + [[0] * q_exp + [1]])
+
+
+def substitute_z(series, coeff, q_exp):
+    """Collapse a ZQSeries to a QSeries at z = coeff * q**q_exp, read through coeff().
+
+    Exact to q_order when z powers past z_degree cannot reach it,
+    i.e. (z_degree + 1) * q_exp > q_order.
+    """
+    out = [0] * (series.q_order + 1)
+    for j in range(series.q_order + 1):
+        for k in range(series.z_degree + 1):
+            e = j + k * q_exp
+            if e <= series.q_order:
+                out[e] += series.coeff(j, k) * coeff**k
+    return QSeries(series.q_order, out)
+
+
 class TestPochhammer:
-    def test_q_two(self):
-        assert pochhammer_q(2, 3) == QSeries(3, [1, -1, -1, 1])
-
-    def test_q_zero(self):
-        assert pochhammer_q(0, 5) == QSeries.one(5)
-
-    def test_constant_terms(self):
-        for n in range(8):
-            assert pochhammer_q(n, 10).coeffs[0] == 1
-
     def test_neg_zq_one(self):
         got = pochhammer_neg_zq(1, 3, 2)
         assert got == (
-            ZQSeries.one(3, 2) + ZQSeries.monomial(1, 1, 1, 3, 2)
+            ZQSeries.one(3, 2) + monomial(1, 1, 3, 2)
         )
 
 
@@ -180,18 +184,41 @@ class TestZQSeries:
         with pytest.raises(TruncationMismatch):
             ZQSeries.one(2, 3) * ZQSeries.one(3, 3)
 
-    def test_z_slice(self):
-        s = pochhammer_neg_zq(3, 6, 3)
-        assert s.z_slice(0) == QSeries.one(6)
-        # z-linear slice of (1+zq)(1+zq^2)(1+zq^3) is q + q^2 + q^3
-        assert s.z_slice(1) == QSeries(6, [0, 1, 1, 1])
+    @pytest.mark.parametrize("other", [ZQSeries.one(3, 3), ZQSeries.one(2, 4)])
+    def test_mismatch_rejected_on_add_and_mul(self, other):
+        with pytest.raises(TruncationMismatch):
+            ZQSeries.one(2, 3) + other
+        with pytest.raises(TruncationMismatch):
+            ZQSeries.one(2, 3) * other
 
-    def test_eval_z_at_monomial(self):
-        # (1 + zq)(1 + zq^2) at z = -q: (1 - q^2)(1 - q^3)
-        s = pochhammer_neg_zq(2, 8, 8)
-        got = s.eval_z_at_monomial(-1, 1)
-        expected = QSeries(8, [1, 0, -1, -1, 0, 1])
-        assert got == expected
+    def test_capped_columns_equal_explicit_zero_columns(self):
+        # at q order 6 at most three distinct parts fit (1 + 2 + 3): z^4..z^8 are not stored
+        capped = ZQSeries(6, 8, [[1], [0, 1, 1]])
+        explicit = ZQSeries(6, 8, [[1], [0, 1, 1]] + [[0] * 7] * 7)
+        assert capped == explicit
+        assert len(capped.columns) == max_distinct_parts(6) + 1
+
+    def test_coeff_past_stored_columns_and_outside_truncation(self):
+        s = pochhammer_neg_zq(6, 6, 8)
+        assert s.coeff(6, 3) == 1  # 3 + 2 + 1
+        assert [s.coeff(j, k) for j in range(7) for k in range(4, 9)] == [0] * 35
+        for q_exp, z_exp in [(7, 0), (0, 9), (-1, 0), (0, -1)]:
+            with pytest.raises(IndexError):
+                s.coeff(q_exp, z_exp)
+
+    def test_nonzero_past_stored_columns_rejected(self):
+        # two distinct parts need size 3, so z^2 has no stored column at q order 2
+        with pytest.raises(ValueError):
+            ZQSeries(2, 4, [[1], [], [1]])
+        square = ZQSeries.one(2, 2) + monomial(1, 1, 2, 2)
+        with pytest.raises(ValueError):
+            square * square  # (1 + zq)^2 has z^2 q^2
+
+    def test_columns_must_fit_truncation(self):
+        with pytest.raises(ValueError):
+            ZQSeries(2, 1, [[1], [], []])
+        with pytest.raises(ValueError):
+            ZQSeries(2, 1, [[1, 0, 0, 0]])
 
 
 class TestRhsGeneral:
@@ -243,9 +270,9 @@ class TestSylvester:
 
     def test_z_linear_slice(self):
         lhs, rhs = sylvester_sides(12, 1)
-        expected = QSeries(12, [0] + [1] * 12)
-        assert lhs.z_slice(1) == expected
-        assert rhs.z_slice(1) == expected
+        expected = [0] + [1] * 12
+        assert [lhs.coeff(j, 1) for j in range(13)] == expected
+        assert [rhs.coeff(j, 1) for j in range(13)] == expected
 
     def test_two_parts_of_five(self):
         lhs, rhs = sylvester_sides(8, 4)
@@ -271,26 +298,25 @@ class TestSylvester:
         # (1 + z) * lhs at z = -q^(m+1) telescopes to the product over parts > m
         order = 30
         lhs, _ = sylvester_sides(order, order)
-        one_plus_z = ZQSeries.one(order, order) + ZQSeries.monomial(1, 0, 1, order, order)
-        collapsed = (one_plus_z * lhs).eval_z_at_monomial(-1, m + 1)
-        assert collapsed == euler_product(m, order)
+        one_plus_z = QSeries(order, [1] + [0] * m + [-1])
+        assert one_plus_z * substitute_z(lhs, -1, m + 1) == euler_product(m, order)
 
 
 def neg_zq_by_products(n, q_order, z_degree):
     """(-zq)_n multiplied out one (1 + z q^i) at a time with ZQSeries.__mul__."""
     acc = ZQSeries.one(q_order, z_degree)
     for i in range(1, n + 1):
-        acc = acc * (ZQSeries.one(q_order, z_degree) + ZQSeries.monomial(1, i, 1, q_order, z_degree))
+        acc = acc * (ZQSeries.one(q_order, z_degree) + monomial(i, 1, q_order, z_degree))
     return acc
 
 
 def durfee_term_by_inversion(d, q_shift, z_shift, q_order, z_degree):
     """z^{d+z_shift} q^{(3d^2-d)/2+q_shift} (-zq)_{d-1} times the series inverse of (q)_d."""
     lead = (3 * d * d - d) // 2 + q_shift
-    term = ZQSeries.monomial(1, lead, d + z_shift, q_order, z_degree)
+    term = monomial(lead, d + z_shift, q_order, z_degree)
     term = term * neg_zq_by_products(d - 1, q_order, z_degree)
-    inverse = pochhammer_q(d, q_order).invert()
-    return term * ZQSeries(q_order, z_degree, [[c] + [0] * z_degree for c in inverse.coeffs])
+    inverse = QSeries(q_order, _product_coeffs(1, d, q_order, -1)).invert()
+    return term * ZQSeries(q_order, z_degree, [inverse.coeffs])
 
 
 # order 0, z degree 0, z degree past max_distinct_parts(order), and leads past
@@ -323,7 +349,7 @@ class TestFormat:
         assert format_series(euler_product(0, 12)) == "1 - q - q^2 + q^5 + q^7 - q^12"
 
     def test_zero(self):
-        assert format_series(QSeries.zero(5)) == "0"
+        assert format_series(QSeries(5)) == "0"
 
     def test_leading_negative_and_coefficients(self):
         assert format_series(QSeries(3, [-2, 1, 0, 3])) == "-2 + q + 3*q^3"

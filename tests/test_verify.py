@@ -18,7 +18,19 @@ def corrupted_durfee_terms(q_order, z_degree):
     """The shared Durfee terms with the dimension-2 category-One term off by z^2 q^5."""
     for d, one, two in real_durfee_terms(q_order, z_degree):
         if d == 2:
-            one.grid[5][2] += 1
+            one.columns[2][5] += 1
+        yield d, one, two
+
+
+def durfee_terms_off_at_two_cells(q_order, z_degree):
+    """The shared Durfee terms with the dimension-2 category-One term off at z^2 q^7 and z^3 q^6.
+
+    A q-major scan meets z^3 q^6 first, a z-major scan z^2 q^7.
+    """
+    for d, one, two in real_durfee_terms(q_order, z_degree):
+        if d == 2:
+            one.columns[2][7] += 1
+            one.columns[3][6] += 1
         yield d, one, two
 
 
@@ -79,7 +91,7 @@ class TestSylvester:
 
         def corrupted(q_order, z_degree):
             lhs, rhs = real(q_order, z_degree)
-            rhs.grid[3][1] += 1
+            rhs.columns[1][3] += 1
             return lhs, rhs
 
         monkeypatch.setattr(verify, "sylvester_sides", corrupted)
@@ -93,6 +105,25 @@ class TestSylvester:
         report = check_sylvester(8, 8)
         assert report.verdict == "Fail"
         assert (report.first_mismatch["qExponent"], report.first_mismatch["zExponent"]) == (5, 2)
+
+    def test_first_mismatch_scans_q_major(self, monkeypatch):
+        real = verify.sylvester_sides
+
+        def corrupted(q_order, z_degree):
+            lhs, rhs = real(q_order, z_degree)
+            rhs.columns[1][4] += 1  # z q^4
+            rhs.columns[2][3] += 1  # z^2 q^3: first in q-major order, second in z-major
+            return lhs, rhs
+
+        monkeypatch.setattr(verify, "sylvester_sides", corrupted)
+        report = check_sylvester(8, 8)
+        assert report.verdict == "Fail"
+        assert (report.first_mismatch["qExponent"], report.first_mismatch["zExponent"]) == (3, 2)
+
+    @pytest.mark.parametrize("q_order,z_degree", [(10, -1), (-3, 5)])
+    def test_negative_arguments_rejected(self, q_order, z_degree):
+        with pytest.raises(ValueError, match="^q_order and z_degree must be nonnegative$"):
+            check_sylvester(q_order, z_degree)
 
 
 class TestDurfee:
@@ -109,6 +140,14 @@ class TestDurfee:
         report = check_durfee_decomposition(14, 3)
         assert report.verdict == "Fail"
         assert report.first_mismatch["dimension"] == 2
+
+    def test_first_mismatch_scans_q_major(self, monkeypatch):
+        monkeypatch.setattr(verify, "_durfee_terms", durfee_terms_off_at_two_cells)
+        report = check_durfee_decomposition(14, 3)
+        assert report.verdict == "Fail"
+        mismatch = report.first_mismatch
+        assert (mismatch["dimension"], mismatch["category"]) == (2, "One")
+        assert (mismatch["qExponent"], mismatch["zExponent"]) == (6, 3)
 
     @pytest.mark.parametrize("order,max_dimension", [(10, -1), (-3, 5)])
     def test_negative_arguments_rejected(self, order, max_dimension):
