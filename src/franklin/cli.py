@@ -10,6 +10,8 @@ import argparse
 import functools
 import json
 import sys
+from contextlib import nullcontext
+from typing import Iterable, TextIO
 
 from .involution import InvolutionCase, cancellation_stats, enumerate_fixed_points, involute
 from .partitions import DistinctPartition, format_partition, parse_partition
@@ -94,18 +96,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_expand(args) -> tuple[int, str]:
+def _cmd_expand(args, out: TextIO) -> int:
     if args.rhs == "general":
         series = rhs_general(args.m, args.order)
     elif args.rhs == "fixed":
         series = rhs_fixed_points(args.m, args.order)
     else:
         series = euler_product(args.m, args.order)
-    text = ",".join(str(c) for c in series.coeffs) if args.raw else format_series(series)
-    return 0, text + "\n"
+    print(",".join(map(str, series.coeffs)) if args.raw else format_series(series), file=out)
+    return 0
 
 
-def _cmd_staircase(args) -> tuple[int, str]:
+def _cmd_staircase(args, out: TextIO) -> int:
     p = parse_partition(args.partition)
     sc = staircase(p, args.m)
     lines = [
@@ -118,10 +120,11 @@ def _cmd_staircase(args) -> tuple[int, str]:
     ]
     if args.render:
         lines.append(render_ferrers(p, args.m, mark_staircase=True))
-    return 0, "\n".join(lines) + "\n"
+    print("\n".join(lines), file=out)
+    return 0
 
 
-def _cmd_involve(args) -> tuple[int, str]:
+def _cmd_involve(args, out: TextIO) -> int:
     p = parse_partition(args.partition)
     result = involute(p, args.m)
     lines = [f"case: {result.case.value}", f"image: {_display_partition(result.image)}"]
@@ -131,46 +134,48 @@ def _cmd_involve(args) -> tuple[int, str]:
         if result.case is not InvolutionCase.FIXED:
             lines.append("image (staircase marked):")
             lines.append(render_ferrers(result.image, args.m, mark_staircase=True))
-    return 0, "\n".join(lines) + "\n"
+    print("\n".join(lines), file=out)
+    return 0
 
 
-def _json_payload(m: int, max_size: int, key: str, rows: list[str]) -> str:
-    """``json.dumps({"m": .., "maxSize": .., key: [..]}, indent=2)`` plus a newline.
+def _json_payload(out: TextIO, m: int, max_size: int, key: str, rows: Iterable[str]) -> None:
+    """Write ``json.dumps({"m": .., "maxSize": .., key: [..]}, indent=2)`` and a newline.
 
-    `rows` are the list's objects, already laid out at depth two.  With
-    ``indent`` set, ``json.dumps`` falls back to its pure-Python encoder;
-    writing the fixed layout directly gives the same bytes several times
-    faster.
+    `rows` are the list's objects at depth two, each written as it comes: several
+    times faster than ``json.dumps``, which drops to pure Python under ``indent``.
     """
-    body = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
-    return f'{{\n  "m": {m},\n  "maxSize": {max_size},\n  "{key}": {body}\n}}\n'
+    out.write(f'{{\n  "m": {m},\n  "maxSize": {max_size},\n  "{key}": [')
+    sep = "\n"
+    for row in rows:
+        out.write(sep + row)
+        sep = ",\n"
+    out.write("]\n}\n" if sep == "\n" else "\n  ]\n}\n")
 
 
 def _json_int_list(values: tuple[int, ...]) -> str:
     """An int list as ``json.dumps(.., indent=2)`` writes it at depth three."""
-    if not values:
-        return "[]"
-    return "[\n        " + ",\n        ".join(map(str, values)) + "\n      ]"
+    return "[\n        " + ",\n        ".join(map(str, values)) + "\n      ]" if values else "[]"
 
 
-def _cmd_fixed_points(args) -> tuple[int, str]:
-    points = list(enumerate_fixed_points(args.m, args.max_size))
+def _cmd_fixed_points(args, out: TextIO) -> int:
+    points = enumerate_fixed_points(args.m, args.max_size)
     if args.json:
-        rows = [
+        rows = (
             f'    {{\n      "parts": {_json_int_list(p.parts)},\n'
             f'      "size": {w.exponent},\n      "sign": {w.sign}\n    }}'
             for p, w in points
-        ]
-        return 0, _json_payload(args.m, args.max_size, "fixedPoints", rows)
-    lines = [f"{w} {_display_partition(p)}" for p, w in points]
-    return 0, "\n".join(lines) + ("\n" if lines else "")
+        )
+        _json_payload(out, args.m, args.max_size, "fixedPoints", rows)
+    else:
+        out.writelines(f"{w} {_display_partition(p)}\n" for p, w in points)
+    return 0
 
 
-def _cmd_stats(args) -> tuple[int, str]:
+def _cmd_stats(args, out: TextIO) -> int:
     table = cancellation_stats(args.m, args.max_size)
     if args.json:
         # partitions and productCoefficient may exceed 64 bits: decimal strings
-        rows = [
+        rows = (
             f'    {{\n      "size": {row.size},\n'
             f'      "partitions": "{row.partitions}",\n'
             f'      "fixed": {row.fixed},\n'
@@ -179,22 +184,23 @@ def _cmd_stats(args) -> tuple[int, str]:
             f'      "residual": {row.residual},\n'
             f'      "productCoefficient": "{row.product_coefficient}"\n    }}'
             for row in table
-        ]
-        return 0, _json_payload(args.m, args.max_size, "perSize", rows)
-    lines = ["size partitions fixed fixed+ fixed- residual coefficient"]
-    for row in table:
-        lines.append(
-            f"{row.size} {row.partitions} {row.fixed} {row.fixed_positive}"
-            f" {row.fixed_negative} {row.residual} {row.product_coefficient}"
         )
-    return 0, "\n".join(lines) + "\n"
+        _json_payload(out, args.m, args.max_size, "perSize", rows)
+        return 0
+    out.write("size partitions fixed fixed+ fixed- residual coefficient\n")
+    out.writelines(
+        f"{row.size} {row.partitions} {row.fixed} {row.fixed_positive}"
+        f" {row.fixed_negative} {row.residual} {row.product_coefficient}\n"
+        for row in table
+    )
+    return 0
 
 
 def _or_default(value: int | None, default: int) -> int:
     return default if value is None else value
 
 
-def _cmd_verify(args) -> tuple[int, str]:
+def _cmd_verify(args, out: TextIO) -> int:
     ms = [args.m] if args.m is not None else list(_DEFAULT_MS)
     reports: list[VerificationReport] = []
     if args.suite in ("all", "general"):
@@ -223,10 +229,11 @@ def _cmd_verify(args) -> tuple[int, str]:
             }
             for r in reports
         ]
-        return (1 if failed else 0), json.dumps(payload, indent=2) + "\n"
-    lines = [r.summary() for r in reports]
-    lines.append(f"{len(reports) - len(failed)}/{len(reports)} checks passed")
-    return (1 if failed else 0), "\n".join(lines) + "\n"
+        out.write(json.dumps(payload, indent=2) + "\n")
+    else:
+        out.writelines(f"{r.summary()}\n" for r in reports)
+        out.write(f"{len(reports) - len(failed)}/{len(reports)} checks passed\n")
+    return 1 if failed else 0
 
 
 _HANDLERS = {
@@ -240,29 +247,19 @@ _HANDLERS = {
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        code, text = _HANDLERS[args.command](args)
+        target = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
+        with target as out:
+            return _HANDLERS[args.command](args, out)
+    except OSError as exc:
+        message = f"cannot write {args.out or 'stdout'}: {exc}"
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message = str(exc)
     except MemoryError:
-        print(
-            f"error: out of memory running {args.command}; lower --order or --max-size",
-            file=sys.stderr,
-        )
-        return 2
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(text)
-    return code
+        message = f"out of memory running {args.command}; lower --order or --max-size"
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 def main() -> None:

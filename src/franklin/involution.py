@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from operator import add
 from typing import Iterable, Iterator
 
-from .partitions import DistinctPartition, SignedMonomial, _distinct_tuples
+from .partitions import DistinctPartition, SignedMonomial, _distinct_tuples, base_partition
 from .qseries import _fixed_point_tallies, _product_coeffs
 from .staircase import _require_valid, _walk
 
@@ -162,31 +163,44 @@ def is_fixed_criterion(p: DistinctPartition, m: int) -> bool:
     return _fixed_criterion(p.parts, m)
 
 
-def _box_partitions(rows: int, hi: int, lo: int, budget: int) -> Iterator[tuple[int, ...]]:
-    """Weakly decreasing tuples of given length, entries in [lo, hi], sum <= budget."""
-    if rows == 0:
-        yield ()
-        return
-    floor_rest = lo * (rows - 1)
-    for v in range(min(hi, budget - floor_rest), lo - 1, -1):
-        for tail in _box_partitions(rows - 1, v, lo, budget - v):
-            yield (v,) + tail
+def _box_lex(rows: int, width: int, total: int) -> Iterator[tuple[int, ...]]:
+    """Weakly decreasing `rows`-tuples in [0, width] summing to total, lex-increasing.
 
-
-def _fixed_point_parts(n: int, m: int, budget: int) -> Iterator[tuple[int, ...]]:
-    """All fixed points with exactly n parts and size <= base + budget.
-
-    Family A adds a mu from the n-by-m box to the base partition; family B
-    adds a mu from the n-by-(m+1) box with mu_1 = m + 1 and mu_n >= 1.  The
-    two families are disjoint by the value of mu_1.
+    From the flattest tuple, each step raises by one the rightmost entry that
+    can go up while the entries after it hold rest > 0 units, then refills
+    those as flat as possible with rest - 1 units (Knuth, TAOCP 4A, 7.2.1.4).
     """
-    base = tuple(2 * n - 1 + m - i for i in range(n))
-    for mu in _box_partitions(n, m, 0, budget):
-        yield tuple(b + v for b, v in zip(base, mu))
-    if n >= 1 and budget >= m + n:
-        for tail in _box_partitions(n - 1, m + 1, 1, budget - (m + 1)):
-            mu = (m + 1,) + tail
-            yield tuple(b + v for b, v in zip(base, mu))
+    if not 0 <= total <= rows * width:
+        return
+    mu, i, rest = [0] * rows, -1, total + 1
+    while True:
+        for j in range(rows - 1, i, -1):  # j - i entries left to hold rest - 1 units
+            mu[j] = v = (rest - 1) // (j - i)
+            rest -= v
+        yield tuple(mu)
+        i, rest = rows - 1, 0
+        while i >= 0 and (not rest or mu[i] == width or (i and mu[i] == mu[i - 1])):
+            rest += mu[i]
+            i -= 1
+        if i < 0:
+            return
+        mu[i] += 1
+
+
+def _fixed_points(m: int, max_size: int) -> Iterator[tuple[DistinctPartition, SignedMonomial]]:
+    n = 0
+    while (base_size := (3 * n * n - n) // 2 + n * m) <= max_size:
+        base = base_partition(n, m).parts
+        # family B: mu = (m + 1, 1 + nu) for nu in the (n - 1) x m box; parts = shifted + (0, *nu)
+        shifted = (2 * n + 2 * m, *range(2 * n + m - 1, n + m, -1))
+        for r in range(min(max_size - base_size, n * (m + 1)) + 1):
+            weight = SignedMonomial(-1 if n % 2 else 1, base_size + r)
+            for mu in _box_lex(n, m, r):
+                yield DistinctPartition(map(add, base, mu)), weight
+            if n:
+                for nu in _box_lex(n - 1, m, r - m - n):
+                    yield DistinctPartition(map(add, shifted, (0, *nu))), weight
+        n += 1
 
 
 def enumerate_fixed_points(
@@ -195,23 +209,11 @@ def enumerate_fixed_points(
     """All involution fixed points of size <= max_size, with their weights.
 
     Streamed by increasing part count n; within each n ordered by size,
-    ties broken lexicographically on the parts.
+    ties broken lexicographically on the parts.  A bad m raises at the call.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    n = 0
-    while True:
-        base_size = (3 * n * n - n) // 2 + n * m
-        if base_size > max_size:
-            break
-        sign = -1 if n % 2 else 1
-        batch = sorted(
-            _fixed_point_parts(n, m, max_size - base_size),
-            key=lambda parts: (sum(parts), parts),
-        )
-        for parts in batch:
-            yield DistinctPartition(parts), SignedMonomial(sign, sum(parts))
-        n += 1
+    return _fixed_points(m, max_size)
 
 
 def _is_valid_distinct(parts: tuple[int, ...], m: int) -> bool:

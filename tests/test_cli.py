@@ -137,6 +137,22 @@ class TestFixedPointsCmd:
         assert out == json.dumps(payload, indent=2) + "\n"
 
 
+    @pytest.mark.parametrize("fmt", [[], ["--json"]])
+    def test_out_file_holds_the_stdout_bytes(self, tmp_path, capsys, fmt):
+        argv = ["fixed-points", "--m", "3", "--max-size", "50"] + fmt
+        assert run(argv) == 0
+        stdout, _ = out_of(capsys)
+        target = tmp_path / "points.txt"
+        assert run(argv + ["--out", str(target)]) == 0
+        assert out_of(capsys) == ("", "")
+        assert target.read_text(encoding="utf-8") == stdout
+
+    @pytest.mark.parametrize("fmt", [[], ["--json"]])
+    def test_bad_m_writes_nothing(self, capsys, fmt):
+        assert run(["fixed-points", "--m", "-1", "--max-size", "5"] + fmt) == 2
+        assert out_of(capsys) == ("", "error: m must be nonnegative\n")
+
+
 class TestStatsCmd:
     def test_json_headline_statistics(self, capsys):
         run(["stats", "--m", "10", "--max-size", "250", "--json"])
@@ -292,7 +308,7 @@ class TestVerifyCmd:
 
 class TestUsageErrors:
     def test_out_of_memory_exits_2(self, capsys, monkeypatch):
-        def exhausted(args):
+        def exhausted(args, out):
             raise MemoryError
 
         monkeypatch.setitem(cli._HANDLERS, "expand", exhausted)
@@ -302,6 +318,34 @@ class TestUsageErrors:
         assert out == ""
         assert err.startswith("error: out of memory")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv,kernel",
+        [
+            (["expand", "--order", "5"], "euler_product"),
+            (["fixed-points", "--max-size", "5"], "enumerate_fixed_points"),
+            (["stats", "--max-size", "5", "--json"], "cancellation_stats"),
+            (["verify", "--suite", "sylvester"], "check_sylvester"),
+        ],
+    )
+    def test_out_path_is_checked_before_the_work(
+        self, tmp_path, capsys, monkeypatch, argv, kernel
+    ):
+        def never(*args):
+            raise AssertionError(f"{kernel} ran before --out was opened")
+
+        monkeypatch.setattr(cli, kernel, never)
+        target = tmp_path / "missing" / "x.txt"
+        assert run(argv + ["--out", str(target)]) == 2
+        out, err = out_of(capsys)
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+
+    def test_failure_after_out_opened_leaves_it_empty(self, tmp_path, capsys):
+        target = tmp_path / "points.txt"
+        assert run(["fixed-points", "--m", "-1", "--max-size", "5", "--out", str(target)]) == 2
+        assert out_of(capsys) == ("", "error: m must be nonnegative\n")
+        assert target.read_text() == ""
 
     def test_unknown_flag(self):
         with pytest.raises(SystemExit) as exc:

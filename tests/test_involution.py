@@ -1,5 +1,7 @@
 import inspect
+import itertools
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ import franklin.involution as involution
 from franklin.involution import (
     InvolutionCase,
     PreconditionViolated,
-    _fixed_point_parts,
+    _box_lex,
     cancellation_stats,
     combine_audit_reports,
     enumerate_fixed_points,
@@ -183,15 +185,48 @@ class TestEnumerateFixedPoints:
             assert is_fixed_criterion(p, 2)
 
     def test_matches_involute_fixed_set(self):
-        for m in range(4):
-            enumerated = {p.parts for p, _ in enumerate_fixed_points(m, 28)}
-            direct = {
-                p.parts
-                for total in range(29)
-                for p in enumerate_distinct(total, m)
-                if involute(p, m).case is InvolutionCase.FIXED
-            }
-            assert enumerated == direct
+        # the stream's order, pinned: part count, then size, then lex on the parts
+        for m in range(6):
+            direct = sorted(
+                (
+                    p.parts
+                    for total in range(37)
+                    for p in enumerate_distinct(total, m)
+                    if involute(p, m).case is InvolutionCase.FIXED
+                ),
+                key=lambda parts: (len(parts), sum(parts), parts),
+            )
+            for max_size in (0, 1, 7, 36):
+                enumerated = [p.parts for p, _ in enumerate_fixed_points(m, max_size)]
+                assert enumerated == [parts for parts in direct if sum(parts) <= max_size]
+
+    def test_bad_m_raises_before_iteration(self):
+        with pytest.raises(ValueError):
+            enumerate_fixed_points(-1, 5)
+
+    def test_drains_in_bounded_memory(self):
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in enumerate_fixed_points(10, 300))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 386205
+        assert peak < 8 * 2**20
+
+
+class TestBoxLex:
+    @pytest.mark.parametrize("rows", range(6))
+    def test_matches_brute_force(self, rows):
+        for width in range(5):
+            boxes = sorted(
+                mu
+                for mu in itertools.product(range(width + 1), repeat=rows)
+                if all(a >= b for a, b in zip(mu, mu[1:]))
+            )
+            for total in range(-1, rows * width + 2):
+                expected = [mu for mu in boxes if sum(mu) == total]
+                assert list(_box_lex(rows, width, total)) == expected, (rows, width, total)
 
 
 class TestOrbitAudit:
@@ -402,8 +437,11 @@ class TestCancellationStats:
             n = 0
             while (base := (3 * n * n - n) // 2 + n * m) <= max_size:
                 tally = neg if n % 2 else pos
-                for parts in _fixed_point_parts(n, m, max_size - base):
-                    tally[sum(parts)] += 1
+                for r in range(max_size - base + 1):
+                    tally[base + r] += sum(1 for _ in _box_lex(n, m, r))
+                    if n:
+                        # mu_1 = m + 1, mu_n >= 1: one less in rows 2..n
+                        tally[base + r] += sum(1 for _ in _box_lex(n - 1, m, r - m - n))
                 n += 1
             table = cancellation_stats(m, max_size)
             assert [row.fixed_positive for row in table] == pos
