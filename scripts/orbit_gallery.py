@@ -33,7 +33,7 @@ def main() -> None:
             arrow = "tau" if result.case is InvolutionCase.TAU_MOVED else "sigma"
             print(f"{format_partition(p)}  <-{arrow}->  {format_partition(result.image)}")
         if args.render and p.n:
-            print(render_ferrers(p, args.m, mark_staircase=True))
+            print(render_ferrers(p, args.m))
             print()
 
 

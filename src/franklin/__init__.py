@@ -27,7 +27,6 @@ from .involution import (
     tau,
 )
 from .partitions import (
-    BoxPartition,
     DistinctPartition,
     DurfeeCategory,
     DurfeeInfo,
@@ -81,7 +80,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AuditReport",
-    "BoxPartition",
     "Cell",
     "CellClass",
     "DistinctPartition",

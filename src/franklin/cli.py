@@ -119,7 +119,7 @@ def _cmd_staircase(args, out: TextIO) -> int:
         "cells = " + " ".join(f"({c.row},{c.col})" for c in sc.cells),
     ]
     if args.render:
-        lines.append(render_ferrers(p, args.m, mark_staircase=True))
+        lines.append(render_ferrers(p, args.m))
     print("\n".join(lines), file=out)
     return 0
 
@@ -130,10 +130,10 @@ def _cmd_involve(args, out: TextIO) -> int:
     lines = [f"case: {result.case.value}", f"image: {_display_partition(result.image)}"]
     if args.trace and p.n:
         lines.append("input (staircase marked):")
-        lines.append(render_ferrers(p, args.m, mark_staircase=True))
+        lines.append(render_ferrers(p, args.m))
         if result.case is not InvolutionCase.FIXED:
             lines.append("image (staircase marked):")
-            lines.append(render_ferrers(result.image, args.m, mark_staircase=True))
+            lines.append(render_ferrers(result.image, args.m))
     print("\n".join(lines), file=out)
     return 0
 

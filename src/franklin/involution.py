@@ -87,29 +87,26 @@ def _tau_tuple(parts: tuple[int, ...], m: int, lands: list[int], t: int) -> tupl
     return tuple(new)
 
 
-def _sigma_tuple(parts: tuple[int, ...], cells: list[int], s: int) -> tuple[int, ...]:
+def _sigma_tuple(parts: tuple[int, ...], lands: list[int], s: int) -> tuple[int, ...]:
     """Apply sigma to raw parts; caller guarantees the sigma guard."""
     new = list(parts)
-    for i, c in enumerate(cells):
-        new[i] -= c
+    for i, taken in enumerate(lands):
+        new[i] -= 1 + taken
     new.append(s)
     return tuple(new)
 
 
-def _guards(parts: tuple[int, ...], m: int) -> tuple[bool, bool, list[int], list[int], int]:
-    """Evaluate both move guards; returns (tau_ok, sigma_ok, cells, lands, s_m)."""
-    n = len(parts)
+def _guards(parts: tuple[int, ...], m: int) -> tuple[bool, bool, list[int], int, int]:
+    """Evaluate both move guards; returns (tau_ok, sigma_ok, lands, s_m, overlap)."""
     t = parts[-1]
-    cells, lands = _walk(parts, m)
-    s = sum(cells)
-    overlap = cells[-1] if len(cells) == n else 0
-    return (t <= s and t < m + n, t - overlap > s, cells, lands, s)
+    lands, s, overlap = _walk(parts, m)
+    return (t <= s and t < m + len(parts), t - overlap > s, lands, s, overlap)
 
 
 def tau(p: DistinctPartition, m: int) -> DistinctPartition:
     """Move the top row onto the staircase; requires t <= s_m and t < m + n."""
     _require_valid(p, m)
-    tau_ok, _, _, lands, _ = _guards(p.parts, m)
+    tau_ok, _, lands, _, _ = _guards(p.parts, m)
     if not tau_ok:
         raise PreconditionViolated(f"tau guard fails for {p.parts} with m={m}")
     return DistinctPartition(_tau_tuple(p.parts, m, lands, p.parts[-1]))
@@ -118,10 +115,10 @@ def tau(p: DistinctPartition, m: int) -> DistinctPartition:
 def sigma(p: DistinctPartition, m: int) -> DistinctPartition:
     """Move the staircase to a new top row; requires t - overlap > s_m."""
     _require_valid(p, m)
-    _, sigma_ok, cells, _, s = _guards(p.parts, m)
+    _, sigma_ok, lands, s, _ = _guards(p.parts, m)
     if not sigma_ok:
         raise PreconditionViolated(f"sigma guard fails for {p.parts} with m={m}")
-    return DistinctPartition(_sigma_tuple(p.parts, cells, s))
+    return DistinctPartition(_sigma_tuple(p.parts, lands, s))
 
 
 def involute(p: DistinctPartition, m: int) -> InvolutionResult:
@@ -131,14 +128,14 @@ def involute(p: DistinctPartition, m: int) -> InvolutionResult:
     if p.n == 0:
         return InvolutionResult(p, InvolutionCase.FIXED)
     _require_valid(p, m)
-    tau_ok, sigma_ok, cells, lands, s = _guards(p.parts, m)
+    tau_ok, sigma_ok, lands, s, _ = _guards(p.parts, m)
     if tau_ok and sigma_ok:
         raise AssertionError(f"move guards are not exclusive on {p.parts}, m={m}")
     if tau_ok:
         image = DistinctPartition(_tau_tuple(p.parts, m, lands, p.parts[-1]))
         return InvolutionResult(image, InvolutionCase.TAU_MOVED)
     if sigma_ok:
-        image = DistinctPartition(_sigma_tuple(p.parts, cells, s))
+        image = DistinctPartition(_sigma_tuple(p.parts, lands, s))
         return InvolutionResult(image, InvolutionCase.SIGMA_MOVED)
     return InvolutionResult(p, InvolutionCase.FIXED)
 
@@ -241,14 +238,13 @@ def _audit_one(
             violations.append(("fixed-criterion", parts))
         return InvolutionCase.FIXED
     t = parts[-1]
-    tau_ok, sigma_ok, cells, lands, s = _guards(parts, m)
+    tau_ok, sigma_ok, lands, s, overlap = _guards(parts, m)
     if not (m + 1 <= s <= m + n):
         violations.append(("staircase-bounds", parts))
     if tau_ok and sigma_ok:
         violations.append(("guards-overlap", parts))
         return None
     crit = _fixed_criterion(parts, m)
-    overlap = cells[-1] if len(cells) == n else 0
     # maximal staircase + box form pins down the sigma guard quantity
     if s == m + n and t >= n + m:
         mu1 = parts[0] - (2 * n - 1) - m
@@ -267,22 +263,22 @@ def _audit_one(
         if len(img) != n - 1 or sum(img) != size or not _is_valid_distinct(img, m):
             violations.append(("tau-image", parts))
             return InvolutionCase.TAU_MOVED
-        i_tau, i_sigma, i_cells, _, i_s = _guards(img, m)
+        i_tau, i_sigma, i_lands, i_s, _ = _guards(img, m)
         if i_s != t:
             violations.append(("tau-staircase-transfer", parts))
         if i_tau or not i_sigma:
             violations.append(("tau-image-guard", parts))
             return InvolutionCase.TAU_MOVED
-        if _sigma_tuple(img, i_cells, i_s) != parts:
+        if _sigma_tuple(img, i_lands, i_s) != parts:
             violations.append(("sigma-tau-roundtrip", parts))
         return InvolutionCase.TAU_MOVED
-    img = _sigma_tuple(parts, cells, s)
+    img = _sigma_tuple(parts, lands, s)
     if len(img) != n + 1 or sum(img) != size or not _is_valid_distinct(img, m):
         violations.append(("sigma-image", parts))
         return InvolutionCase.SIGMA_MOVED
     if img[-1] != s:
         violations.append(("sigma-top-transfer", parts))
-    i_tau, i_sigma, _, i_lands, _ = _guards(img, m)
+    i_tau, i_sigma, i_lands, _, _ = _guards(img, m)
     if not i_tau or i_sigma:
         violations.append(("sigma-image-guard", parts))
         return InvolutionCase.SIGMA_MOVED
@@ -300,12 +296,17 @@ def orbit_audit(m: int, max_size: int, sizes: Iterable[int] | None = None) -> Au
     laws, weight antisymmetry (size preserved, part count changed by one),
     and agreement of the fixed-point criterion with the applied case.
 
-    `sizes` restricts the audit to a subset of sizes so runs can be
-    sharded; reports for disjoint shards add component-wise.
+    `sizes` restricts the audit to a nonempty set of distinct sizes in
+    0..max_size so runs can be sharded; reports for disjoint shards add
+    component-wise.
     """
     if m < 0 or max_size < 0:
         raise ValueError("m and max_size must be nonnegative")
     size_list = sorted(sizes) if sizes is not None else list(range(max_size + 1))
+    if not size_list or len(set(size_list)) < len(size_list):
+        raise ValueError("sizes must be a nonempty set of distinct sizes")
+    if size_list[0] < 0 or size_list[-1] > max_size:
+        raise ValueError(f"sizes must lie in 0..{max_size}")
     violations: list[tuple[str, tuple[int, ...]]] = []
     total = fixed = tau_moved = sigma_moved = 0
     for size in size_list:
@@ -318,11 +319,9 @@ def orbit_audit(m: int, max_size: int, sizes: Iterable[int] | None = None) -> Au
                 tau_moved += 1
             elif case is InvolutionCase.SIGMA_MOVED:
                 sigma_moved += 1
-    lo = size_list[0] if size_list else 0
-    hi = size_list[-1] if size_list else 0
     return AuditReport(
         m=m,
-        size_range=(lo, hi),
+        size_range=(size_list[0], size_list[-1]),
         total_partitions=total,
         paired_count=total - fixed,
         fixed_count=fixed,

@@ -67,53 +67,6 @@ class DistinctPartition:
         return f"DistinctPartition({list(self.parts)})"
 
 
-class BoxPartition:
-    """Weakly decreasing nonnegative parts confined to a box of given width.
-
-    Rows may be zero, so a BoxPartition always remembers how many rows it
-    has even when trailing parts vanish.
-    """
-
-    __slots__ = ("parts", "width")
-
-    def __init__(self, parts: Iterable[int], width: int):
-        parts = tuple(parts)
-        if width < 0:
-            raise ValueError("box width must be nonnegative")
-        prev = None
-        for p in parts:
-            if p < 0:
-                raise ValueError(f"box parts must be nonnegative, got {p!r}")
-            if prev is not None and p > prev:
-                raise ValueError(f"box parts must be weakly decreasing, got {parts}")
-            prev = p
-        if parts and parts[0] > width:
-            raise ValueError(f"first part {parts[0]} exceeds box width {width}")
-        self.parts = parts
-        self.width = width
-
-    @property
-    def rows(self) -> int:
-        return len(self.parts)
-
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BoxPartition)
-            and self.parts == other.parts
-            and self.width == other.width
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.parts, self.width))
-
-    def __repr__(self) -> str:
-        return f"BoxPartition({list(self.parts)}, width={self.width})"
-
-
 @dataclass(frozen=True)
 class SignedMonomial:
     """Exactly sign * q**exponent with sign in {+1, -1}."""
@@ -253,8 +206,8 @@ def base_partition(n: int, m: int) -> DistinctPartition:
     return DistinctPartition(tuple(2 * n - 1 + m - i for i in range(n)))
 
 
-def mu_decompose(p: DistinctPartition, m: int) -> BoxPartition:
-    """Write p as base_partition(n, m) plus a box partition mu.
+def mu_decompose(p: DistinctPartition, m: int) -> tuple[int, ...]:
+    """Write p as base_partition(n, m) plus a box partition; returns mu.
 
     mu_i = part_i - (2n - i) - m.  Raises NotInStaircaseForm when any entry
     is negative (equivalently, the top row is shorter than n + m); weak
@@ -268,4 +221,4 @@ def mu_decompose(p: DistinctPartition, m: int) -> BoxPartition:
         raise NotInStaircaseForm(
             f"{p.parts} is not base_partition({n}, {m}) plus a box partition"
         )
-    return BoxPartition(mu, width=mu[0])
+    return mu

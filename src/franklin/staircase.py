@@ -15,6 +15,11 @@ partition with n distinct parts > m:
 
 Column-top stairs are never part of the staircase: the walk ends when it
 reaches them, which is what keeps the staircase length within m + n.
+
+One walk, `_walk`, gives all that the involution's moves read: the
+landings taken in each walked row, the length s_m (stairs taken plus the m
+landings, which are always all taken), and the top overlap, the number of
+staircase cells in the top row.
 """
 
 from __future__ import annotations
@@ -71,26 +76,27 @@ def _require_valid(p: DistinctPartition, m: int) -> None:
         raise PartTooSmall(f"all parts must exceed m={m}, got {p.parts}")
 
 
-def _walk(parts: tuple[int, ...], m: int) -> tuple[list[int], list[int]]:
+def _walk(parts: tuple[int, ...], m: int) -> tuple[list[int], int, int]:
     """Boundary walk over a nonempty tuple of parts > m.
 
-    Returns (cells_per_row, landings_per_row) for the walked prefix of
-    rows: entry i counts staircase cells / landing cells in row i+1.  Each
-    walked row contributes its end stair plus the landings taken there.
+    Returns (lands, s_m, overlap).  lands[i] counts the landings taken in
+    row i+1, for each walked row; every walked row also gives its end
+    stair, so row i+1 holds 1 + lands[i] staircase cells.  All m landings
+    are always taken, so s_m = len(lands) + m.  overlap counts the cells
+    in the top row n: 0 unless the walk reaches it.
     """
     n = len(parts)
-    cells: list[int] = []
     lands: list[int] = []
     want = m
-    for i in range(n):
-        avail = parts[i] - parts[i + 1] - 1 if i + 1 < n else m
-        take = want if want < avail else avail
-        cells.append(1 + take)
-        lands.append(take)
-        want -= take
-        if take < avail:
-            break
-    return cells, lands
+    for i in range(n - 1):
+        avail = parts[i] - parts[i + 1] - 1
+        if want < avail:
+            lands.append(want)
+            return lands, len(lands) + m, 0
+        lands.append(avail)
+        want -= avail
+    lands.append(want)
+    return lands, n + m, 1 + want
 
 
 def classify_cells(p: DistinctPartition, m: int) -> list[list[CellClass]]:
@@ -118,7 +124,7 @@ def classify_cells(p: DistinctPartition, m: int) -> list[list[CellClass]]:
 def staircase(p: DistinctPartition, m: int) -> Staircase:
     """The m-landing staircase of p; requires all parts > m."""
     _require_valid(p, m)
-    per_row, lands = _walk(p.parts, m)
+    lands, length, _ = _walk(p.parts, m)
     cells: list[Cell] = []
     landing_rows: list[int] = []
     for i, taken in enumerate(lands):
@@ -131,27 +137,25 @@ def staircase(p: DistinctPartition, m: int) -> Staircase:
     return Staircase(
         cells=tuple(cells),
         landing_rows=tuple(landing_rows),
-        stair_count=len(per_row),
-        length=sum(per_row),
+        stair_count=len(lands),
+        length=length,
     )
 
 
 def top_overlap(p: DistinctPartition, m: int) -> int:
     """Number of staircase cells lying in the top row."""
     _require_valid(p, m)
-    per_row, _ = _walk(p.parts, m)
-    return per_row[-1] if len(per_row) == p.n else 0
+    return _walk(p.parts, m)[2]
 
 
-def render_ferrers(p: DistinctPartition, m: int, mark_staircase: bool = False) -> str:
+def render_ferrers(p: DistinctPartition, m: int) -> str:
     """Text diagram, top row first: S = stair, L = landing, . = interior.
 
-    With mark_staircase every cell is three characters wide and staircase
-    cells are bracketed, e.g. ``[S]`` next to `` L ``, keeping columns
-    aligned across rows.
+    Every cell is three characters wide and staircase cells are bracketed,
+    e.g. ``[S]`` next to `` L ``, keeping columns aligned across rows.
     """
     grid = classify_cells(p, m)
-    marked: set[Cell] = set(staircase(p, m).cells) if mark_staircase else set()
+    marked = set(staircase(p, m).cells)
     symbol = {
         CellClass.ROW_END_STAIR: "S",
         CellClass.COLUMN_TOP_STAIR: "S",
@@ -163,8 +167,6 @@ def render_ferrers(p: DistinctPartition, m: int, mark_staircase: bool = False) -
         chars = []
         for j, cls in enumerate(grid[i]):
             ch = symbol[cls]
-            if mark_staircase:
-                ch = f"[{ch}]" if Cell(i + 1, j + 1) in marked else f" {ch} "
-            chars.append(ch)
+            chars.append(f"[{ch}]" if Cell(i + 1, j + 1) in marked else f" {ch} ")
         lines.append("".join(chars))
     return "\n".join(lines)

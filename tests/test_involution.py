@@ -1,3 +1,4 @@
+import functools
 import inspect
 import itertools
 import re
@@ -12,6 +13,7 @@ from franklin.involution import (
     InvolutionCase,
     PreconditionViolated,
     _box_lex,
+    _guards,
     cancellation_stats,
     combine_audit_reports,
     enumerate_fixed_points,
@@ -207,12 +209,12 @@ class TestEnumerateFixedPoints:
     def test_drains_in_bounded_memory(self):
         tracemalloc.start()
         try:
-            count = sum(1 for _ in enumerate_fixed_points(10, 300))
+            count = sum(1 for _ in enumerate_fixed_points(10, 200))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert count == 386205
-        assert peak < 8 * 2**20
+        assert count == 50550
+        assert peak < 2**20
 
 
 class TestBoxLex:
@@ -278,6 +280,46 @@ class TestOrbitAudit:
         with pytest.raises(ValueError):
             combine_audit_reports(orbit_audit(0, 4), orbit_audit(1, 4))
 
+    def test_shards_covering_all_sizes_merge_to_the_whole(self):
+        for m in range(3):
+            shards = [[0], range(1, 21, 2), range(2, 21, 2)]
+            merged = functools.reduce(
+                combine_audit_reports, (orbit_audit(m, 20, sizes=sizes) for sizes in shards)
+            )
+            assert merged == orbit_audit(m, 20)
+
+    def test_sizes_above_max_size_rejected(self):
+        with pytest.raises(ValueError):
+            orbit_audit(0, 5, sizes=[40])
+
+    def test_repeated_sizes_rejected(self):
+        with pytest.raises(ValueError):
+            orbit_audit(0, 5, sizes=[3, 3])
+
+    def test_negative_sizes_rejected(self):
+        with pytest.raises(ValueError):
+            orbit_audit(0, 5, sizes=[-2])
+
+    def test_empty_sizes_rejected(self):
+        with pytest.raises(ValueError):
+            orbit_audit(0, 5, sizes=[])
+
+
+class TestGuards:
+    def test_walk_statistics_match_the_staircase_cells(self):
+        for m in range(5):
+            for total in range(25):
+                for p in enumerate_distinct(total, m):
+                    if not p.n:
+                        continue
+                    _, _, lands, s, overlap = _guards(p.parts, m)
+                    cells = staircase(p, m).cells
+                    assert s == len(cells), p.parts
+                    assert overlap == sum(1 for c in cells if c.row == p.n), p.parts
+                    per_row = [sum(1 for c in cells if c.row == i + 1) for i in range(len(lands))]
+                    assert lands == [k - 1 for k in per_row], p.parts
+                    assert sum(per_row) == len(cells), p.parts
+
 
 # One corruption of one audit helper per law that _audit_one names: each
 # wraps the real helper and bends its result so that the law must fire.
@@ -287,34 +329,34 @@ def _flip_fixed(real):
 
 def _staircase_too_long(real):
     def guards(parts, m):
-        tau_ok, sigma_ok, cells, lands, s = real(parts, m)
-        return tau_ok, sigma_ok, cells, lands, s + m + len(parts)
+        tau_ok, sigma_ok, lands, s, overlap = real(parts, m)
+        return tau_ok, sigma_ok, lands, s + m + len(parts), overlap
 
     return guards
 
 
 def _both_guards(real):
     def guards(parts, m):
-        _, _, cells, lands, s = real(parts, m)
-        return True, True, cells, lands, s
+        _, _, lands, s, overlap = real(parts, m)
+        return True, True, lands, s, overlap
 
     return guards
 
 
 def _top_overlap_plus_one(real):
     def guards(parts, m):
-        tau_ok, sigma_ok, cells, lands, s = real(parts, m)
-        if len(cells) == len(parts):
-            cells = cells[:-1] + [cells[-1] + 1]
-        return tau_ok, sigma_ok, cells, lands, s
+        tau_ok, sigma_ok, lands, s, overlap = real(parts, m)
+        if overlap:  # the walk reached the top row
+            overlap += 1
+        return tau_ok, sigma_ok, lands, s, overlap
 
     return guards
 
 
 def _no_guards(real):
     def guards(parts, m):
-        _, _, cells, lands, s = real(parts, m)
-        return False, False, cells, lands, s
+        _, _, lands, s, overlap = real(parts, m)
+        return False, False, lands, s, overlap
 
     return guards
 
@@ -325,36 +367,36 @@ def _tau_extra_part(real):
 
 def _staircase_plus_one(real):
     def guards(parts, m):
-        tau_ok, sigma_ok, cells, lands, s = real(parts, m)
-        return tau_ok, sigma_ok, cells, lands, s + 1
+        tau_ok, sigma_ok, lands, s, overlap = real(parts, m)
+        return tau_ok, sigma_ok, lands, s + 1, overlap
 
     return guards
 
 
 def _sigma_never(real):
     def guards(parts, m):
-        tau_ok, _, cells, lands, s = real(parts, m)
-        return tau_ok, False, cells, lands, s
+        tau_ok, _, lands, s, overlap = real(parts, m)
+        return tau_ok, False, lands, s, overlap
 
     return guards
 
 
 def _sigma_top_cell_to_bottom(real):
-    def moved(parts, cells, s):
-        image = real(parts, cells, s)
+    def moved(parts, lands, s):
+        image = real(parts, lands, s)
         return (image[0] + 1,) + image[1:-1] + (image[-1] - 1,)
 
     return moved
 
 
 def _sigma_drops_top(real):
-    return lambda parts, cells, s: real(parts, cells, s)[:-1]
+    return lambda parts, lands, s: real(parts, lands, s)[:-1]
 
 
 def _tau_never(real):
     def guards(parts, m):
-        _, sigma_ok, cells, lands, s = real(parts, m)
-        return False, sigma_ok, cells, lands, s
+        _, sigma_ok, lands, s, overlap = real(parts, m)
+        return False, sigma_ok, lands, s, overlap
 
     return guards
 

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from franklin.partitions import (
-    BoxPartition,
     DistinctPartition,
     DurfeeCategory,
     NotInStaircaseForm,
@@ -232,16 +231,13 @@ class TestBasePartition:
 
 class TestMuDecompose:
     def test_box_of_fours(self):
-        mu = mu_decompose(DistinctPartition((14, 13, 12, 11)), 3)
-        assert mu.parts == (4, 4, 4, 4)
+        assert mu_decompose(DistinctPartition((14, 13, 12, 11)), 3) == (4, 4, 4, 4)
 
     def test_base_gives_zero(self):
-        mu = mu_decompose(DistinctPartition((12, 11, 10, 9, 8)), 3)
-        assert mu.parts == (0, 0, 0, 0, 0)
-        assert mu.size == 0
+        assert mu_decompose(DistinctPartition((12, 11, 10, 9, 8)), 3) == (0, 0, 0, 0, 0)
 
     def test_valid_small(self):
-        assert mu_decompose(DistinctPartition((7, 6)), 3).parts == (1, 1)
+        assert mu_decompose(DistinctPartition((7, 6)), 3) == (1, 1)
 
     def test_negative_entry_rejected(self):
         with pytest.raises(NotInStaircaseForm):
@@ -263,23 +259,5 @@ class TestMuDecompose:
             hi = v
         base = base_partition(n, m)
         combined = DistinctPartition(tuple(b + v for b, v in zip(base.parts, mu)))
-        assert mu_decompose(combined, m).parts == tuple(mu)
+        assert mu_decompose(combined, m) == tuple(mu)
 
-
-class TestBoxPartition:
-    def test_invariants(self):
-        b = BoxPartition((3, 3, 1, 0), width=3)
-        assert b.rows == 4
-        assert b.size == 7
-
-    def test_width_violation(self):
-        with pytest.raises(ValueError):
-            BoxPartition((4, 1), width=3)
-
-    def test_weak_decrease_enforced(self):
-        with pytest.raises(ValueError):
-            BoxPartition((1, 2), width=3)
-
-    def test_negative_entry(self):
-        with pytest.raises(ValueError):
-            BoxPartition((1, -1), width=3)

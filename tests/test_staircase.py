@@ -159,22 +159,22 @@ class TestTopOverlap:
 
 class TestRender:
     def test_single_row(self):
-        assert render_ferrers(DistinctPartition((5,)), 1) == "SSSLS"
+        assert render_ferrers(DistinctPartition((5,)), 1) == " S  S  S [L][S]"
 
     def test_m3_worked_grid(self):
         got = render_ferrers(DistinctPartition((14, 11, 9, 8, 6)), 3)
         assert got == "\n".join(
             [
-                "SSLLLS",
-                "......LS",
-                "........S",
-                ".........LS",
-                "...........LLS",
+                " S  S  L  L  L  S ",
+                " .  .  .  .  .  .  L [S]",
+                " .  .  .  .  .  .  .  . [S]",
+                " .  .  .  .  .  .  .  .  . [L][S]",
+                " .  .  .  .  .  .  .  .  .  .  . [L][L][S]",
             ]
         )
 
     def test_marked_staircase(self):
-        got = render_ferrers(DistinctPartition((11, 10, 8, 5)), 1, mark_staircase=True)
+        got = render_ferrers(DistinctPartition((11, 10, 8, 5)), 1)
         assert got == "\n".join(
             [
                 " S  S  S  L  S ",
@@ -193,5 +193,8 @@ class TestRender:
     def test_shape_and_alphabet(self, pm):
         p, m = pm
         lines = render_ferrers(p, m).split("\n")
-        assert [len(line) for line in lines] == list(reversed(p.parts))
-        assert set("".join(lines)) <= set("SL.")
+        assert [len(line) for line in lines] == [3 * part for part in reversed(p.parts)]
+        cells = [line[j : j + 3] for line in lines for j in range(0, len(line), 3)]
+        assert {cell[1] for cell in cells} <= set("SL.")
+        assert {cell[0] + cell[2] for cell in cells} <= {"[]", "  "}
+        assert sum(cell[0] == "[" for cell in cells) == staircase(p, m).length
