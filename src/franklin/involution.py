@@ -206,10 +206,13 @@ def enumerate_fixed_points(
     """All involution fixed points of size <= max_size, with their weights.
 
     Streamed by increasing part count n; within each n ordered by size,
-    ties broken lexicographically on the parts.  A bad m raises at the call.
+    ties broken lexicographically on the parts.  A negative m or max_size
+    raises at the call.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
+    if max_size < 0:
+        raise ValueError("max_size must be nonnegative")
     return _fixed_points(m, max_size)
 
 

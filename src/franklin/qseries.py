@@ -244,15 +244,22 @@ class ZQSeries:
 
 
 def _product_coeffs(lo: int, hi: int, order: int, sign: int) -> list[int]:
-    """Coefficients of prod (1 + sign*q**k) over lo <= k <= hi, up to q**order.
+    """Coefficients of prod (1 + sign*q**k) over 1 <= lo <= k <= hi, up to q**order.
 
-    The knapsack update c[i] += sign*c[i-k] must read only old values; the
-    slice assignment builds the whole right side before writing any of it.
+    The factors go in largest first.  Once every factor j > k is in, c is
+    zero strictly between q**0 and q**(k+1), so the knapsack update
+    c[i] += sign*c[i-k] for factor k sets c[k] = sign, leaves c[k+1..2k]
+    alone and touches only c[2k+1:]: about order**2/4 element updates in
+    all, not order**2/2, and O(1) for every k > order/2.  The update must
+    still read only old values, since it reads c[k+1:] and writes c[2k+1:],
+    which overlap; the slice assignment builds the whole right side before
+    writing any of it.
     """
     op = add if sign > 0 else sub
     c = [1] + [0] * order
-    for k in range(lo, min(hi, order) + 1):
-        c[k:] = map(op, c[k:], c)
+    for k in range(min(hi, order), lo - 1, -1):
+        c[k] = sign
+        c[2 * k + 1 :] = map(op, c[2 * k + 1 :], c[k + 1 :])
     return c
 
 
@@ -363,6 +370,7 @@ def rhs_general(m: int, order: int) -> QSeries:
     n = lead = 0
     while lead <= order:
         if n:
+            del column[order - lead + 1 :]  # read from shift lead on; steps read lower entries
             _gauss_step(column, n, m)
         plus, minus = (sub, add) if n % 2 else (add, sub)
         _add_shifted(c, column, lead, plus)
@@ -407,6 +415,7 @@ def _fixed_point_tallies(m: int, order: int) -> tuple[list[int], list[int]]:
     while base <= order:
         tally = odd if n % 2 else even
         if n:
+            del column[order - base + 1 :]  # read from shift base on; steps read lower entries
             _add_shifted(tally, column, base + n + m, add)
             _gauss_step(column, n, m)
         _add_shifted(tally, column, base, add)

@@ -122,7 +122,7 @@ class TestFixedPointsCmd:
         }
         assert entries[(12, 11, 10, 9, 8)]["sign"] == -1
 
-    @pytest.mark.parametrize("m,max_size", [(0, 0), (0, 30), (3, 50), (10, 160), (3, -1)])
+    @pytest.mark.parametrize("m,max_size", [(0, 0), (0, 30), (3, 50), (10, 160)])
     def test_json_bytes_match_the_encoder(self, capsys, m, max_size):
         payload = {
             "m": m,
@@ -151,6 +151,12 @@ class TestFixedPointsCmd:
     def test_bad_m_writes_nothing(self, capsys, fmt):
         assert run(["fixed-points", "--m", "-1", "--max-size", "5"] + fmt) == 2
         assert out_of(capsys) == ("", "error: m must be nonnegative\n")
+
+    @pytest.mark.parametrize("fmt", [[], ["--json"]])
+    def test_negative_max_size_writes_nothing(self, capsys, fmt):
+        # like stats, expand and verify: a negative size is an input error, not an empty listing
+        assert run(["fixed-points", "--m", "3", "--max-size", "-1"] + fmt) == 2
+        assert out_of(capsys) == ("", "error: max_size must be nonnegative\n")
 
 
 class TestStatsCmd:

@@ -206,6 +206,10 @@ class TestEnumerateFixedPoints:
         with pytest.raises(ValueError):
             enumerate_fixed_points(-1, 5)
 
+    def test_negative_max_size_raises_before_iteration(self):
+        with pytest.raises(ValueError, match="max_size must be nonnegative"):
+            enumerate_fixed_points(3, -1)
+
     def test_drains_in_bounded_memory(self):
         tracemalloc.start()
         try:

@@ -1,3 +1,4 @@
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -8,6 +9,7 @@ from franklin.partitions import count_distinct_signed, enumerate_distinct
 from franklin.qseries import (
     NonUnitConstantTerm,
     _durfee_terms,
+    _fixed_point_tallies,
     _gauss_step,
     _product_coeffs,
     QSeries,
@@ -104,6 +106,38 @@ class TestEulerProduct:
     def test_matches_signed_dp(self, m):
         table = count_distinct_signed(m, 60)
         assert euler_product(m, 60).coeffs == [signed for _, signed in table]
+
+    @pytest.mark.parametrize("order", [*range(121), 499, 500, 501, 999, 1000])
+    def test_pentagonal_exponents(self, order):
+        # Euler: (-1)^j at j(3j -+ 1)/2 and 0 elsewhere, generated without any product
+        expected = [0] * (order + 1)
+        j = 0
+        while (low := j * (3 * j - 1) // 2) <= order:
+            for e in (low, low + j):
+                if e <= order:
+                    expected[e] = (-1) ** j
+            j += 1
+        assert euler_product(0, order).coeffs == expected
+
+    @pytest.mark.parametrize("lo", range(1, 9))
+    def test_matches_subset_counts(self, lo):
+        # coefficient s of prod (1 + sign q^k): sign^len(S) summed over the sets S of
+        # distinct k in lo..hi with sum(S) = s
+        top = 24
+        subsets = [
+            subset
+            for r in range(max_distinct_parts(top) + 1)
+            for subset in combinations(range(lo, top + 1), r)
+            if sum(subset) <= top
+        ]
+        for order in range(top + 1):
+            for hi in range(lo - 1, order + 3):
+                for sign in (1, -1):
+                    expected = [0] * (order + 1)
+                    for subset in subsets:
+                        if sum(subset) <= order and max(subset, default=0) <= hi:
+                            expected[sum(subset)] += sign ** len(subset)
+                    assert _product_coeffs(lo, hi, order, sign) == expected, (hi, order, sign)
 
 
 class TestGaussBinomial:
@@ -221,6 +255,34 @@ class TestZQSeries:
             ZQSeries(2, 1, [[1, 0, 0, 0]])
 
 
+def general_lead(n, m):
+    return (3 * n * n + n) // 2 + n * m
+
+
+def fixed_lead(n, m):
+    return (3 * n * n - n) // 2 + n * m
+
+
+def trim_orders(m, lead):
+    """Every order up to 60, and each order up to 400 at which a term's lead first fits."""
+    return sorted(set(range(61)) | {e for n in range(20) if (e := lead(n, m)) <= 400})
+
+
+def untrimmed_terms(m, order, lead):
+    """(n, lead(n, m), [n+m, m]_q, [n+m-1, m]_q) for each term that starts within the order."""
+    n = 0
+    while (e := lead(n, m)) <= order:
+        previous = gauss_binomial(n + m - 1, m).coeffs if n else []
+        yield n, e, gauss_binomial(n + m, m).coeffs, previous
+        n += 1
+
+
+def add_at(out, coeffs, shift, scale=1):
+    """out += scale * q^shift * coeffs, truncated at len(out) - 1."""
+    for k, v in enumerate(coeffs[: max(0, len(out) - shift)]):
+        out[shift + k] += scale * v
+
+
 class TestRhsGeneral:
     def test_pentagonal_case(self):
         assert rhs_general(0, 300) == euler_product(0, 300)
@@ -237,6 +299,16 @@ class TestRhsGeneral:
     @pytest.mark.parametrize("m", range(5))
     def test_matches_product(self, m):
         assert rhs_general(m, 80) == euler_product(m, 80)
+
+    @pytest.mark.parametrize("m", range(13))
+    def test_matches_untrimmed_sum(self, m):
+        # the stepped column is cut to order - lead + 1 entries before each step
+        for order in trim_orders(m, general_lead):
+            expected = [0] * (order + 1)
+            for n, lead, column, _ in untrimmed_terms(m, order, general_lead):
+                add_at(expected, column, lead, (-1) ** n)
+                add_at(expected, column, lead + 2 * n + m + 1, -((-1) ** n))
+            assert rhs_general(m, order).coeffs == expected, order
 
     def test_series_workload_orders(self):
         # the last terms are cut by the truncation, lead + n*m > order
@@ -260,6 +332,16 @@ class TestFixedPointClosedForms:
     @pytest.mark.parametrize("m", range(5))
     def test_sum_equals_product(self, m):
         assert rhs_fixed_points(m, 70) == euler_product(m, 70)
+
+    @pytest.mark.parametrize("m", range(13))
+    def test_tallies_match_untrimmed_sum(self, m):
+        # the stepped column is cut to order - base + 1 entries before each step
+        for order in trim_orders(m, fixed_lead):
+            expected = ([0] * (order + 1), [0] * (order + 1))
+            for n, base, column, previous in untrimmed_terms(m, order, fixed_lead):
+                add_at(expected[n % 2], column, base)
+                add_at(expected[n % 2], previous, base + n + m)
+            assert _fixed_point_tallies(m, order) == expected, order
 
 
 class TestSylvester:
