@@ -30,7 +30,6 @@ _GENERAL_ORDER = 240
 _FIXED_ORDER = 120
 _SYLVESTER_ORDER = 32
 _DURFEE_ORDER = 26
-_DURFEE_DIMENSION = 5
 _AUDIT_SIZE = 30
 _DEFAULT_MS = (0, 1, 2, 3, 4)
 
@@ -208,12 +207,9 @@ def _cmd_verify(args, out: TextIO) -> int:
             reports.append(check_general_formula(m, _or_default(args.order, _GENERAL_ORDER)))
             reports.append(check_fixed_point_formula(m, _or_default(args.order, _FIXED_ORDER)))
     if args.suite in ("all", "sylvester"):
-        order = _or_default(args.order, _SYLVESTER_ORDER)
-        reports.append(check_sylvester(order, order))
+        reports.append(check_sylvester(_or_default(args.order, _SYLVESTER_ORDER)))
     if args.suite in ("all", "durfee"):
-        reports.append(
-            check_durfee_decomposition(_or_default(args.order, _DURFEE_ORDER), _DURFEE_DIMENSION)
-        )
+        reports.append(check_durfee_decomposition(_or_default(args.order, _DURFEE_ORDER)))
     if args.suite in ("all", "involution"):
         for m in ms:
             reports.append(check_involution_laws(m, _or_default(args.max_size, _AUDIT_SIZE)))

@@ -1,10 +1,10 @@
 """Exact truncated power series in q and in (z, q) with integer coefficients.
 
 QSeries holds coefficients c[0..order]; ZQSeries holds z-columns, the
-q-coefficient lists of z**k for k <= z_degree, stored only up to
-max_distinct_parts(q_order) and zero past it.  All arithmetic is exact
-(Python integers) and never reads or writes past the truncation; binary
-operations require matching truncation parameters.  The expansions
+q-coefficient lists of z**k for k <= max_distinct_parts(q_order), every
+later power of z being zero, so its truncation is q_order alone.  All
+arithmetic is exact (Python integers) and never reads or writes past the
+truncation; binary operations require matching orders.  The expansions
 step plain coefficient lists in place and invert no series: times (1 +- q^k)
 or (1 + z q^i) by a shifted add, over (1 - q^n) by a stride running sum.
 """
@@ -126,45 +126,41 @@ def format_series(s: QSeries) -> str:
 
 
 class ZQSeries:
-    """Integer series in q and z, truncated at q_order and z_degree.
+    """Integer series in q and z, truncated at q_order.
 
     Stored as z-columns: columns[k] lists the coefficients of q**0..q**q_order
-    in z**k.  Only k <= min(z_degree, max_distinct_parts(q_order)) is stored
-    and every later power of z reads as 0, as in a generating function of
+    in z**k.  Only k <= max_distinct_parts(q_order) is stored and every
+    later power of z reads as 0, as in a generating function of
     distinct-part partitions by part count (k distinct parts sum to at least
     k(k+1)/2); a nonzero coefficient there is rejected.
     """
 
-    __slots__ = ("q_order", "z_degree", "columns")
+    __slots__ = ("q_order", "columns")
 
-    def __init__(self, q_order: int, z_degree: int, columns: Sequence[Sequence[int]] = ()):
-        if q_order < 0 or z_degree < 0:
-            raise ValueError("truncation parameters must be nonnegative")
-        if len(columns) > z_degree + 1 or any(len(c) > q_order + 1 for c in columns):
+    def __init__(self, q_order: int, columns: Sequence[Sequence[int]] = ()):
+        if q_order < 0:
+            raise ValueError("q_order must be nonnegative")
+        if any(len(c) > q_order + 1 for c in columns):
             raise ValueError("columns do not fit the truncation")
-        stored = min(z_degree, max_distinct_parts(q_order)) + 1
+        stored = max_distinct_parts(q_order) + 1
         if any(any(c) for c in columns[stored:]):
             raise ValueError(f"nonzero z power above max_distinct_parts({q_order})")
         self.q_order = q_order
-        self.z_degree = z_degree
         self.columns = [list(c) + [0] * (q_order + 1 - len(c)) for c in columns[:stored]]
         self.columns += ([0] * (q_order + 1) for _ in range(stored - len(self.columns)))
 
     @classmethod
-    def one(cls, q_order: int, z_degree: int) -> "ZQSeries":
-        return cls(q_order, z_degree, [[1]])
+    def one(cls, q_order: int) -> "ZQSeries":
+        return cls(q_order, [[1]])
 
     def coeff(self, q_exp: int, z_exp: int) -> int:
-        if not (0 <= q_exp <= self.q_order and 0 <= z_exp <= self.z_degree):
+        if not (0 <= q_exp <= self.q_order and z_exp >= 0):
             raise IndexError(f"({q_exp}, {z_exp}) outside truncation")
         return self.columns[z_exp][q_exp] if z_exp < len(self.columns) else 0
 
     def _check(self, other: "ZQSeries") -> None:
-        if self.q_order != other.q_order or self.z_degree != other.z_degree:
-            raise TruncationMismatch(
-                f"truncations differ: ({self.q_order},{self.z_degree})"
-                f" vs ({other.q_order},{other.z_degree})"
-            )
+        if self.q_order != other.q_order:
+            raise TruncationMismatch(f"q orders differ: {self.q_order} vs {other.q_order}")
 
     def first_difference(self, other: "ZQSeries") -> tuple[int, int, int, int] | None:
         """(q_exp, z_exp, own, other's) at the first unequal coefficient, or None.
@@ -196,22 +192,20 @@ class ZQSeries:
         return self
 
     def __add__(self, other: "ZQSeries") -> "ZQSeries":
-        return ZQSeries(self.q_order, self.z_degree, self.columns).__iadd__(other)
+        return ZQSeries(self.q_order, self.columns).__iadd__(other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return ZQSeries(
-                self.q_order, self.z_degree, [[other * a for a in c] for c in self.columns]
-            )
+            return ZQSeries(self.q_order, [[other * a for a in c] for c in self.columns])
         self._check(other)
-        n, d = self.q_order, self.z_degree
-        out = [[0] * (n + 1) for _ in range(d + 1)]
+        n = self.q_order
+        out = [[0] * (n + 1) for _ in range(len(self.columns) + len(other.columns) - 1)]
         for k1, a in enumerate(self.columns):
-            for k2, b in enumerate(other.columns[: d + 1 - k1]):
+            for k2, b in enumerate(other.columns):
                 for j, v in enumerate(a):
                     if v:
                         _add_shifted(out[k1 + k2], [v * x for x in b], j, add)
-        return ZQSeries(n, d, out)
+        return ZQSeries(n, out)
 
     __rmul__ = __mul__
 
@@ -219,7 +213,6 @@ class ZQSeries:
         return (
             isinstance(other, ZQSeries)
             and self.q_order == other.q_order
-            and self.z_degree == other.z_degree
             and self.columns == other.columns
         )
 
@@ -301,26 +294,23 @@ def _times_one_plus_zq(columns: list[list[int]], i: int) -> None:
         _add_shifted(columns[k], columns[k - 1], i, add)
 
 
-def _shifted(
-    columns: list[list[int]], lead: int, z_shift: int, q_order: int, z_degree: int
-) -> ZQSeries:
+def _shifted(columns: list[list[int]], lead: int, z_shift: int, q_order: int) -> ZQSeries:
     """z^{z_shift} q^{lead} times the z-columns, as a truncated ZQSeries."""
     pad = [0] * lead
-    shifted = [(pad + c)[: q_order + 1] for c in columns[: z_degree + 1 - z_shift]]
-    return ZQSeries(q_order, z_degree, [[]] * z_shift + shifted)
+    return ZQSeries(q_order, [[]] * z_shift + [(pad + c)[: q_order + 1] for c in columns])
 
 
-def pochhammer_neg_zq(n: int, q_order: int, z_degree: int) -> ZQSeries:
+def pochhammer_neg_zq(n: int, q_order: int) -> ZQSeries:
     """(-zq)_n = product of (1 + z q**i) for 1 <= i <= n, truncated."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    series = ZQSeries.one(q_order, z_degree)
+    series = ZQSeries.one(q_order)
     for i in range(1, min(n, q_order) + 1):
         _times_one_plus_zq(series.columns, i)
     return series
 
 
-def _durfee_terms(q_order: int, z_degree: int) -> Iterator[tuple[int, ZQSeries, ZQSeries]]:
+def _durfee_terms(q_order: int) -> Iterator[tuple[int, ZQSeries, ZQSeries]]:
     """Yield (d, one, two) for d >= 1 while z^d q^{(3d^2-d)/2} stays in the truncation.
 
     one = z^d q^{(3d^2-d)/2} (-zq)_{d-1} / (q)_d counts the distinct-part
@@ -329,13 +319,13 @@ def _durfee_terms(q_order: int, z_degree: int) -> Iterator[tuple[int, ZQSeries, 
     One list of z-columns is stepped in place: divided by (1 - q^d) it holds
     (-zq)_{d-1} / (q)_d for the yield, then times (1 + z q^d) it is set for d + 1.
     """
-    columns = ZQSeries.one(q_order, z_degree).columns
+    columns = ZQSeries.one(q_order).columns
     d = 1
-    while d <= z_degree and (lead := (3 * d * d - d) // 2) <= q_order:
+    while (lead := (3 * d * d - d) // 2) <= q_order:
         for c in columns:
             _divide_step(c, d)
-        one = _shifted(columns, lead, d, q_order, z_degree)
-        yield d, one, _shifted(columns, lead + 2 * d, d + 1, q_order, z_degree)
+        one = _shifted(columns, lead, d, q_order)
+        yield d, one, _shifted(columns, lead + 2 * d, d + 1, q_order)
         _times_one_plus_zq(columns, d)
         d += 1
 
@@ -432,16 +422,16 @@ def rhs_fixed_points(m: int, order: int) -> QSeries:
     return QSeries(order, list(map(sub, even, odd)))
 
 
-def sylvester_sides(q_order: int, z_degree: int) -> tuple[ZQSeries, ZQSeries]:
+def sylvester_sides(q_order: int) -> tuple[ZQSeries, ZQSeries]:
     """Both sides of Sylvester's Durfee-square identity, truncated alike.
 
     Left: product of (1 + z q**n) for n >= 1.  Right: 1 plus the sum over
     n >= 1 of z^n q^{(3n^2-n)/2} (1 + z q^{2n}) (-zq)_{n-1} / (q)_n, the
     terms of `_durfee_terms`.
     """
-    lhs = pochhammer_neg_zq(q_order, q_order, z_degree)
-    rhs = ZQSeries.one(q_order, z_degree)
-    for _, one, two in _durfee_terms(q_order, z_degree):
+    lhs = pochhammer_neg_zq(q_order, q_order)
+    rhs = ZQSeries.one(q_order)
+    for _, one, two in _durfee_terms(q_order):
         rhs += one
         rhs += two
     return lhs, rhs

@@ -155,7 +155,7 @@ def render_ferrers(p: DistinctPartition, m: int) -> str:
     e.g. ``[S]`` next to `` L ``, keeping columns aligned across rows.
     """
     grid = classify_cells(p, m)
-    marked = set(staircase(p, m).cells)
+    lands = _walk(p.parts, m)[0]
     symbol = {
         CellClass.ROW_END_STAIR: "S",
         CellClass.COLUMN_TOP_STAIR: "S",
@@ -164,9 +164,10 @@ def render_ferrers(p: DistinctPartition, m: int) -> str:
     }
     lines = []
     for i in range(p.n - 1, -1, -1):
-        chars = []
-        for j, cls in enumerate(grid[i]):
-            ch = symbol[cls]
-            chars.append(f"[{ch}]" if Cell(i + 1, j + 1) in marked else f" {ch} ")
-        lines.append("".join(chars))
+        row = [symbol[cls] for cls in grid[i]]
+        # a walked row ends in its 1 + lands[i] staircase cells
+        plain = len(row) - 1 - lands[i] if i < len(lands) else len(row)
+        lines.append(
+            "".join(f" {ch} " for ch in row[:plain]) + "".join(f"[{ch}]" for ch in row[plain:])
+        )
     return "\n".join(lines)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import time
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain
 
 from .involution import enumerate_fixed_points, orbit_audit
 from .partitions import DurfeeCategory, _distinct_tuples, _durfee
@@ -117,50 +116,51 @@ def check_fixed_point_formula(m: int, order: int) -> VerificationReport:
     return _report("fixed-point-formula", {"m": m, "order": order}, mismatch, start)
 
 
-def check_sylvester(q_order: int, z_degree: int) -> VerificationReport:
+def check_sylvester(q_order: int) -> VerificationReport:
     """Both sides of the Durfee-square identity, every q**j z**k in the truncation."""
-    if q_order < 0 or z_degree < 0:
-        raise ValueError("q_order and z_degree must be nonnegative")
+    if q_order < 0:
+        raise ValueError("q_order must be nonnegative")
     start = time.perf_counter()
-    lhs, rhs = sylvester_sides(q_order, z_degree)
+    lhs, rhs = sylvester_sides(q_order)
     mismatch = _zq_mismatch(lhs, rhs, "product-side", "durfee-side")
-    return _report(
-        "sylvester", {"order": q_order, "zDegree": z_degree}, mismatch, start
-    )
+    return _report("sylvester", {"order": q_order}, mismatch, start)
 
 
-def check_durfee_decomposition(order: int, max_dimension: int) -> VerificationReport:
+def check_durfee_decomposition(order: int) -> VerificationReport:
     """Durfee classification of distinct-part partitions vs the two summands.
 
     Enumerates everything of size <= order, grades by (part count, size,
     Durfee dimension, category), and compares against the expansions of
-    the category-One and category-Two terms for each dimension.
+    the category-One and category-Two terms, for every (dimension,
+    category) up to the largest dimension that the enumeration or the
+    terms reach, which the report gives as maxDimension.
     """
-    if order < 0 or max_dimension < 0:
-        raise ValueError("order and max_dimension must be nonnegative")
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     start = time.perf_counter()
     z_cap = max_distinct_parts(order)
-    zero = ZQSeries(order, z_cap)
     counted = defaultdict(lambda: [[0] * (order + 1) for _ in range(z_cap + 1)])
     for size in range(order + 1):
         for parts in _distinct_tuples(size, 0):
             counted[_durfee(parts)][len(parts)][size] += 1
     # dimension 0 is the empty partition alone, category One
-    terms = chain([(0, ZQSeries.one(order, z_cap), zero)], _durfee_terms(order, z_cap))
+    terms = {(0, DurfeeCategory.ONE): ZQSeries.one(order)}
+    for d, one, two in _durfee_terms(order):
+        terms[d, DurfeeCategory.ONE] = one
+        terms[d, DurfeeCategory.TWO] = two
+    top = max(d for d, _ in counted.keys() | terms.keys())
     mismatch = None
-    for d in range(max_dimension + 1):
-        _, one, two = next(terms, (d, zero, zero))
-        for category, term in ((DurfeeCategory.ONE, one), (DurfeeCategory.TWO, two)):
-            enumerated = ZQSeries(order, z_cap, counted.get((d, category), ()))
-            found = _zq_mismatch(enumerated, term, "enumeration", "term-expansion")
-            if found:
-                mismatch = {"dimension": d, "category": category.value, **found}
-                break
-        if mismatch:
+    classes = ((d, category) for d in range(top + 1) for category in DurfeeCategory)
+    for d, category in classes:
+        enumerated = ZQSeries(order, counted.get((d, category), ()))
+        term = terms.get((d, category), ZQSeries(order))
+        found = _zq_mismatch(enumerated, term, "enumeration", "term-expansion")
+        if found:
+            mismatch = {"dimension": d, "category": category.value, **found}
             break
     return _report(
         "durfee-decomposition",
-        {"order": order, "maxDimension": max_dimension},
+        {"order": order, "maxDimension": top},
         mismatch,
         start,
     )

@@ -275,13 +275,13 @@ class TestVerifyCmd:
         assert run(["verify", "--suite", "durfee", "--order", "-3"]) == 2
         out, err = out_of(capsys)
         assert out == ""
-        assert err == "error: order and max_dimension must be nonnegative\n"
+        assert err == "error: order must be nonnegative\n"
 
     def test_negative_sylvester_order_exits_2(self, capsys):
         assert run(["verify", "--suite", "sylvester", "--order", "-1"]) == 2
         out, err = out_of(capsys)
         assert out == ""
-        assert err == "error: q_order and z_degree must be nonnegative\n"
+        assert err == "error: q_order must be nonnegative\n"
 
     def test_json_reports(self, capsys):
         code = run(
