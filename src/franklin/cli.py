@@ -13,10 +13,10 @@ import sys
 from contextlib import nullcontext
 from typing import Iterable, TextIO
 
-from .involution import InvolutionCase, cancellation_stats, enumerate_fixed_points, involute
+from .involution import InvolutionCase, _involute, cancellation_stats, enumerate_fixed_points
 from .partitions import DistinctPartition, format_partition, parse_partition
 from .qseries import euler_product, format_series, rhs_fixed_points, rhs_general
-from .staircase import render_ferrers, staircase
+from .staircase import _render, _staircase, render_ferrers
 from .verify import (
     VerificationReport,
     check_durfee_decomposition,
@@ -108,7 +108,7 @@ def _cmd_expand(args, out: TextIO) -> int:
 
 def _cmd_staircase(args, out: TextIO) -> int:
     p = parse_partition(args.partition)
-    sc = staircase(p, args.m)
+    sc, lands = _staircase(p, args.m)
     lines = [
         f"partition: {_display_partition(p)}",
         f"s_m = {sc.length}",
@@ -118,18 +118,18 @@ def _cmd_staircase(args, out: TextIO) -> int:
         "cells = " + " ".join(f"({c.row},{c.col})" for c in sc.cells),
     ]
     if args.render:
-        lines.append(render_ferrers(p, args.m))
+        lines.append(_render(p, args.m, lands))
     print("\n".join(lines), file=out)
     return 0
 
 
 def _cmd_involve(args, out: TextIO) -> int:
     p = parse_partition(args.partition)
-    result = involute(p, args.m)
+    result, lands = _involute(p, args.m)
     lines = [f"case: {result.case.value}", f"image: {_display_partition(result.image)}"]
     if args.trace and p.n:
         lines.append("input (staircase marked):")
-        lines.append(render_ferrers(p, args.m))
+        lines.append(_render(p, args.m, lands))
         if result.case is not InvolutionCase.FIXED:
             lines.append("image (staircase marked):")
             lines.append(render_ferrers(result.image, args.m))

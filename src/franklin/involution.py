@@ -39,6 +39,10 @@ class InvolutionCase(enum.Enum):
     FIXED = "Fixed"
 
 
+# bound once: each InvolutionCase.X lookup goes through the enum's class machinery
+_TAU, _SIGMA, _FIXED = InvolutionCase.TAU_MOVED, InvolutionCase.SIGMA_MOVED, InvolutionCase.FIXED
+
+
 @dataclass(frozen=True)
 class InvolutionResult:
     image: DistinctPartition
@@ -123,21 +127,26 @@ def sigma(p: DistinctPartition, m: int) -> DistinctPartition:
 
 def involute(p: DistinctPartition, m: int) -> InvolutionResult:
     """Apply the involution once; the empty partition is fixed."""
+    return _involute(p, m)[0]
+
+
+def _involute(p: DistinctPartition, m: int) -> tuple[InvolutionResult, list[int]]:
+    """involute, and the landings per row of p's walk ([] for the empty partition)."""
     if m < 0:
         raise ValueError("m must be nonnegative")
     if p.n == 0:
-        return InvolutionResult(p, InvolutionCase.FIXED)
+        return InvolutionResult(p, _FIXED), []
     _require_valid(p, m)
     tau_ok, sigma_ok, lands, s, _ = _guards(p.parts, m)
     if tau_ok and sigma_ok:
         raise AssertionError(f"move guards are not exclusive on {p.parts}, m={m}")
     if tau_ok:
         image = DistinctPartition(_tau_tuple(p.parts, m, lands, p.parts[-1]))
-        return InvolutionResult(image, InvolutionCase.TAU_MOVED)
+        return InvolutionResult(image, _TAU), lands
     if sigma_ok:
         image = DistinctPartition(_sigma_tuple(p.parts, lands, s))
-        return InvolutionResult(image, InvolutionCase.SIGMA_MOVED)
-    return InvolutionResult(p, InvolutionCase.FIXED)
+        return InvolutionResult(image, _SIGMA), lands
+    return InvolutionResult(p, _FIXED), lands
 
 
 def _fixed_criterion(parts: tuple[int, ...], m: int) -> bool:
@@ -193,10 +202,10 @@ def _fixed_points(m: int, max_size: int) -> Iterator[tuple[DistinctPartition, Si
         for r in range(min(max_size - base_size, n * (m + 1)) + 1):
             weight = SignedMonomial(-1 if n % 2 else 1, base_size + r)
             for mu in _box_lex(n, m, r):
-                yield DistinctPartition(map(add, base, mu)), weight
+                yield DistinctPartition._trusted(tuple(map(add, base, mu))), weight
             if n:
                 for nu in _box_lex(n - 1, m, r - m - n):
-                    yield DistinctPartition(map(add, shifted, (0, *nu))), weight
+                    yield DistinctPartition._trusted(tuple(map(add, shifted, (0, *nu)))), weight
         n += 1
 
 
@@ -239,7 +248,7 @@ def _audit_one(
     if n == 0:
         if not _fixed_criterion(parts, m):
             violations.append(("fixed-criterion", parts))
-        return InvolutionCase.FIXED
+        return _FIXED
     t = parts[-1]
     tau_ok, sigma_ok, lands, s, overlap = _guards(parts, m)
     if not (m + 1 <= s <= m + n):
@@ -258,36 +267,36 @@ def _audit_one(
             violations.append(("fixed-criterion", parts))
         if t < m + n or s != m + n:
             violations.append(("fixed-shape", parts))
-        return InvolutionCase.FIXED
+        return _FIXED
     if crit:
         violations.append(("fixed-criterion", parts))
     if tau_ok:
         img = _tau_tuple(parts, m, lands, t)
         if len(img) != n - 1 or sum(img) != size or not _is_valid_distinct(img, m):
             violations.append(("tau-image", parts))
-            return InvolutionCase.TAU_MOVED
+            return _TAU
         i_tau, i_sigma, i_lands, i_s, _ = _guards(img, m)
         if i_s != t:
             violations.append(("tau-staircase-transfer", parts))
         if i_tau or not i_sigma:
             violations.append(("tau-image-guard", parts))
-            return InvolutionCase.TAU_MOVED
+            return _TAU
         if _sigma_tuple(img, i_lands, i_s) != parts:
             violations.append(("sigma-tau-roundtrip", parts))
-        return InvolutionCase.TAU_MOVED
+        return _TAU
     img = _sigma_tuple(parts, lands, s)
     if len(img) != n + 1 or sum(img) != size or not _is_valid_distinct(img, m):
         violations.append(("sigma-image", parts))
-        return InvolutionCase.SIGMA_MOVED
+        return _SIGMA
     if img[-1] != s:
         violations.append(("sigma-top-transfer", parts))
     i_tau, i_sigma, i_lands, _, _ = _guards(img, m)
     if not i_tau or i_sigma:
         violations.append(("sigma-image-guard", parts))
-        return InvolutionCase.SIGMA_MOVED
+        return _SIGMA
     if _tau_tuple(img, m, i_lands, img[-1]) != parts:
         violations.append(("tau-sigma-roundtrip", parts))
-    return InvolutionCase.SIGMA_MOVED
+    return _SIGMA
 
 
 def orbit_audit(m: int, max_size: int, sizes: Iterable[int] | None = None) -> AuditReport:
@@ -316,12 +325,14 @@ def orbit_audit(m: int, max_size: int, sizes: Iterable[int] | None = None) -> Au
         for parts in _distinct_tuples(size, m):
             total += 1
             case = _audit_one(parts, m, size, violations)
-            if case is InvolutionCase.FIXED:
-                fixed += 1
-            elif case is InvolutionCase.TAU_MOVED:
+            # moved partitions outnumber fixed ones; a dict tally would hash
+            # the members through Enum.__hash__, a Python-level call
+            if case is _TAU:
                 tau_moved += 1
-            elif case is InvolutionCase.SIGMA_MOVED:
+            elif case is _SIGMA:
                 sigma_moved += 1
+            elif case is _FIXED:
+                fixed += 1
     return AuditReport(
         m=m,
         size_range=(size_list[0], size_list[-1]),

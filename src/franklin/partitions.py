@@ -7,6 +7,7 @@ Ferrers diagram (drawn at the bottom) and ``parts[-1]`` is the top row.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -36,6 +37,13 @@ class DistinctPartition:
                 raise ValueError(f"parts must be strictly decreasing, got {parts}")
             prev = p
         self.parts = parts
+
+    @classmethod
+    def _trusted(cls, parts: tuple[int, ...]) -> DistinctPartition:
+        """Wrap parts that are positive and strictly decreasing by construction, unchecked."""
+        new = object.__new__(cls)
+        new.parts = parts
+        return new
 
     @property
     def n(self) -> int:
@@ -147,12 +155,40 @@ def durfee(p: DistinctPartition) -> DurfeeInfo:
     return DurfeeInfo(*_durfee(p.parts))
 
 
+_TAIL = 16
+
+
+@functools.cache
+def _tails(rest: int, cap: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """Strictly decreasing tuples of parts in (m, cap] summing to rest, decreasing lex.
+
+    Callers pass m < cap <= rest <= _TAIL and only keys that the parts in
+    (m, cap] can fill, so the memo is bounded by that key space: 616
+    entries over every m (none for m >= _TAIL), 389 of them for
+    m = 0..4, about 0.09 MiB with their tuples.
+    """
+    found: list[tuple[int, ...]] = []
+    for part in range(cap, m, -1):
+        left = rest - part
+        # parts below `part` can contribute at most (m+1) + ... + (part-1)
+        if left > (part + m) * (part - 1 - m) // 2:
+            break
+        if not left:
+            found.append((part,))
+        elif left > m:
+            tails = _tails(left, left if left < part else part - 1, m)
+            found.extend((part, *tail) for tail in tails)
+    return tuple(found)
+
+
 def _distinct_tuples(total: int, m: int) -> Iterator[tuple[int, ...]]:
     """Strictly decreasing tuples of parts > m summing to total, decreasing lex order.
 
-    Depth-first without recursion: `parts` holds the chosen prefix and
-    `stack` one `(rest, part)` per open level, the amount that level still
-    has to fill and the next part it will try there.
+    Depth-first without recursion for the leading parts: `parts` holds the
+    chosen prefix and `stack` one `(rest, part)` per open level, the amount
+    that level still has to fill and the next part it will try there.  Once
+    a part leaves at most _TAIL to fill, every completion comes from the
+    memo `_tails`.
     """
     if total == 0:
         yield ()
@@ -166,13 +202,17 @@ def _distinct_tuples(total: int, m: int) -> Iterator[tuple[int, ...]]:
             # parts below `part` can contribute at most (m+1) + ... + (part-1)
             if left > (part + m) * (part - 1 - m) // 2:
                 break
-            if left:
+            if left > _TAIL:
                 stack.append((rest, part - 1))
                 parts.append(part)
                 rest, part = left, left if left < part else part - 1
-            else:
+                continue
+            if not left:
                 yield (*parts, part)
-                part -= 1
+            elif left > m:
+                tails = _tails(left, left if left < part else part - 1, m)
+                yield from map((*parts, part).__add__, tails)
+            part -= 1
         if parts:
             parts.pop()
 

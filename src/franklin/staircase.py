@@ -85,18 +85,20 @@ def _walk(parts: tuple[int, ...], m: int) -> tuple[list[int], int, int]:
     are always taken, so s_m = len(lands) + m.  overlap counts the cells
     in the top row n: 0 unless the walk reaches it.
     """
-    n = len(parts)
     lands: list[int] = []
     want = m
-    for i in range(n - 1):
-        avail = parts[i] - parts[i + 1] - 1
+    rows = iter(parts)
+    below = next(rows)
+    for above in rows:
+        avail = below - above - 1
         if want < avail:
             lands.append(want)
             return lands, len(lands) + m, 0
         lands.append(avail)
         want -= avail
+        below = above
     lands.append(want)
-    return lands, n + m, 1 + want
+    return lands, len(parts) + m, 1 + want
 
 
 def classify_cells(p: DistinctPartition, m: int) -> list[list[CellClass]]:
@@ -123,6 +125,11 @@ def classify_cells(p: DistinctPartition, m: int) -> list[list[CellClass]]:
 
 def staircase(p: DistinctPartition, m: int) -> Staircase:
     """The m-landing staircase of p; requires all parts > m."""
+    return _staircase(p, m)[0]
+
+
+def _staircase(p: DistinctPartition, m: int) -> tuple[Staircase, list[int]]:
+    """The staircase and the landings its walk took per row, from one walk."""
     _require_valid(p, m)
     lands, length, _ = _walk(p.parts, m)
     cells: list[Cell] = []
@@ -139,7 +146,7 @@ def staircase(p: DistinctPartition, m: int) -> Staircase:
         landing_rows=tuple(landing_rows),
         stair_count=len(lands),
         length=length,
-    )
+    ), lands
 
 
 def top_overlap(p: DistinctPartition, m: int) -> int:
@@ -154,8 +161,13 @@ def render_ferrers(p: DistinctPartition, m: int) -> str:
     Every cell is three characters wide and staircase cells are bracketed,
     e.g. ``[S]`` next to `` L ``, keeping columns aligned across rows.
     """
+    _require_valid(p, m)
+    return _render(p, m, _walk(p.parts, m)[0])
+
+
+def _render(p: DistinctPartition, m: int, lands: list[int]) -> str:
+    """render_ferrers from the landings per row of p's walk, not walking again."""
     grid = classify_cells(p, m)
-    lands = _walk(p.parts, m)[0]
     symbol = {
         CellClass.ROW_END_STAIR: "S",
         CellClass.COLUMN_TOP_STAIR: "S",

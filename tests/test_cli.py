@@ -102,6 +102,24 @@ class TestInvolveCmd:
         assert "[S]" in out
 
 
+class TestWalksPerCommand:
+    """Diagrams are drawn from the walk the command already made."""
+
+    @pytest.mark.parametrize(
+        "argv, walks",
+        [
+            (["staircase", "--partition", "14,11,9,8,6", "--m", "3"], 1),
+            (["staircase", "--partition", "14,11,9,8,6", "--m", "3", "--render"], 1),
+            (["involve", "--partition", "11,10,8,5", "--m", "1", "--trace"], 2),  # sigma
+            (["involve", "--partition", "10,8,7,5,4", "--m", "1", "--trace"], 2),  # tau
+            (["involve", "--partition", "9,7,6,5", "--m", "1", "--trace"], 1),  # fixed
+        ],
+    )
+    def test_walks(self, walk_calls, capsys, argv, walks):
+        assert run(argv) == 0
+        assert len(walk_calls) == walks
+
+
 class TestFixedPointsCmd:
     def test_text_stream(self, capsys):
         run(["fixed-points", "--m", "1", "--max-size", "4"])

@@ -3,6 +3,7 @@ import inspect
 import itertools
 import re
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -279,6 +280,29 @@ class TestOrbitAudit:
         )
         assert (merged.tau_moved, merged.sigma_moved) == (whole.tau_moved, whole.sigma_moved)
         assert merged.tau_moved == merged.sigma_moved == merged.paired_count // 2
+
+    def test_walks_each_partition_and_each_moved_image(self, walk_calls):
+        """One walk per nonempty partition, one more for the image of each moved one.
+
+        The benchmark's oracle test pins this two-walk structure
+        (bench/test_oracles.py:300 asserts 1.5 < walks_per_partition <= 2.0),
+        so a one-walk audit has to land together with that bound's refresh.
+        """
+        report = orbit_audit(2, 24)
+        assert report.violations == []
+        assert len(walk_calls) == report.total_partitions - 1 + report.paired_count
+
+    @pytest.mark.parametrize("m", range(4))
+    def test_tallies_match_the_case_of_each_involute(self, m):
+        cases = Counter(
+            involute(p, m).case for size in range(21) for p in enumerate_distinct(size, m)
+        )
+        report = orbit_audit(m, 20)
+        assert (report.fixed_count, report.tau_moved, report.sigma_moved) == (
+            cases[InvolutionCase.FIXED],
+            cases[InvolutionCase.TAU_MOVED],
+            cases[InvolutionCase.SIGMA_MOVED],
+        )
 
     def test_merge_requires_same_m(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,9 @@ from franklin.partitions import (
     DurfeeCategory,
     NotInStaircaseForm,
     SignedMonomial,
+    _TAIL,
     _distinct_tuples,
+    _tails,
     base_partition,
     count_distinct_signed,
     durfee,
@@ -179,6 +181,37 @@ class TestDistinctTuples:
                 assert not parts or parts[-1] > m
             assert all(a > b for a, b in zip(got, got[1:])), "not strictly decreasing lex"
             assert len(got) == counts[total][0]
+
+    @pytest.mark.parametrize("m", [0, 2, 7, 16, 17, 30])
+    def test_matches_combinations_across_the_tail_boundary(self, m):
+        # totals up to 45 cover rests of _TAIL - 1, _TAIL and _TAIL + 1
+        max_total = 45
+        by_total = {total: [] for total in range(max_total + 1)}
+        r = 0
+        while (least := r * (2 * m + r + 1) // 2) <= max_total:  # (m+1) + ... + (m+r)
+            # the other r - 1 parts take at least least - (m + r)
+            for combo in combinations(range(m + 1, max_total - least + m + r + 1), r):
+                if (total := sum(combo)) <= max_total:
+                    by_total[total].append(combo[::-1])
+            r += 1
+        assert list(_distinct_tuples(-1, m)) == []
+        for total, found in by_total.items():
+            assert list(_distinct_tuples(total, m)) == sorted(found, reverse=True), total
+
+    def test_tail_memo_holds_one_entry_per_fillable_key(self):
+        _tails.cache_clear()
+        for m in range(5):
+            for total in range(61):
+                for _ in _distinct_tuples(total, m):
+                    pass
+        fillable = [
+            (rest, cap, m)
+            for m in range(5)
+            for rest in range(m + 1, _TAIL + 1)
+            for cap in range(m + 1, rest + 1)
+            if (cap + m + 1) * (cap - m) // 2 >= rest  # (m+1) + ... + cap
+        ]
+        assert _tails.cache_info().currsize == len(fillable) == 389
 
     @pytest.mark.parametrize("m", [0, 3])
     def test_negative_total_yields_nothing(self, m):
