@@ -18,10 +18,8 @@ from .involution import (
     PreconditionViolated,
     SizeStats,
     cancellation_stats,
-    combine_audit_reports,
     enumerate_fixed_points,
     involute,
-    is_fixed_criterion,
     orbit_audit,
     sigma,
     tau,
@@ -30,14 +28,12 @@ from .partitions import (
     DistinctPartition,
     DurfeeCategory,
     DurfeeInfo,
-    NotInStaircaseForm,
     SignedMonomial,
     base_partition,
     count_distinct_signed,
     durfee,
     enumerate_distinct,
     format_partition,
-    mu_decompose,
     parse_partition,
     weight,
 )
@@ -47,7 +43,6 @@ from .qseries import (
     TruncationMismatch,
     ZQSeries,
     euler_product,
-    fixed_point_polynomial,
     format_series,
     gauss_binomial,
     max_distinct_parts,
@@ -65,7 +60,6 @@ from .staircase import (
     classify_cells,
     render_ferrers,
     staircase,
-    top_overlap,
 )
 from .verify import (
     VerificationReport,
@@ -89,7 +83,6 @@ __all__ = [
     "InvolutionCase",
     "InvolutionResult",
     "NonUnitConstantTerm",
-    "NotInStaircaseForm",
     "PartTooSmall",
     "PreconditionViolated",
     "QSeries",
@@ -107,20 +100,16 @@ __all__ = [
     "check_involution_laws",
     "check_sylvester",
     "classify_cells",
-    "combine_audit_reports",
     "count_distinct_signed",
     "durfee",
     "enumerate_distinct",
     "enumerate_fixed_points",
     "euler_product",
-    "fixed_point_polynomial",
     "format_partition",
     "format_series",
     "gauss_binomial",
     "involute",
-    "is_fixed_criterion",
     "max_distinct_parts",
-    "mu_decompose",
     "orbit_audit",
     "parse_partition",
     "pochhammer_neg_zq",
@@ -131,6 +120,5 @@ __all__ = [
     "staircase",
     "sylvester_sides",
     "tau",
-    "top_overlap",
     "weight",
 ]

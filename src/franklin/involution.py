@@ -150,6 +150,7 @@ def _involute(p: DistinctPartition, m: int) -> tuple[InvolutionResult, list[int]
 
 
 def _fixed_criterion(parts: tuple[int, ...], m: int) -> bool:
+    """Fixed-point test on parts > m via the box decomposition, without applying a move."""
     n = len(parts)
     if n == 0:
         return True
@@ -158,15 +159,6 @@ def _fixed_criterion(parts: tuple[int, ...], m: int) -> bool:
     mu1 = parts[0] - (2 * n - 1) - m
     mun = parts[-1] - n - m
     return mu1 <= m or (mu1 == m + 1 and mun >= 1)
-
-
-def is_fixed_criterion(p: DistinctPartition, m: int) -> bool:
-    """Fixed-point test via the box decomposition, without applying a move."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    if p.n and p.parts[-1] <= m:
-        raise ValueError(f"all parts must exceed m={m}, got {p.parts}")
-    return _fixed_criterion(p.parts, m)
 
 
 def _box_lex(rows: int, width: int, total: int) -> Iterator[tuple[int, ...]]:
@@ -342,22 +334,6 @@ def orbit_audit(m: int, max_size: int, sizes: Iterable[int] | None = None) -> Au
         tau_moved=tau_moved,
         sigma_moved=sigma_moved,
         violations=violations,
-    )
-
-
-def combine_audit_reports(a: AuditReport, b: AuditReport) -> AuditReport:
-    """Merge shard reports; associative and order-independent."""
-    if a.m != b.m:
-        raise ValueError("cannot combine audits for different m")
-    return AuditReport(
-        m=a.m,
-        size_range=(min(a.size_range[0], b.size_range[0]), max(a.size_range[1], b.size_range[1])),
-        total_partitions=a.total_partitions + b.total_partitions,
-        paired_count=a.paired_count + b.paired_count,
-        fixed_count=a.fixed_count + b.fixed_count,
-        tau_moved=a.tau_moved + b.tau_moved,
-        sigma_moved=a.sigma_moved + b.sigma_moved,
-        violations=sorted(a.violations + b.violations),
     )
 
 

@@ -8,14 +8,11 @@ from __future__ import annotations
 
 import enum
 import functools
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .qseries import _product_coeffs
-
-
-class NotInStaircaseForm(ValueError):
-    """Partition is not (minimal staircase with parts > m) plus a box partition."""
 
 
 class DistinctPartition:
@@ -110,21 +107,24 @@ class DurfeeInfo:
     category: DurfeeCategory
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
 def parse_partition(text: str) -> DistinctPartition:
     """Parse comma-separated decimal parts, largest first.
 
-    Whitespace around tokens is ignored; an empty (or all-space) string is
-    the empty partition.
+    Each token is an optional sign and ASCII digits; whitespace around
+    tokens is ignored; an empty (or all-space) string is the empty partition.
     """
     if text.strip() == "":
         return DistinctPartition()
     parts = []
     for token in text.split(","):
         token = token.strip()
-        try:
-            parts.append(int(token))
-        except ValueError:
-            raise ValueError(f"invalid part {token!r}: not an integer") from None
+        # int() alone would also take '1_0' and non-ASCII decimal digits
+        if not _INTEGER.fullmatch(token):
+            raise ValueError(f"invalid part {token!r}: not an integer")
+        parts.append(int(token))
     return DistinctPartition(parts)
 
 
@@ -245,20 +245,3 @@ def base_partition(n: int, m: int) -> DistinctPartition:
         raise ValueError("n and m must be nonnegative")
     return DistinctPartition(tuple(2 * n - 1 + m - i for i in range(n)))
 
-
-def mu_decompose(p: DistinctPartition, m: int) -> tuple[int, ...]:
-    """Write p as base_partition(n, m) plus a box partition; returns mu.
-
-    mu_i = part_i - (2n - i) - m.  Raises NotInStaircaseForm when any entry
-    is negative (equivalently, the top row is shorter than n + m); weak
-    decrease is automatic for strictly decreasing parts but is re-checked.
-    """
-    n = p.n
-    if n == 0:
-        raise ValueError("empty partition has no staircase decomposition")
-    mu = tuple(p.parts[i] - (2 * n - 1 - i) - m for i in range(n))
-    if mu[-1] < 0 or any(mu[i] < mu[i + 1] for i in range(n - 1)):
-        raise NotInStaircaseForm(
-            f"{p.parts} is not base_partition({n}, {m}) plus a box partition"
-        )
-    return mu

@@ -370,27 +370,6 @@ def rhs_general(m: int, order: int) -> QSeries:
     return QSeries(order, c)
 
 
-def fixed_point_polynomial(n: int, m: int) -> QSeries:
-    """Signed generating polynomial of the involution fixed points with n parts.
-
-    (-1)^n q^{(3n^2-n)/2 + nm} ([n+m, m]_q + q^{n+m} [n+m-1, m]_q); the
-    second binomial vanishes when n = 0, leaving the empty partition's 1.
-    """
-    if n < 0 or m < 0:
-        raise ValueError("n and m must be nonnegative")
-    if n == 0:
-        return QSeries.one(0)
-    base = (3 * n * n - n) // 2 + n * m
-    op = sub if n % 2 else add
-    previous = gauss_binomial(n + m - 1, m).coeffs + [0] * m
-    column = previous.copy()
-    _gauss_step(column, n, m)
-    c = [0] * (base + n * m + n + 1)
-    _add_shifted(c, column, base, op)
-    _add_shifted(c, previous, base + n + m, op)
-    return QSeries(len(c) - 1, c)
-
-
 def _fixed_point_tallies(m: int, order: int) -> tuple[list[int], list[int]]:
     """Fixed points counted by size up to order: (even part count, odd part count).
 

@@ -149,12 +149,6 @@ def _staircase(p: DistinctPartition, m: int) -> tuple[Staircase, list[int]]:
     ), lands
 
 
-def top_overlap(p: DistinctPartition, m: int) -> int:
-    """Number of staircase cells lying in the top row."""
-    _require_valid(p, m)
-    return _walk(p.parts, m)[2]
-
-
 def render_ferrers(p: DistinctPartition, m: int) -> str:
     """Text diagram, top row first: S = stair, L = landing, . = interior.
 

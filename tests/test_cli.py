@@ -77,6 +77,13 @@ class TestStaircaseCmd:
     def test_part_not_above_m(self, capsys):
         assert run(["staircase", "--partition", "5,3", "--m", "3"]) == 2
 
+    def test_underscored_part_rejected(self, capsys):
+        # int() alone reads '1_0' as 10 and would draw the staircase of 10,2
+        assert run(["staircase", "--partition", "1_0,2", "--m", "1"]) == 2
+        out, err = out_of(capsys)
+        assert out == ""
+        assert "invalid part '1_0': not an integer" in err
+
 
 class TestInvolveCmd:
     def test_sigma_case(self, capsys):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from franklin.partitions import (
     DistinctPartition,
     DurfeeCategory,
-    NotInStaircaseForm,
     SignedMonomial,
     _TAIL,
     _distinct_tuples,
@@ -17,7 +16,6 @@ from franklin.partitions import (
     durfee,
     enumerate_distinct,
     format_partition,
-    mu_decompose,
     parse_partition,
     weight,
 )
@@ -77,7 +75,7 @@ class TestParse:
         with pytest.raises(ValueError):
             parse_partition("5,5")
 
-    @pytest.mark.parametrize("text", ["a,b", "3,x", "4,,2", "3.5"])
+    @pytest.mark.parametrize("text", ["a,b", "3,x", "4,,2", "3.5", "1_0", "\u0663"])
     def test_non_integer_token(self, text):
         with pytest.raises(ValueError, match="not an integer"):
             parse_partition(text)
@@ -260,37 +258,4 @@ class TestBasePartition:
     @given(st.integers(0, 12), st.integers(0, 6))
     def test_size_formula(self, n, m):
         assert base_partition(n, m).size == (3 * n * n - n) // 2 + n * m
-
-
-class TestMuDecompose:
-    def test_box_of_fours(self):
-        assert mu_decompose(DistinctPartition((14, 13, 12, 11)), 3) == (4, 4, 4, 4)
-
-    def test_base_gives_zero(self):
-        assert mu_decompose(DistinctPartition((12, 11, 10, 9, 8)), 3) == (0, 0, 0, 0, 0)
-
-    def test_valid_small(self):
-        assert mu_decompose(DistinctPartition((7, 6)), 3) == (1, 1)
-
-    def test_negative_entry_rejected(self):
-        with pytest.raises(NotInStaircaseForm):
-            mu_decompose(DistinctPartition((6, 4)), 3)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            mu_decompose(DistinctPartition(), 0)
-
-    @given(st.integers(1, 6), st.integers(0, 4), st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_roundtrip_from_box(self, n, m, data):
-        # any weakly decreasing mu with mu_1 <= m + 1 recombines and decomposes
-        mu = []
-        hi = m + 1
-        for _ in range(n):
-            v = data.draw(st.integers(0, hi))
-            mu.append(v)
-            hi = v
-        base = base_partition(n, m)
-        combined = DistinctPartition(tuple(b + v for b, v in zip(base.parts, mu)))
-        assert mu_decompose(combined, m) == tuple(mu)
 

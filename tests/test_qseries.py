@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from franklin.involution import enumerate_fixed_points
 from franklin.partitions import count_distinct_signed, enumerate_distinct
 from franklin.qseries import (
     NonUnitConstantTerm,
@@ -16,7 +17,6 @@ from franklin.qseries import (
     TruncationMismatch,
     ZQSeries,
     euler_product,
-    fixed_point_polynomial,
     format_series,
     gauss_binomial,
     max_distinct_parts,
@@ -313,18 +313,41 @@ class TestRhsGeneral:
         assert rhs_fixed_points(20, 2000) == euler_product(20, 2000)
 
 
+def fixed_point_reference(n, m):
+    """(-1)^n q^{(3n^2-n)/2 + nm} (box(n, m) + q^{n+m} box(n-1, m)) as a coefficient list."""
+    if n == 0:
+        return [1]
+    base = fixed_lead(n, m)
+    c = [0] * (base + n * m + n + 1)
+    add_at(c, box_poly_oracle(n, m), base, (-1) ** n)
+    add_at(c, box_poly_oracle(n - 1, m), base + n + m, (-1) ** n)
+    return c
+
+
+def enumerated_fixed_points(n, m, order):
+    """Signed count by size of the enumerated fixed points with n parts."""
+    tally = [0] * (order + 1)
+    for p, w in enumerate_fixed_points(m, order):
+        if p.n == n:
+            tally[w.exponent] += w.sign
+    return tally
+
+
 class TestFixedPointClosedForms:
     def test_n2_m1_polynomial(self):
         # weight sign is (+1)^n for n = 2, exponents 7..11
-        got = fixed_point_polynomial(2, 1)
-        assert got == QSeries(11, [0] * 7 + [1, 1, 1, 1, 1])
+        expected = [0] * 7 + [1, 1, 1, 1, 1]
+        assert fixed_point_reference(2, 1) == expected
+        assert enumerated_fixed_points(2, 1, 11) == expected
 
     def test_n0_is_one(self):
-        assert fixed_point_polynomial(0, 4) == QSeries(0, [1])
+        assert fixed_point_reference(0, 4) == [1]
+        assert enumerated_fixed_points(0, 4, 0) == [1]
 
     def test_n1_m0(self):
         # fixed points (1) and (2), one part each: -q - q^2
-        assert fixed_point_polynomial(1, 0) == QSeries(2, [0, -1, -1])
+        assert fixed_point_reference(1, 0) == [0, -1, -1]
+        assert enumerated_fixed_points(1, 0, 2) == [0, -1, -1]
 
     @pytest.mark.parametrize("m", range(5))
     def test_sum_equals_product(self, m):

@@ -10,8 +10,8 @@ from franklin.staircase import (
     PartTooSmall,
     classify_cells,
     render_ferrers,
+    _walk,
     staircase,
-    top_overlap,
 )
 
 
@@ -142,19 +142,19 @@ class TestStaircase:
 
 class TestTopOverlap:
     def test_examples(self):
-        assert top_overlap(DistinctPartition((9, 7, 6, 5)), 1) == 1
-        assert top_overlap(DistinctPartition((11, 10, 8, 5)), 1) == 0
+        assert _walk((9, 7, 6, 5), 1)[2] == 1
+        assert _walk((11, 10, 8, 5), 1)[2] == 0
 
     @pytest.mark.parametrize("n,m", [(1, 0), (2, 2), (4, 1), (5, 3)])
     def test_base_partition(self, n, m):
-        assert top_overlap(base_partition(n, m), m) == m + 1
+        assert _walk(base_partition(n, m).parts, m)[2] == m + 1
 
     @given(partition_with_m())
     @settings(max_examples=80, deadline=None)
     def test_counts_top_row_cells(self, pm):
         p, m = pm
         sc = staircase(p, m)
-        assert top_overlap(p, m) == sum(1 for c in sc.cells if c.row == p.n)
+        assert _walk(p.parts, m)[2] == sum(1 for c in sc.cells if c.row == p.n)
 
 
 class TestRender:
