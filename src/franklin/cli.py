@@ -14,7 +14,7 @@ from contextlib import nullcontext
 from typing import Iterable, TextIO
 
 from .involution import InvolutionCase, _involute, cancellation_stats, enumerate_fixed_points
-from .partitions import DistinctPartition, format_partition, parse_partition
+from .partitions import _INTEGER, DistinctPartition, format_partition, parse_partition
 from .qseries import euler_product, format_series, rhs_fixed_points, rhs_general
 from .staircase import _render, _staircase, render_ferrers
 from .verify import (
@@ -38,12 +38,22 @@ def _display_partition(p: DistinctPartition) -> str:
     return format_partition(p) if p.n else "()"
 
 
+def _integer(text: str) -> int:
+    """The integer flags' type: an optional sign and ASCII digits, as in a partition.
+
+    int() alone would also take '1_0' and non-ASCII decimal digits.
+    """
+    if not _INTEGER.fullmatch(text.strip()):
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
+    return int(text)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", help="write output to a file instead of stdout")
     m = argparse.ArgumentParser(add_help=False)
-    m.add_argument("--m", type=int, default=0, help="parts must exceed m")
+    m.add_argument("--m", type=_integer, default=0, help="parts must exceed m")
 
     parser = argparse.ArgumentParser(
         prog="franklin",
@@ -56,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("expand", parents=[m, out], help="print a truncated series expansion")
-    p.add_argument("--order", type=int, required=True, help="truncation order in q")
+    p.add_argument("--order", type=_integer, required=True, help="truncation order in q")
     p.add_argument(
         "--rhs",
         choices=("general", "fixed"),
@@ -75,11 +85,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "fixed-points", parents=[m, out], help="list involution fixed points by size"
     )
-    p.add_argument("--max-size", type=int, required=True)
+    p.add_argument("--max-size", type=_integer, required=True)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("stats", parents=[m, out], help="per-size cancellation statistics")
-    p.add_argument("--max-size", type=int, required=True)
+    p.add_argument("--max-size", type=_integer, required=True)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("verify", parents=[out], help="run identity checks")
@@ -88,9 +98,9 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("all", "general", "sylvester", "durfee", "involution"),
         default="all",
     )
-    p.add_argument("--m", type=int, help="restrict to one m (default: sweep 0..4)")
-    p.add_argument("--order", type=int, help="override the default truncation order")
-    p.add_argument("--max-size", type=int, help="involution audit size bound")
+    p.add_argument("--m", type=_integer, help="restrict to one m (default: sweep 0..4)")
+    p.add_argument("--order", type=_integer, help="override the default truncation order")
+    p.add_argument("--max-size", type=_integer, help="involution audit size bound")
     p.add_argument("--json", action="store_true")
     return parser
 

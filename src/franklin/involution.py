@@ -25,7 +25,7 @@ from operator import add
 from typing import Iterable, Iterator
 
 from .partitions import DistinctPartition, SignedMonomial, _distinct_tuples, base_partition
-from .qseries import _fixed_point_tallies, _product_coeffs
+from .qseries import _distinct_counts, _fixed_point_tallies
 from .staircase import _require_valid, _walk
 
 
@@ -340,9 +340,10 @@ def orbit_audit(m: int, max_size: int, sizes: Iterable[int] | None = None) -> Au
 def cancellation_stats(m: int, max_size: int) -> list[SizeStats]:
     """Per-size cancellation statistics up to max_size.
 
-    Partition totals are the coefficients of the product of (1 + q**k)
-    over k > m.  Fixed-point tallies are read off the closed form, no
-    partition being enumerated: the fixed points with n parts are counted
+    No partition is enumerated; each column is stepped from a closed form.
+    Partition totals come from `_distinct_counts`, Euler's sum of
+    q^{nm + n(n+1)/2} / (q)_n over n.  Fixed-point tallies come from
+    `_fixed_point_tallies`: the fixed points with n parts are counted
     by q^{(3n^2-n)/2 + nm} ([n+m, m]_q + q^{n+m} [n+m-1, m]_q) and all
     carry the sign (-1)^n, so even n fill fixed_positive and odd n
     fixed_negative.  The product coefficient is the signed excess
@@ -350,7 +351,7 @@ def cancellation_stats(m: int, max_size: int) -> list[SizeStats]:
     """
     if m < 0 or max_size < 0:
         raise ValueError("m and max_size must be nonnegative")
-    counts = _product_coeffs(m + 1, max_size, max_size, 1)
+    counts = _distinct_counts(m, max_size)
     pos, neg = _fixed_point_tallies(m, max_size)
     return [
         SizeStats(

@@ -256,6 +256,28 @@ def _product_coeffs(lo: int, hi: int, order: int, sign: int) -> list[int]:
     return c
 
 
+def _distinct_counts(m: int, order: int) -> list[int]:
+    """Partitions of each size <= order into distinct parts > m.
+
+    The coefficients of prod_{k>m} (1 + q^k) = sum_n q^{nm + n(n+1)/2} / (q)_n
+    (Euler): removing the staircase (m+n, ..., m+1) from n such parts leaves
+    a partition into at most n parts.  One column, divided by (1 - q^n) at
+    step n, holds 1/(q)_n; about order**1.5 element steps, not the
+    order**2/4 big-integer adds of `_product_coeffs`.
+    """
+    out = [0] * (order + 1)
+    column = [1] + [0] * order
+    n = lead = 0
+    while lead <= order:
+        if n:
+            del column[order - lead + 1 :]  # read from shift lead on; steps read lower entries
+            _divide_step(column, n)
+        _add_shifted(out, column, lead, add)
+        n += 1
+        lead = n * m + n * (n + 1) // 2
+    return out
+
+
 def euler_product(m: int, order: int) -> QSeries:
     """Product of (1 - q**k) over m < k <= order, truncated at order."""
     if m < 0 or order < 0:

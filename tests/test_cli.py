@@ -378,6 +378,36 @@ class TestUsageErrors:
         assert out_of(capsys) == ("", "error: m must be nonnegative\n")
         assert target.read_text() == ""
 
+    # one argv per integer option, "X" standing for the value under test
+    INTEGER_FLAGS = [
+        ["expand", "--m", "X", "--order", "5"],
+        ["expand", "--m", "0", "--order", "X"],
+        ["fixed-points", "--m", "0", "--max-size", "X"],
+        ["stats", "--m", "0", "--max-size", "X"],
+        ["verify", "--suite", "general", "--m", "X", "--order", "5"],
+        ["verify", "--suite", "general", "--m", "0", "--order", "X"],
+        ["verify", "--suite", "involution", "--m", "0", "--max-size", "X"],
+    ]
+    FLAG_IDS = [a[0] + a[a.index("X") - 1] for a in INTEGER_FLAGS]
+
+    @pytest.mark.parametrize("token", ["1_0", "\u0663", " 3_", "0x3", "3.0", ""])
+    @pytest.mark.parametrize("argv", INTEGER_FLAGS, ids=FLAG_IDS)
+    def test_integer_flag_takes_only_ascii_digits(self, capsys, argv, token):
+        # int() alone reads '1_0' as 10 and Arabic-Indic '\u0663' as 3
+        with pytest.raises(SystemExit) as exc:
+            run([token if a == "X" else a for a in argv])
+        out, err = out_of(capsys)
+        assert exc.value.code == 2
+        assert out == ""
+        assert f"invalid integer {token!r}" in err
+
+    @pytest.mark.parametrize("argv", INTEGER_FLAGS, ids=FLAG_IDS)
+    def test_integer_flag_keeps_sign_and_zero(self, argv):
+        dest = argv[argv.index("X") - 1].lstrip("-").replace("-", "_")
+        for token, value in (("0", 0), ("+3", 3), ("-2", -2), (" 7 ", 7)):
+            args = cli._build_parser().parse_args([token if a == "X" else a for a in argv])
+            assert getattr(args, dest) == value
+
     def test_unknown_flag(self):
         with pytest.raises(SystemExit) as exc:
             run(["expand", "--m", "0", "--order", "5", "--bogus"])

@@ -9,6 +9,7 @@ from franklin.involution import enumerate_fixed_points
 from franklin.partitions import count_distinct_signed, enumerate_distinct
 from franklin.qseries import (
     NonUnitConstantTerm,
+    _distinct_counts,
     _durfee_terms,
     _fixed_point_tallies,
     _gauss_step,
@@ -138,6 +139,31 @@ class TestEulerProduct:
                         if sum(subset) <= order and max(subset, default=0) <= hi:
                             expected[sum(subset)] += sign ** len(subset)
                     assert _product_coeffs(lo, hi, order, sign) == expected, (hi, order, sign)
+
+
+class TestDistinctCounts:
+    @pytest.mark.parametrize("m", range(13))
+    def test_matches_the_knapsack(self, m):
+        for order in (0, 1, 2, 3, 7, 60, 400):
+            assert _distinct_counts(m, order) == _product_coeffs(m + 1, order, order, 1), order
+
+    @pytest.mark.parametrize("m,order", [(20, 20), (50, 20), (0, 2000)])
+    def test_matches_the_knapsack_at_the_edges(self, m, order):
+        assert _distinct_counts(m, order) == _product_coeffs(m + 1, order, order, 1)
+
+    def test_matches_subset_sums(self):
+        # by_least[a][s]: sets of distinct parts in 1..top with sum s and least part a
+        # (a = top + 1 for the empty set); parts > m are the sets with a > m
+        top = 30
+        by_least = [[0] * (top + 1) for _ in range(top + 2)]
+        for r in range(max_distinct_parts(top) + 1):
+            for parts in combinations(range(1, top + 1), r):
+                if sum(parts) <= top:
+                    by_least[parts[0] if parts else top + 1][sum(parts)] += 1
+        for m in range(top + 1):
+            expected = [sum(col[s] for col in by_least[m + 1 :]) for s in range(top + 1)]
+            for order in range(top + 1):
+                assert _distinct_counts(m, order) == expected[: order + 1], (m, order)
 
 
 class TestGaussBinomial:
