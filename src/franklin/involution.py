@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from operator import add
-from typing import Iterable, Iterator
+from operator import add, sub
+from typing import Iterable, Iterator, NamedTuple
 
 from .partitions import DistinctPartition, SignedMonomial, _distinct_tuples, base_partition
 from .qseries import _distinct_counts, _fixed_point_tallies
@@ -63,8 +63,7 @@ class AuditReport:
     violations: list[tuple[str, tuple[int, ...]]] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class SizeStats:
+class SizeStats(NamedTuple):
     """Cancellation bookkeeping for one size."""
 
     size: int
@@ -347,21 +346,22 @@ def cancellation_stats(m: int, max_size: int) -> list[SizeStats]:
     by q^{(3n^2-n)/2 + nm} ([n+m, m]_q + q^{n+m} [n+m-1, m]_q) and all
     carry the sign (-1)^n, so even n fill fixed_positive and odd n
     fixed_negative.  The product coefficient is the signed excess
-    fixed_positive - fixed_negative.
+    fixed_positive - fixed_negative.  Each row is a named tuple built
+    positionally from these columns.
     """
     if m < 0 or max_size < 0:
         raise ValueError("m and max_size must be nonnegative")
     counts = _distinct_counts(m, max_size)
     pos, neg = _fixed_point_tallies(m, max_size)
-    return [
-        SizeStats(
-            size=s,
-            partitions=counts[s],
-            fixed=pos[s] + neg[s],
-            fixed_positive=pos[s],
-            fixed_negative=neg[s],
-            residual=min(pos[s], neg[s]),
-            product_coefficient=pos[s] - neg[s],
+    return list(
+        map(
+            SizeStats,
+            range(max_size + 1),
+            counts,
+            map(add, pos, neg),
+            pos,
+            neg,
+            map(min, pos, neg),
+            map(sub, pos, neg),
         )
-        for s in range(max_size + 1)
-    ]
+    )

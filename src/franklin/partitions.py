@@ -28,7 +28,7 @@ class DistinctPartition:
         parts = tuple(parts)
         prev = 0
         for p in parts:
-            if p < 1:
+            if type(p) is not int or p < 1:  # not isinstance: bool is an int subclass
                 raise ValueError(f"parts must be positive integers, got {p!r}")
             if prev and p >= prev:
                 raise ValueError(f"parts must be strictly decreasing, got {parts}")

@@ -303,6 +303,17 @@ def _gauss_step(c: list[int], n: int, m: int) -> None:
     _divide_step(c, n)
 
 
+def _fit_gauss_column(c: list[int], n: int, m: int, room: int) -> None:
+    """Cut or zero-pad c in place to min(n*m, room) + 1 entries for `_gauss_step(c, n, m)`.
+
+    [n+m, m]_q has degree n*m, so every entry past it is zero, and no caller
+    reads past room.  Grown from [n+m-1, m] (degree (n-1)*m), the padding is
+    exact zeros; cut, the step still reads only lower entries.
+    """
+    size = min(n * m, room) + 1
+    c[size:] = [0] * (size - len(c))  # past the end the slice is empty: appends
+
+
 def _add_shifted(out: list[int], c: Sequence[int], shift: int, op) -> None:
     """out[shift + k] = op(out[shift + k], c[k]) wherever shift + k stays in out."""
     end = min(len(out), shift + len(c))
@@ -356,14 +367,16 @@ def gauss_binomial(a: int, b: int) -> QSeries:
     """The Gaussian binomial [a, b]_q as an exact polynomial of degree b(a-b).
 
     Stepped up from [m, m] = 1 to [n+m, m] by `_gauss_step`, with n the
-    smaller of b and a-b (the polynomial is symmetric in the two); integer
-    coefficient lists only, no division, and every coefficient is positive.
+    smaller of b and a-b (the polynomial is symmetric in the two), the
+    column grown to degree k*m before step k; integer coefficient lists
+    only, no division, and every coefficient is positive.
     """
     if b < 0 or b > a:
         raise ValueError(f"need 0 <= b <= a, got a={a}, b={b}")
     n, m = sorted((b, a - b))
-    c = [1] + [0] * (n * m)
+    c = [1]
     for k in range(1, n + 1):
+        _fit_gauss_column(c, k, m, n * m)
         _gauss_step(c, k, m)
     return QSeries(n * m, c)
 
@@ -373,16 +386,19 @@ def rhs_general(m: int, order: int) -> QSeries:
 
     Sum over n >= 0 of (-1)^n [n+m, m]_q q^{(3n^2+n)/2 + nm} (1 - q^{2n+m+1}),
     including terms while their leading exponent stays within the order.
-    One column, stepped from [n+m-1, m] to [n+m, m], serves every n.
+    One column, stepped from [n+m-1, m] to [n+m, m], serves every n.  Before
+    step n it holds min(nm, order - lead) + 1 entries: [n+m, m] has degree
+    nm, and the term reads no entry past order - lead.  For m = 0 it stays
+    [1].
     """
     if m < 0 or order < 0:
         raise ValueError("m and order must be nonnegative")
     c = [0] * (order + 1)
-    column = [1] + [0] * order
+    column = [1]
     n = lead = 0
     while lead <= order:
         if n:
-            del column[order - lead + 1 :]  # read from shift lead on; steps read lower entries
+            _fit_gauss_column(column, n, m, order - lead)
             _gauss_step(column, n, m)
         plus, minus = (sub, add) if n % 2 else (add, sub)
         _add_shifted(c, column, lead, plus)
@@ -397,16 +413,19 @@ def _fixed_point_tallies(m: int, order: int) -> tuple[list[int], list[int]]:
 
     The n-part fixed points are counted by q^{(3n^2-n)/2 + nm} ([n+m, m]_q +
     q^{n+m} [n+m-1, m]_q), whose coefficients are nonnegative; their sign is
-    (-1)^n.  [n+m-1, m] is the column before its step to [n+m, m].
+    (-1)^n.  [n+m-1, m] is the column before its step to [n+m, m]; sized
+    first to min(nm, order - base) + 1 entries, the degree of [n+m, m] or
+    the last entry a term still reads, whichever is less.  For m = 0 it
+    stays [1].
     """
     even = [0] * (order + 1)
     odd = [0] * (order + 1)
-    column = [1] + [0] * order
+    column = [1]
     n = base = 0
     while base <= order:
         tally = odd if n % 2 else even
         if n:
-            del column[order - base + 1 :]  # read from shift base on; steps read lower entries
+            _fit_gauss_column(column, n, m, order - base)
             _add_shifted(tally, column, base + n + m, add)
             _gauss_step(column, n, m)
         _add_shifted(tally, column, base, add)

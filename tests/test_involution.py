@@ -13,6 +13,7 @@ from franklin.involution import (
     InvolutionCase,
     PreconditionViolated,
     AuditReport,
+    SizeStats,
     _box_lex,
     _fixed_criterion,
     _guards,
@@ -30,7 +31,7 @@ from franklin.partitions import (
     enumerate_distinct,
     weight,
 )
-from franklin.qseries import _product_coeffs, euler_product
+from franklin.qseries import _distinct_counts, _fixed_point_tallies, _product_coeffs, euler_product
 from franklin.staircase import staircase
 
 
@@ -535,3 +536,45 @@ class TestCancellationStats:
         table = cancellation_stats(20, 400)
         assert [r.fixed_positive - r.fixed_negative for r in table] == euler_product(20, 400).coeffs
         assert [r.partitions for r in table] == _product_coeffs(21, 400, 400, 1)
+
+    @pytest.mark.parametrize("m,max_size", [(10, 250), (6, 300), (0, 1500)])
+    def test_rows_read_the_columns_field_by_field(self, m, max_size):
+        counts = _distinct_counts(m, max_size)
+        pos, neg = _fixed_point_tallies(m, max_size)
+        table = cancellation_stats(m, max_size)
+        assert len(table) == max_size + 1
+        for s, row in enumerate(table):
+            assert type(row) is SizeStats
+            assert row.size == s
+            assert row.partitions == counts[s]
+            assert row.fixed == pos[s] + neg[s]
+            assert row.fixed_positive == pos[s]
+            assert row.fixed_negative == neg[s]
+            assert row.residual == min(pos[s], neg[s])
+            assert row.product_coefficient == pos[s] - neg[s]
+
+
+class TestSizeStats:
+    def test_fields_cannot_be_assigned(self):
+        row = cancellation_stats(0, 3)[0]
+        with pytest.raises(AttributeError):
+            row.size = 7
+
+    def test_repr_names_every_field(self):
+        assert repr(cancellation_stats(0, 3)[0]) == (
+            "SizeStats(size=0, partitions=1, fixed=1, fixed_positive=1,"
+            " fixed_negative=0, residual=0, product_coefficient=1)"
+        )
+
+    def test_keyword_construction(self):
+        row = SizeStats(
+            size=4,
+            partitions=2,
+            fixed=0,
+            fixed_positive=0,
+            fixed_negative=0,
+            residual=0,
+            product_coefficient=0,
+        )
+        assert row == cancellation_stats(0, 4)[4]
+        assert tuple(row) == (4, 2, 0, 0, 0, 0, 0)

@@ -57,6 +57,11 @@ class TestDistinctPartition:
         with pytest.raises(ValueError):
             DistinctPartition(bad)
 
+    @pytest.mark.parametrize("bad", [(3.5, 2), (2.0,), (True,), ("3",), (4, False)])
+    def test_parts_that_are_not_ints_rejected(self, bad):
+        with pytest.raises(ValueError, match="parts must be positive integers"):
+            DistinctPartition(bad)
+
     def test_equality_and_hash(self):
         assert DistinctPartition((3, 1)) == DistinctPartition([3, 1])
         assert hash(DistinctPartition((3, 1))) == hash(DistinctPartition((3, 1)))

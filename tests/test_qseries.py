@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import franklin.qseries as qseries
 from franklin.involution import enumerate_fixed_points
 from franklin.partitions import count_distinct_signed, enumerate_distinct
 from franklin.qseries import (
@@ -388,6 +389,29 @@ class TestFixedPointClosedForms:
                 add_at(expected[n % 2], column, base)
                 add_at(expected[n % 2], previous, base + n + m)
             assert _fixed_point_tallies(m, order) == expected, order
+
+
+class TestColumnSizing:
+    @pytest.mark.parametrize("m", range(13))
+    @pytest.mark.parametrize(
+        "kernel,lead", [(rhs_general, general_lead), (_fixed_point_tallies, fixed_lead)]
+    )
+    def test_step_n_sees_at_most_the_degree_or_the_room(self, monkeypatch, kernel, lead, m):
+        # [n+m, m] has degree n*m and the term at lead reads nothing past order - lead
+        seen = []
+
+        def recording(c, n, m_):
+            seen.append((n, len(c)))
+            _gauss_step(c, n, m_)
+
+        monkeypatch.setattr(qseries, "_gauss_step", recording)
+        for order in trim_orders(m, lead):
+            seen.clear()
+            kernel(m, order)
+            terms = sum(1 for n in range(order + 1) if lead(n, m) <= order)
+            assert [n for n, _ in seen] == list(range(1, terms)), order
+            for n, size in seen:
+                assert size <= min(n * m, order - lead(n, m)) + 1, (order, n, size)
 
 
 class TestSylvester:
