@@ -32,6 +32,12 @@ _SYLVESTER_ORDER = 32
 _DURFEE_ORDER = 26
 _AUDIT_SIZE = 30
 _DEFAULT_MS = (0, 1, 2, 3, 4)
+# the verify suites that read each flag besides "all"; any other suite rejects it
+_VERIFY_FLAG_SUITES = {
+    "m": ("general", "involution"),
+    "order": ("general", "sylvester", "durfee"),
+    "max_size": ("involution",),
+}
 
 
 def _display_partition(p: DistinctPartition) -> str:
@@ -207,6 +213,9 @@ def _or_default(value: int | None, default: int) -> int:
 
 
 def _cmd_verify(args, out: TextIO) -> int:
+    for flag, suites in _VERIFY_FLAG_SUITES.items():
+        if getattr(args, flag) is not None and args.suite not in ("all", *suites):
+            raise ValueError(f"--{flag.replace('_', '-')} does not apply to --suite {args.suite}")
     ms = [args.m] if args.m is not None else list(_DEFAULT_MS)
     reports: list[VerificationReport] = []
     if args.suite in ("all", "general"):

@@ -11,10 +11,10 @@ or (1 + z q^i) by a shifted add, over (1 - q^n) by a stride running sum.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, islice
 from math import isqrt
 from operator import add, sub
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 class TruncationMismatch(ValueError):
@@ -261,20 +261,17 @@ def _distinct_counts(m: int, order: int) -> list[int]:
 
     The coefficients of prod_{k>m} (1 + q^k) = sum_n q^{nm + n(n+1)/2} / (q)_n
     (Euler): removing the staircase (m+n, ..., m+1) from n such parts leaves
-    a partition into at most n parts.  One column, divided by (1 - q^n) at
-    step n, holds 1/(q)_n; about order**1.5 element steps, not the
-    order**2/4 big-integer adds of `_product_coeffs`.
+    a partition into at most n parts.  1/(q)_n = [n+k, k]_q mod q^{k+1}, as
+    every factor (1 - q^{k+i}) of [n+k, k] is 1 below q^{k+1}.  With
+    k = order + 1 the columns of `_gauss_columns` are 1/(q)_n in every entry
+    kept, and the (1 - q^{n+k}) subtract never touches them: they end
+    before q^{n+k}.
+    About order**1.5 element steps, not the order**2/4 big-integer adds of
+    `_product_coeffs`.
     """
     out = [0] * (order + 1)
-    column = [1] + [0] * order
-    n = lead = 0
-    while lead <= order:
-        if n:
-            del column[order - lead + 1 :]  # read from shift lead on; steps read lower entries
-            _divide_step(column, n)
+    for _, lead, column in _gauss_columns(order + 1, order, lambda n: n * m + n * (n + 1) // 2):
         _add_shifted(out, column, lead, add)
-        n += 1
-        lead = n * m + n * (n + 1) // 2
     return out
 
 
@@ -303,15 +300,26 @@ def _gauss_step(c: list[int], n: int, m: int) -> None:
     _divide_step(c, n)
 
 
-def _fit_gauss_column(c: list[int], n: int, m: int, room: int) -> None:
-    """Cut or zero-pad c in place to min(n*m, room) + 1 entries for `_gauss_step(c, n, m)`.
+def _gauss_columns(
+    m: int, order: int, lead: Callable[[int], int]
+) -> Iterator[tuple[int, int, list[int]]]:
+    """Yield (n, lead(n), [n+m, m]_q) for n = 0, 1, ... while lead(n) <= order.
 
-    [n+m, m]_q has degree n*m, so every entry past it is zero, and no caller
-    reads past room.  Grown from [n+m-1, m] (degree (n-1)*m), the padding is
-    exact zeros; cut, the step still reads only lower entries.
+    One column is stepped in place by `_gauss_step`, so each yield holds
+    until the next.  Before step n it is cut or zero-padded to
+    min(nm, order - lead(n)) + 1 entries: [n+m, m] has degree nm, and a term
+    at lead(n) reads no entry past order - lead(n).  Exact, since the step
+    reads only lower entries.  For m = 0 the column stays [1].
     """
-    size = min(n * m, room) + 1
-    c[size:] = [0] * (size - len(c))  # past the end the slice is empty: appends
+    column = [1]
+    n = 0
+    while (e := lead(n)) <= order:
+        if n:
+            size = min(n * m, order - e) + 1
+            column[size:] = [0] * (size - len(column))  # past the end: appends
+            _gauss_step(column, n, m)
+        yield n, e, column
+        n += 1
 
 
 def _add_shifted(out: list[int], c: Sequence[int], shift: int, op) -> None:
@@ -366,18 +374,14 @@ def _durfee_terms(q_order: int) -> Iterator[tuple[int, ZQSeries, ZQSeries]]:
 def gauss_binomial(a: int, b: int) -> QSeries:
     """The Gaussian binomial [a, b]_q as an exact polynomial of degree b(a-b).
 
-    Stepped up from [m, m] = 1 to [n+m, m] by `_gauss_step`, with n the
-    smaller of b and a-b (the polynomial is symmetric in the two), the
-    column grown to degree k*m before step k; integer coefficient lists
-    only, no division, and every coefficient is positive.
+    Item n of `_gauss_columns`, with n the smaller of b and a-b (the
+    polynomial is symmetric in the two); integer coefficient lists only, no
+    division, and every coefficient is positive.
     """
     if b < 0 or b > a:
         raise ValueError(f"need 0 <= b <= a, got a={a}, b={b}")
     n, m = sorted((b, a - b))
-    c = [1]
-    for k in range(1, n + 1):
-        _fit_gauss_column(c, k, m, n * m)
-        _gauss_step(c, k, m)
+    _, _, c = next(islice(_gauss_columns(m, n * m, lambda k: 0), n, None))
     return QSeries(n * m, c)
 
 
@@ -385,53 +389,33 @@ def rhs_general(m: int, order: int) -> QSeries:
     """Closed-form expansion of the product over parts > m.
 
     Sum over n >= 0 of (-1)^n [n+m, m]_q q^{(3n^2+n)/2 + nm} (1 - q^{2n+m+1}),
-    including terms while their leading exponent stays within the order.
-    One column, stepped from [n+m-1, m] to [n+m, m], serves every n.  Before
-    step n it holds min(nm, order - lead) + 1 entries: [n+m, m] has degree
-    nm, and the term reads no entry past order - lead.  For m = 0 it stays
-    [1].
+    including terms while their leading exponent stays within the order,
+    each read from `_gauss_columns`.
     """
     if m < 0 or order < 0:
         raise ValueError("m and order must be nonnegative")
     c = [0] * (order + 1)
-    column = [1]
-    n = lead = 0
-    while lead <= order:
-        if n:
-            _fit_gauss_column(column, n, m, order - lead)
-            _gauss_step(column, n, m)
+    for n, lead, column in _gauss_columns(m, order, lambda n: (3 * n * n + n) // 2 + n * m):
         plus, minus = (sub, add) if n % 2 else (add, sub)
         _add_shifted(c, column, lead, plus)
         _add_shifted(c, column, lead + 2 * n + m + 1, minus)
-        n += 1
-        lead = (3 * n * n + n) // 2 + n * m
     return QSeries(order, c)
 
 
 def _fixed_point_tallies(m: int, order: int) -> tuple[list[int], list[int]]:
     """Fixed points counted by size up to order: (even part count, odd part count).
 
-    The n-part fixed points are counted by q^{(3n^2-n)/2 + nm} ([n+m, m]_q +
-    q^{n+m} [n+m-1, m]_q), whose coefficients are nonnegative; their sign is
-    (-1)^n.  [n+m-1, m] is the column before its step to [n+m, m]; sized
-    first to min(nm, order - base) + 1 entries, the degree of [n+m, m] or
-    the last entry a term still reads, whichever is less.  For m = 0 it
-    stays [1].
+    The n-part fixed points are counted by q^{base(n)} ([n+m, m]_q +
+    q^{n+m} [n+m-1, m]_q), base(n) = (3n^2-n)/2 + nm, whose coefficients are
+    nonnegative; their sign is (-1)^n.  Column n of `_gauss_columns` is read
+    twice before its next step: at base(n) for term n, and at
+    base(n+1) + n+1+m = base(n) + 4n+2+2m for the second half of term n+1.
     """
-    even = [0] * (order + 1)
-    odd = [0] * (order + 1)
-    column = [1]
-    n = base = 0
-    while base <= order:
-        tally = odd if n % 2 else even
-        if n:
-            _fit_gauss_column(column, n, m, order - base)
-            _add_shifted(tally, column, base + n + m, add)
-            _gauss_step(column, n, m)
-        _add_shifted(tally, column, base, add)
-        n += 1
-        base = (3 * n * n - n) // 2 + n * m
-    return even, odd
+    tallies = ([0] * (order + 1), [0] * (order + 1))
+    for n, base, column in _gauss_columns(m, order, lambda n: (3 * n * n - n) // 2 + n * m):
+        _add_shifted(tallies[n % 2], column, base, add)
+        _add_shifted(tallies[1 - n % 2], column, base + 4 * n + 2 + 2 * m, add)
+    return tallies
 
 
 def rhs_fixed_points(m: int, order: int) -> QSeries:

@@ -308,6 +308,42 @@ class TestVerifyCmd:
         assert out == ""
         assert err == "error: q_order must be nonnegative\n"
 
+    @pytest.mark.parametrize(
+        "suite,flag",
+        [
+            ("involution", "--order"),
+            ("general", "--max-size"),
+            ("sylvester", "--max-size"),
+            ("durfee", "--max-size"),
+            ("sylvester", "--m"),
+            ("durfee", "--m"),
+        ],
+    )
+    def test_flag_the_suite_does_not_read_exits_2(self, capsys, monkeypatch, suite, flag):
+        def never(*args):
+            raise AssertionError("a check ran")
+
+        for check in ("check_general_formula", "check_fixed_point_formula", "check_sylvester",
+                      "check_durfee_decomposition", "check_involution_laws"):
+            monkeypatch.setattr(cli, check, never)
+        assert run(["verify", "--suite", suite, flag, "1"]) == 2
+        out, err = out_of(capsys)
+        assert out == ""
+        assert err == f"error: {flag} does not apply to --suite {suite}\n"
+
+    def test_suite_all_takes_every_flag(self, capsys):
+        code = run(["verify", "--m", "1", "--order", "8", "--max-size", "6", "--json"])
+        assert code == 0
+        payload = json.loads(out_of(capsys)[0])
+        assert [(r["identity"], r["params"].get("m")) for r in payload] == [
+            ("general-product-formula", 1),
+            ("fixed-point-formula", 1),
+            ("sylvester", None),
+            ("durfee-decomposition", None),
+            ("involution-audit", 1),
+        ]
+        assert [r["params"].get("order", r["params"].get("maxSize")) for r in payload] == [8] * 4 + [6]
+
     def test_json_reports(self, capsys):
         code = run(
             ["verify", "--suite", "sylvester", "--order", "12", "--json"]

@@ -287,6 +287,10 @@ def fixed_lead(n, m):
     return (3 * n * n - n) // 2 + n * m
 
 
+def distinct_lead(n, m):
+    return n * m + n * (n + 1) // 2
+
+
 def trim_orders(m, lead):
     """Every order up to 60, and each order up to 400 at which a term's lead first fits."""
     return sorted(set(range(61)) | {e for n in range(20) if (e := lead(n, m)) <= 400})
@@ -326,7 +330,7 @@ class TestRhsGeneral:
 
     @pytest.mark.parametrize("m", range(13))
     def test_matches_untrimmed_sum(self, m):
-        # the stepped column is cut to order - lead + 1 entries before each step
+        # before step n the stepped column is sized to min(nm, order - lead) + 1 entries
         for order in trim_orders(m, general_lead):
             expected = [0] * (order + 1)
             for n, lead, column, _ in untrimmed_terms(m, order, general_lead):
@@ -382,7 +386,7 @@ class TestFixedPointClosedForms:
 
     @pytest.mark.parametrize("m", range(13))
     def test_tallies_match_untrimmed_sum(self, m):
-        # the stepped column is cut to order - base + 1 entries before each step
+        # before step n the stepped column is sized to min(nm, order - base) + 1 entries
         for order in trim_orders(m, fixed_lead):
             expected = ([0] * (order + 1), [0] * (order + 1))
             for n, base, column, previous in untrimmed_terms(m, order, fixed_lead):
@@ -412,6 +416,26 @@ class TestColumnSizing:
             assert [n for n, _ in seen] == list(range(1, terms)), order
             for n, size in seen:
                 assert size <= min(n * m, order - lead(n, m)) + 1, (order, n, size)
+
+
+class TestDistinctCountsSizing:
+    @pytest.mark.parametrize("m", range(13))
+    def test_step_n_sees_at_most_the_room(self, monkeypatch, m):
+        # 1/(q)_n at lead(n) is read up to order - lead(n), and no further
+        seen = []
+
+        def recording(c, n, m_):
+            seen.append((n, len(c)))
+            _gauss_step(c, n, m_)
+
+        monkeypatch.setattr(qseries, "_gauss_step", recording)
+        for order in trim_orders(m, distinct_lead):
+            seen.clear()
+            _distinct_counts(m, order)
+            terms = sum(1 for n in range(order + 1) if distinct_lead(n, m) <= order)
+            assert [n for n, _ in seen] == list(range(1, terms)), order
+            for n, size in seen:
+                assert size <= order - distinct_lead(n, m) + 1, (order, n, size)
 
 
 class TestSylvester:
