@@ -231,8 +231,8 @@ def count_distinct_signed(m: int, n_max: int) -> list[tuple[int, int]]:
     Entry N holds (number of such partitions of N, sum of (-1)**#parts):
     the coefficients of the products of (1 + q**k) and of (1 - q**k) over
     m < k <= n_max, both from the `_product_coeffs` knapsack.  This is the
-    reference route: tests compare `cancellation_stats`, which counts by
-    Euler's staircase sum instead, against it.
+    reference route: tests compare `cancellation_stats` and `euler_product`,
+    which read Euler's staircase sum instead, against it.
     """
     if m < 0 or n_max < 0:
         raise ValueError("m and n_max must be nonnegative")

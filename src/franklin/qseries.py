@@ -256,30 +256,35 @@ def _product_coeffs(lo: int, hi: int, order: int, sign: int) -> list[int]:
     return c
 
 
-def _distinct_counts(m: int, order: int) -> list[int]:
-    """Partitions of each size <= order into distinct parts > m.
+def _distinct_counts(m: int, order: int, sign: int = 1) -> list[int]:
+    """Coefficients of prod_{k>m} (1 + sign*q^k) up to q**order, sign = +1 or -1.
 
-    The coefficients of prod_{k>m} (1 + q^k) = sum_n q^{nm + n(n+1)/2} / (q)_n
-    (Euler): removing the staircase (m+n, ..., m+1) from n such parts leaves
-    a partition into at most n parts.  1/(q)_n = [n+k, k]_q mod q^{k+1}, as
-    every factor (1 - q^{k+i}) of [n+k, k] is 1 below q^{k+1}.  With
-    k = order + 1 the columns of `_gauss_columns` are 1/(q)_n in every entry
-    kept, and the (1 - q^{n+k}) subtract never touches them: they end
-    before q^{n+k}.
+    For sign = +1 these count the partitions of each size into distinct
+    parts > m.  Euler: prod_{k>m} (1 + sign*q^k) = sum_n sign^n
+    q^{nm + n(n+1)/2} / (q)_n, as removing the staircase (m+n, ..., m+1)
+    from n such parts leaves a partition into at most n parts; so for
+    sign = -1 column n is subtracted when n is odd.  1/(q)_n = [n+k, k]_q
+    mod q^{k+1}, as every factor (1 - q^{k+i}) of [n+k, k] is 1 below
+    q^{k+1}.  With k = order + 1 the columns of `_gauss_columns` are
+    1/(q)_n in every entry kept, and the (1 - q^{n+k}) subtract never
+    touches them: they end before q^{n+k}.
     About order**1.5 element steps, not the order**2/4 big-integer adds of
-    `_product_coeffs`.
+    the `_product_coeffs` knapsack, which stays the reference route.
     """
     out = [0] * (order + 1)
-    for _, lead, column in _gauss_columns(order + 1, order, lambda n: n * m + n * (n + 1) // 2):
-        _add_shifted(out, column, lead, add)
+    for n, lead, column in _gauss_columns(order + 1, order, lambda n: n * m + n * (n + 1) // 2):
+        _add_shifted(out, column, lead, sub if sign < 0 and n % 2 else add)
     return out
 
 
 def euler_product(m: int, order: int) -> QSeries:
-    """Product of (1 - q**k) over m < k <= order, truncated at order."""
+    """Product of (1 - q**k) over m < k <= order, truncated at order.
+
+    Read from Euler's signed staircase sum, `_distinct_counts(m, order, -1)`.
+    """
     if m < 0 or order < 0:
         raise ValueError("m and order must be nonnegative")
-    return QSeries(order, _product_coeffs(m + 1, order, order, -1))
+    return QSeries(order, _distinct_counts(m, order, -1))
 
 
 def _divide_step(c: list[int], n: int) -> None:

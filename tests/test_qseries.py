@@ -27,6 +27,7 @@ from franklin.qseries import (
     rhs_general,
     sylvester_sides,
 )
+from franklin.verify import check_general_formula
 
 ORDER = 24
 
@@ -151,6 +152,32 @@ class TestDistinctCounts:
     @pytest.mark.parametrize("m,order", [(20, 20), (50, 20), (0, 2000)])
     def test_matches_the_knapsack_at_the_edges(self, m, order):
         assert _distinct_counts(m, order) == _product_coeffs(m + 1, order, order, 1)
+
+    @pytest.mark.parametrize("m", range(13))
+    def test_signed_matches_the_knapsack(self, m):
+        for order in (0, 1, 2, 3, 7, 60, 400):
+            assert _distinct_counts(m, order, -1) == _product_coeffs(m + 1, order, order, -1), order
+
+    @pytest.mark.parametrize("m,order", [(20, 20), (50, 20), (0, 2000)])
+    def test_signed_matches_the_knapsack_at_the_edges(self, m, order):
+        assert _distinct_counts(m, order, -1) == _product_coeffs(m + 1, order, order, -1)
+
+    def test_general_check_does_not_share_the_stepper(self, monkeypatch):
+        # a faulty Gaussian-binomial step reaches euler_product and rhs_general alike;
+        # the check still fails, because its product side is the knapsack's
+        real = qseries._gauss_step
+
+        def corrupted(c, n, m):
+            real(c, n, m)
+            if n == 1:
+                c[0] += 1
+
+        monkeypatch.setattr(qseries, "_gauss_step", corrupted)
+        knapsack = _product_coeffs(3, 40, 40, -1)
+        assert euler_product(2, 40).coeffs != knapsack
+        report = check_general_formula(2, 40)
+        assert report.verdict == "Fail"
+        assert report.first_mismatch["lhs"] == knapsack[report.first_mismatch["exponent"]]
 
     def test_matches_subset_sums(self):
         # by_least[a][s]: sets of distinct parts in 1..top with sum s and least part a

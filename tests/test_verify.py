@@ -74,14 +74,14 @@ class TestFixedPointFormula:
         assert report.verdict == "Pass"
 
     def test_fault_injection(self, monkeypatch):
-        real = verify.euler_product
+        real = verify._knapsack_product
 
         def corrupted(m, order):
             series = real(m, order)
             series.coeffs[11] -= 2
             return series
 
-        monkeypatch.setattr(verify, "euler_product", corrupted)
+        monkeypatch.setattr(verify, "_knapsack_product", corrupted)
         report = check_fixed_point_formula(1, 30)
         assert report.verdict == "Fail"
         assert report.first_mismatch["exponent"] == 11
