@@ -11,10 +11,16 @@ import functools
 import json
 import sys
 from contextlib import nullcontext
-from typing import Iterable, TextIO
+from typing import Callable, Iterable, Iterator, TextIO
 
 from .involution import InvolutionCase, _involute, cancellation_stats, enumerate_fixed_points
-from .partitions import _INTEGER, DistinctPartition, format_partition, parse_partition
+from .partitions import (
+    _INTEGER,
+    DistinctPartition,
+    SignedMonomial,
+    format_partition,
+    parse_partition,
+)
 from .qseries import euler_product, format_series, rhs_fixed_points, rhs_general
 from .staircase import _render, _staircase, render_ferrers
 from .verify import (
@@ -167,22 +173,44 @@ def _json_payload(out: TextIO, m: int, max_size: int, key: str, rows: Iterable[s
     out.write("]\n}\n" if sep == "\n" else "\n  ]\n}\n")
 
 
-def _json_int_list(values: tuple[int, ...]) -> str:
-    """An int list as ``json.dumps(.., indent=2)`` writes it at depth three."""
-    return "[\n        " + ",\n        ".join(map(str, values)) + "\n      ]" if values else "[]"
+def _text_template(n: int, w: SignedMonomial) -> str:
+    """The text row of an n-part fixed point of weight w, with %d for each part."""
+    return f"{w} {','.join(['%d'] * n) or '()'}\n"
+
+
+def _json_template(n: int, w: SignedMonomial) -> str:
+    """The JSON row as ``json.dumps(.., indent=2)`` writes it at depth two, %d for each part."""
+    parts = "[\n        " + ",\n        ".join(["%d"] * n) + "\n      ]" if n else "[]"
+    return (
+        f'    {{\n      "parts": {parts},\n'
+        f'      "size": {w.exponent},\n      "sign": {w.sign}\n    }}'
+    )
+
+
+def _rows(
+    points: Iterable[tuple[DistinctPartition, SignedMonomial]],
+    template: Callable[[int, SignedMonomial], str],
+) -> Iterator[str]:
+    """Each point as ``template(n, w) % parts``: one C-level format per row.
+
+    The template is rebuilt when the part count or the weight's value changes,
+    not its identity: a stream may reuse one weight object for several n.
+    """
+    n = sign = size = -1
+    for p, w in points:
+        parts = p.parts
+        if len(parts) != n or w.exponent != size or w.sign != sign:
+            n, sign, size = len(parts), w.sign, w.exponent
+            row = template(n, w)
+        yield row % parts
 
 
 def _cmd_fixed_points(args, out: TextIO) -> int:
     points = enumerate_fixed_points(args.m, args.max_size)
     if args.json:
-        rows = (
-            f'    {{\n      "parts": {_json_int_list(p.parts)},\n'
-            f'      "size": {w.exponent},\n      "sign": {w.sign}\n    }}'
-            for p, w in points
-        )
-        _json_payload(out, args.m, args.max_size, "fixedPoints", rows)
+        _json_payload(out, args.m, args.max_size, "fixedPoints", _rows(points, _json_template))
     else:
-        out.writelines(f"{w} {_display_partition(p)}\n" for p, w in points)
+        out.writelines(_rows(points, _text_template))
     return 0
 
 

@@ -130,7 +130,7 @@ def parse_partition(text: str) -> DistinctPartition:
 
 def format_partition(p: DistinctPartition) -> str:
     """Inverse of parse_partition; the empty partition renders as ''."""
-    return ",".join(str(v) for v in p.parts)
+    return ",".join(map(str, p.parts))
 
 
 def weight(p: DistinctPartition) -> SignedMonomial:

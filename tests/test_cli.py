@@ -8,6 +8,8 @@ import pytest
 import franklin.cli as cli
 from franklin.cli import run
 from franklin.involution import cancellation_stats, enumerate_fixed_points
+from franklin.partitions import DistinctPartition, SignedMonomial, format_partition
+from franklin.qseries import QSeries, _product_coeffs, format_series
 
 
 def out_of(capsys):
@@ -22,13 +24,11 @@ class TestExpand:
         assert out == "1 - q - q^2 + q^5 + q^7 - q^12\n"
 
     def test_rhs_routes_agree(self, capsys):
-        run(["expand", "--m", "2", "--order", "30"])
-        product, _ = out_of(capsys)
-        run(["expand", "--m", "2", "--order", "30", "--rhs", "general"])
-        general, _ = out_of(capsys)
-        run(["expand", "--m", "2", "--order", "30", "--rhs", "fixed"])
-        fixed, _ = out_of(capsys)
-        assert product == general == fixed
+        # the knapsack shares no Gaussian-binomial column with the closed forms
+        knapsack = format_series(QSeries(30, _product_coeffs(3, 30, 30, -1))) + "\n"
+        for rhs in ([], ["--rhs", "general"], ["--rhs", "fixed"]):
+            run(["expand", "--m", "2", "--order", "30"] + rhs)
+            assert out_of(capsys) == (knapsack, ""), rhs
 
     def test_raw_coefficients(self, capsys):
         run(["expand", "--m", "0", "--order", "7", "--raw"])
@@ -127,6 +127,21 @@ class TestWalksPerCommand:
         assert len(walk_calls) == walks
 
 
+def fixed_points_text(points):
+    return "".join(f"{w} {format_partition(p) or '()'}\n" for p, w in points)
+
+
+def fixed_points_json(m, max_size, points):
+    payload = {
+        "m": m,
+        "maxSize": max_size,
+        "fixedPoints": [
+            {"parts": list(p.parts), "size": w.exponent, "sign": w.sign} for p, w in points
+        ],
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
 class TestFixedPointsCmd:
     def test_text_stream(self, capsys):
         run(["fixed-points", "--m", "1", "--max-size", "4"])
@@ -147,20 +162,39 @@ class TestFixedPointsCmd:
         }
         assert entries[(12, 11, 10, 9, 8)]["sign"] == -1
 
-    @pytest.mark.parametrize("m,max_size", [(0, 0), (0, 30), (3, 50), (10, 160)])
+    @pytest.mark.parametrize("m,max_size", [(0, 0), (0, 30), (3, 50), (10, 160), (6, 200)])
     def test_json_bytes_match_the_encoder(self, capsys, m, max_size):
-        payload = {
-            "m": m,
-            "maxSize": max_size,
-            "fixedPoints": [
-                {"parts": list(p.parts), "size": w.exponent, "sign": w.sign}
-                for p, w in enumerate_fixed_points(m, max_size)
-            ],
-        }
         run(["fixed-points", "--m", str(m), "--max-size", str(max_size), "--json"])
         out, _ = out_of(capsys)
-        assert out == json.dumps(payload, indent=2) + "\n"
+        assert out == fixed_points_json(m, max_size, enumerate_fixed_points(m, max_size))
 
+    @pytest.mark.parametrize("m,max_size", [(0, 0), (0, 30), (1, 4), (3, 50), (6, 200)])
+    def test_text_bytes_match_the_reference(self, capsys, m, max_size):
+        run(["fixed-points", "--m", str(m), "--max-size", str(max_size)])
+        out, _ = out_of(capsys)
+        # as lists of lines a mismatch reports its first row instead of diffing 200 kB
+        want = fixed_points_text(enumerate_fixed_points(m, max_size))
+        assert out.splitlines(keepends=True) == want.splitlines(keepends=True)
+
+    def test_rows_follow_values_not_objects(self, monkeypatch, capsys):
+        # one weight object across three part counts, then equal weights as distinct objects
+        shared = SignedMonomial(1, 10)
+        stream = [
+            (DistinctPartition((10,)), shared),
+            (DistinctPartition((6, 4)), shared),
+            (DistinctPartition((5, 3, 2)), shared),
+            (DistinctPartition((5, 4, 1)), SignedMonomial(-1, 10)),
+            (DistinctPartition((7, 2, 1)), SignedMonomial(-1, 10)),
+            (DistinctPartition((6, 4, 2)), SignedMonomial(-1, 12)),
+            (DistinctPartition(), SignedMonomial(1, 0)),
+            (DistinctPartition((9, 3)), SignedMonomial(1, 12)),
+            (DistinctPartition((8, 4)), SignedMonomial(1, 12)),
+        ]
+        monkeypatch.setattr(cli, "enumerate_fixed_points", lambda m, max_size: iter(stream))
+        run(["fixed-points", "--m", "0", "--max-size", "12"])
+        assert out_of(capsys) == (fixed_points_text(stream), "")
+        run(["fixed-points", "--m", "0", "--max-size", "12", "--json"])
+        assert out_of(capsys) == (fixed_points_json(0, 12, stream), "")
 
     @pytest.mark.parametrize("fmt", [[], ["--json"]])
     def test_out_file_holds_the_stdout_bytes(self, tmp_path, capsys, fmt):

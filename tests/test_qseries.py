@@ -332,6 +332,11 @@ def untrimmed_terms(m, order, lead):
         n += 1
 
 
+def knapsack_product(m, order):
+    """The product of (1 - q^k) over k > m by the knapsack, a route the closed forms do not share."""
+    return QSeries(order, _product_coeffs(m + 1, order, order, -1))
+
+
 def add_at(out, coeffs, shift, scale=1):
     """out += scale * q^shift * coeffs, truncated at len(out) - 1."""
     for k, v in enumerate(coeffs[: max(0, len(out) - shift)]):
@@ -340,7 +345,7 @@ def add_at(out, coeffs, shift, scale=1):
 
 class TestRhsGeneral:
     def test_pentagonal_case(self):
-        assert rhs_general(0, 300) == euler_product(0, 300)
+        assert rhs_general(0, 300) == knapsack_product(0, 300)
 
     def test_m1_is_pentagonal_divided_by_one_minus_q(self):
         # cross-multiplied: (1 - q) * rhs_general(1, N) = pentagonal series
@@ -353,7 +358,7 @@ class TestRhsGeneral:
 
     @pytest.mark.parametrize("m", range(5))
     def test_matches_product(self, m):
-        assert rhs_general(m, 80) == euler_product(m, 80)
+        assert rhs_general(m, 80) == knapsack_product(m, 80)
 
     @pytest.mark.parametrize("m", range(13))
     def test_matches_untrimmed_sum(self, m):
@@ -367,8 +372,8 @@ class TestRhsGeneral:
 
     def test_series_workload_orders(self):
         # the last terms are cut by the truncation, lead + n*m > order
-        assert rhs_general(30, 2000) == euler_product(30, 2000)
-        assert rhs_fixed_points(20, 2000) == euler_product(20, 2000)
+        assert rhs_general(30, 2000) == knapsack_product(30, 2000)
+        assert rhs_fixed_points(20, 2000) == knapsack_product(20, 2000)
 
 
 def fixed_point_reference(n, m):
@@ -409,7 +414,7 @@ class TestFixedPointClosedForms:
 
     @pytest.mark.parametrize("m", range(5))
     def test_sum_equals_product(self, m):
-        assert rhs_fixed_points(m, 70) == euler_product(m, 70)
+        assert rhs_fixed_points(m, 70) == knapsack_product(m, 70)
 
     @pytest.mark.parametrize("m", range(13))
     def test_tallies_match_untrimmed_sum(self, m):
