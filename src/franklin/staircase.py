@@ -160,20 +160,25 @@ def render_ferrers(p: DistinctPartition, m: int) -> str:
 
 
 def _render(p: DistinctPartition, m: int, lands: list[int]) -> str:
-    """render_ferrers from the landings per row of p's walk, not walking again."""
-    grid = classify_cells(p, m)
-    symbol = {
-        CellClass.ROW_END_STAIR: "S",
-        CellClass.COLUMN_TOP_STAIR: "S",
-        CellClass.LANDING: "L",
-        CellClass.INTERIOR: ".",
-    }
+    """render_ferrers from the landings per row of p's walk, not walking again.
+
+    Each row is drawn from its run lengths, not cell by cell.  A row below
+    the top is the interior cells under the next part, the gap's landings
+    and its end stair; the top row is its top - m - 1 column-top stairs, its
+    m landings and its end stair.  A walked row brackets its last
+    1 + lands[i] cells: the landings taken next to its end stair, and the stair.
+    """
+    parts = p.parts
+    n = len(parts)
     lines = []
-    for i in range(p.n - 1, -1, -1):
-        row = [symbol[cls] for cls in grid[i]]
-        # a walked row ends in its 1 + lands[i] staircase cells
-        plain = len(row) - 1 - lands[i] if i < len(lands) else len(row)
-        lines.append(
-            "".join(f" {ch} " for ch in row[:plain]) + "".join(f"[{ch}]" for ch in row[plain:])
-        )
+    for i in range(n - 1, -1, -1):
+        if i + 1 < n:
+            head, gap = " . " * parts[i + 1], parts[i] - parts[i + 1] - 1
+        else:
+            head, gap = " S " * (parts[i] - m - 1), m
+        if i < len(lands):
+            taken = lands[i]
+            lines.append(head + " L " * (gap - taken) + "[L]" * taken + "[S]")
+        else:
+            lines.append(head + " L " * gap + " S ")
     return "\n".join(lines)

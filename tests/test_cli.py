@@ -7,8 +7,13 @@ import pytest
 
 import franklin.cli as cli
 from franklin.cli import run
-from franklin.involution import cancellation_stats, enumerate_fixed_points
-from franklin.partitions import DistinctPartition, SignedMonomial, format_partition
+from franklin.involution import cancellation_stats, enumerate_fixed_points, involute
+from franklin.partitions import (
+    DistinctPartition,
+    SignedMonomial,
+    format_partition,
+    parse_partition,
+)
 from franklin.qseries import QSeries, _product_coeffs, format_series
 
 
@@ -127,6 +132,46 @@ class TestWalksPerCommand:
         assert len(walk_calls) == walks
 
 
+# (partition, m, involution case): single parts, walks that reach the top row
+# (all of it for 1, 3 and 6,5,4), m = 0, and sigma- and tau-moved inputs
+DIAGRAM_CASES = [
+    ("5", 1, "SigmaMoved"),
+    ("1", 0, "Fixed"),
+    ("3", 2, "Fixed"),
+    ("9,7,6,5", 1, "Fixed"),
+    ("5,4,3", 0, "Fixed"),
+    ("6,5,4", 3, "TauMoved"),
+    ("7,4,2", 0, "SigmaMoved"),
+    ("8,3", 0, "SigmaMoved"),
+    ("11,10,8,5", 1, "SigmaMoved"),
+    ("10,8,7,5,4", 1, "TauMoved"),
+    ("12,9,4", 2, "TauMoved"),
+]
+
+
+class TestDiagramBytes:
+    """Diagrams on stdout are the cell-by-cell reference, byte for byte."""
+
+    @pytest.mark.parametrize("text, m, case", DIAGRAM_CASES)
+    def test_staircase_render(self, capsys, reference_diagram, text, m, case):
+        argv = ["staircase", "--partition", text, "--m", str(m)]
+        assert run(argv) == 0
+        header, _ = out_of(capsys)
+        assert run(argv + ["--render"]) == 0
+        assert out_of(capsys) == (header + reference_diagram(parse_partition(text), m) + "\n", "")
+
+    @pytest.mark.parametrize("text, m, case", DIAGRAM_CASES)
+    def test_involve_trace(self, capsys, reference_diagram, text, m, case):
+        p = parse_partition(text)
+        image = involute(p, m).image
+        want = [f"case: {case}", f"image: {format_partition(image)}"]
+        want += ["input (staircase marked):", reference_diagram(p, m)]
+        if case != "Fixed":
+            want += ["image (staircase marked):", reference_diagram(image, m)]
+        assert run(["involve", "--partition", text, "--m", str(m), "--trace"]) == 0
+        assert out_of(capsys) == ("\n".join(want) + "\n", "")
+
+
 def fixed_points_text(points):
     return "".join(f"{w} {format_partition(p) or '()'}\n" for p, w in points)
 
@@ -166,7 +211,9 @@ class TestFixedPointsCmd:
     def test_json_bytes_match_the_encoder(self, capsys, m, max_size):
         run(["fixed-points", "--m", str(m), "--max-size", str(max_size), "--json"])
         out, _ = out_of(capsys)
-        assert out == fixed_points_json(m, max_size, enumerate_fixed_points(m, max_size))
+        # as lists of lines a mismatch reports its first row instead of diffing 1 MB
+        want = fixed_points_json(m, max_size, enumerate_fixed_points(m, max_size))
+        assert out.splitlines(keepends=True) == want.splitlines(keepends=True)
 
     @pytest.mark.parametrize("m,max_size", [(0, 0), (0, 30), (1, 4), (3, 50), (6, 200)])
     def test_text_bytes_match_the_reference(self, capsys, m, max_size):
@@ -262,7 +309,9 @@ class TestStatsCmd:
         }
         run(["stats", "--m", str(m), "--max-size", str(max_size), "--json"])
         out, _ = out_of(capsys)
-        assert out == json.dumps(payload, indent=2) + "\n"
+        # as lists of lines a mismatch reports its first row instead of diffing the table
+        want = json.dumps(payload, indent=2) + "\n"
+        assert out.splitlines(keepends=True) == want.splitlines(keepends=True)
 
     def test_text_table(self, capsys):
         run(["stats", "--m", "0", "--max-size", "5"])

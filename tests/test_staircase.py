@@ -198,3 +198,13 @@ class TestRender:
         assert {cell[1] for cell in cells} <= set("SL.")
         assert {cell[0] + cell[2] for cell in cells} <= {"[]", "  "}
         assert sum(cell[0] == "[" for cell in cells) == staircase(p, m).length
+
+    def test_every_small_partition_matches_the_cell_classification(self, reference_diagram):
+        # the kernel draws rows by run length; the reference classifies each cell
+        checked = 0
+        for m in range(7):
+            for total in range(1, 31):
+                for p in enumerate_distinct(total, m):
+                    assert render_ferrers(p, m) == reference_diagram(p, m), (p.parts, m)
+                    checked += 1
+        assert checked == 4_687  # the knapsack counts of sizes 1..30, summed over m
