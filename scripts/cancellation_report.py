@@ -17,6 +17,9 @@ def main() -> None:
     parser.add_argument("--max-m", type=int, default=6)
     parser.add_argument("--max-size", type=int, default=200)
     args = parser.parse_args()
+    for flag, value in (("--max-m", args.max_m), ("--max-size", args.max_size)):
+        if value < 0:
+            parser.error(f"{flag} must be nonnegative, got {value}")
 
     print(f"residual cancellation among fixed points, sizes <= {args.max_size}")
     print("m first_residual_size total_residual worst_size worst_residual")

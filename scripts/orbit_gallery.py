@@ -20,6 +20,9 @@ def main() -> None:
     parser.add_argument("--m", type=int, default=1)
     parser.add_argument("--render", action="store_true", help="draw marked diagrams")
     args = parser.parse_args()
+    for flag, value in (("--size", args.size), ("--m", args.m)):
+        if value < 0:
+            parser.error(f"{flag} must be nonnegative, got {value}")
 
     seen = set()
     for p in enumerate_distinct(args.size, args.m):
@@ -28,7 +31,7 @@ def main() -> None:
         result = involute(p, args.m)
         seen.add(result.image.parts)
         if result.case is InvolutionCase.FIXED:
-            print(f"{format_partition(p)}  (fixed)")
+            print(f"{format_partition(p) or '()'}  (fixed)")
         else:
             arrow = "tau" if result.case is InvolutionCase.TAU_MOVED else "sigma"
             print(f"{format_partition(p)}  <-{arrow}->  {format_partition(result.image)}")

@@ -52,10 +52,6 @@ class DistinctPartition:
         """Sum of the parts."""
         return sum(self.parts)
 
-    def min_part(self) -> int:
-        """Smallest part; 0 for the empty partition."""
-        return self.parts[-1] if self.parts else 0
-
     def __len__(self) -> int:
         return len(self.parts)
 

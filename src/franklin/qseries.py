@@ -2,9 +2,9 @@
 
 QSeries holds coefficients c[0..order]; ZQSeries holds z-columns, the
 q-coefficient lists of z**k for k <= max_distinct_parts(q_order), every
-later power of z being zero, so its truncation is q_order alone.  All
-arithmetic is exact (Python integers) and never reads or writes past the
-truncation; binary operations require matching orders.  The expansions
+later power of z being zero, so its truncation is q_order alone.  ZQSeries
+arithmetic is exact (Python integers), never reads or writes past the
+truncation and requires matching orders.  The expansions
 step plain coefficient lists in place and invert no series: times (1 +- q^k)
 or (1 + z q^i) by a shifted add, over (1 - q^n) by a stride running sum.
 """
@@ -40,39 +40,6 @@ class QSeries:
         self.order = order
         self.coeffs = c
 
-    @classmethod
-    def one(cls, order: int) -> "QSeries":
-        return cls(order, [1])
-
-    def coeff(self, k: int) -> int:
-        """Coefficient of q**k; k beyond the truncation is unknown, not zero."""
-        if not 0 <= k <= self.order:
-            raise IndexError(f"exponent {k} outside truncation order {self.order}")
-        return self.coeffs[k]
-
-    def _check(self, other: "QSeries") -> None:
-        if self.order != other.order:
-            raise TruncationMismatch(f"orders differ: {self.order} vs {other.order}")
-
-    def __add__(self, other: "QSeries") -> "QSeries":
-        self._check(other)
-        return QSeries(self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return QSeries(self.order, [other * a for a in self.coeffs])
-        self._check(other)
-        n = self.order
-        out = [0] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs[: n + 1 - i]):
-                    if b:
-                        out[i + j] += a * b
-        return QSeries(n, out)
-
-    __rmul__ = __mul__
-
     def invert(self) -> "QSeries":
         """Multiplicative inverse up to the order; constant term must be a unit."""
         u = self.coeffs[0]
@@ -95,9 +62,6 @@ class QSeries:
             and self.order == other.order
             and self.coeffs == other.coeffs
         )
-
-    def __hash__(self):
-        return hash((self.order, tuple(self.coeffs)))
 
     def __str__(self) -> str:
         return format_series(self)
@@ -153,11 +117,6 @@ class ZQSeries:
     def one(cls, q_order: int) -> "ZQSeries":
         return cls(q_order, [[1]])
 
-    def coeff(self, q_exp: int, z_exp: int) -> int:
-        if not (0 <= q_exp <= self.q_order and z_exp >= 0):
-            raise IndexError(f"({q_exp}, {z_exp}) outside truncation")
-        return self.columns[z_exp][q_exp] if z_exp < len(self.columns) else 0
-
     def _check(self, other: "ZQSeries") -> None:
         if self.q_order != other.q_order:
             raise TruncationMismatch(f"q orders differ: {self.q_order} vs {other.q_order}")
@@ -176,27 +135,13 @@ class ZQSeries:
                     found = (j, k, a[j], b[j])
         return found
 
-    def _items(self) -> list[tuple[int, int, int]]:
-        """The nonzero (q_exp, z_exp, coefficient) in q-major order."""
-        return [
-            (j, k, c[j])
-            for j in range(self.q_order + 1)
-            for k, c in enumerate(self.columns)
-            if c[j]
-        ]
-
     def __iadd__(self, other: "ZQSeries") -> "ZQSeries":
         self._check(other)
         for total, c in zip(self.columns, other.columns):
             total[:] = map(add, total, c)
         return self
 
-    def __add__(self, other: "ZQSeries") -> "ZQSeries":
-        return ZQSeries(self.q_order, self.columns).__iadd__(other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return ZQSeries(self.q_order, [[other * a for a in c] for c in self.columns])
+    def __mul__(self, other: "ZQSeries") -> "ZQSeries":
         self._check(other)
         n = self.q_order
         out = [[0] * (n + 1) for _ in range(len(self.columns) + len(other.columns) - 1)]
@@ -207,8 +152,6 @@ class ZQSeries:
                         _add_shifted(out[k1 + k2], [v * x for x in b], j, add)
         return ZQSeries(n, out)
 
-    __rmul__ = __mul__
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ZQSeries)
@@ -216,24 +159,8 @@ class ZQSeries:
             and self.columns == other.columns
         )
 
-    def __str__(self) -> str:
-        pieces = []
-        for j, k, v in self._items():
-            factors = []
-            if abs(v) != 1 or (j == 0 and k == 0):
-                factors.append(str(abs(v)))
-            if j:
-                factors.append("q" if j == 1 else f"q^{j}")
-            if k:
-                factors.append("z" if k == 1 else f"z^{k}")
-            body = "*".join(factors)
-            if not pieces:
-                pieces.append(body if v > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if v > 0 else f"- {body}")
-        return " ".join(pieces) if pieces else "0"
-
-    __repr__ = __str__
+    def __repr__(self) -> str:
+        return f"ZQSeries({self.q_order}, {self.columns})"
 
 
 def _product_coeffs(lo: int, hi: int, order: int, sign: int) -> list[int]:

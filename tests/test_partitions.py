@@ -44,13 +44,13 @@ class TestDistinctPartition:
         p = DistinctPartition((14, 11, 9, 8, 6))
         assert p.n == 5
         assert p.size == 48
-        assert p.min_part() == 6
+        assert p.parts[-1] == 6
 
     def test_empty(self):
         p = DistinctPartition()
         assert p.n == 0
         assert p.size == 0
-        assert p.min_part() == 0
+        assert p.parts == ()
 
     @pytest.mark.parametrize("bad", [(5, 5), (3, 4), (2, 0), (1, -1), (0,)])
     def test_invalid_rejected(self, bad):
@@ -169,7 +169,7 @@ class TestEnumerate:
     def test_stream_invariants(self, total, m):
         for p in enumerate_distinct(total, m):
             assert p.size == total
-            assert p.n == 0 or p.min_part() > m
+            assert p.n == 0 or p.parts[-1] > m
 
 
 class TestDistinctTuples:
