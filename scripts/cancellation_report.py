@@ -9,13 +9,14 @@ points of opposite sign coexist, plus the worst residual in range.
 
 import argparse
 
+from franklin.cli import _integer
 from franklin.involution import cancellation_stats
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-m", type=int, default=6)
-    parser.add_argument("--max-size", type=int, default=200)
+    parser.add_argument("--max-m", type=_integer, default=6)
+    parser.add_argument("--max-size", type=_integer, default=200)
     args = parser.parse_args()
     for flag, value in (("--max-m", args.max_m), ("--max-size", args.max_size)):
         if value < 0:

@@ -9,6 +9,7 @@ places.
 
 import argparse
 
+from franklin.cli import _integer
 from franklin.involution import InvolutionCase, involute
 from franklin.partitions import enumerate_distinct, format_partition
 from franklin.staircase import render_ferrers
@@ -16,8 +17,8 @@ from franklin.staircase import render_ferrers
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--size", type=int, default=11)
-    parser.add_argument("--m", type=int, default=1)
+    parser.add_argument("--size", type=_integer, default=11)
+    parser.add_argument("--m", type=_integer, default=1)
     parser.add_argument("--render", action="store_true", help="draw marked diagrams")
     args = parser.parse_args()
     for flag, value in (("--size", args.size), ("--m", args.m)):

@@ -13,7 +13,7 @@ import sys
 from contextlib import nullcontext
 from typing import Callable, Iterable, Iterator, TextIO
 
-from .involution import InvolutionCase, _involute, cancellation_stats, enumerate_fixed_points
+from .involution import InvolutionCase, cancellation_stats, enumerate_fixed_points, involute
 from .partitions import (
     _INTEGER,
     DistinctPartition,
@@ -22,7 +22,7 @@ from .partitions import (
     parse_partition,
 )
 from .qseries import euler_product, format_series, rhs_fixed_points, rhs_general
-from .staircase import _render, _staircase, render_ferrers
+from .staircase import render_ferrers, staircase
 from .verify import (
     VerificationReport,
     check_durfee_decomposition,
@@ -130,7 +130,7 @@ def _cmd_expand(args, out: TextIO) -> int:
 
 def _cmd_staircase(args, out: TextIO) -> int:
     p = parse_partition(args.partition)
-    sc, lands = _staircase(p, args.m)
+    sc = staircase(p, args.m)
     lines = [
         f"partition: {_display_partition(p)}",
         f"s_m = {sc.length}",
@@ -140,18 +140,18 @@ def _cmd_staircase(args, out: TextIO) -> int:
         "cells = " + " ".join(f"({c.row},{c.col})" for c in sc.cells),
     ]
     if args.render:
-        lines.append(_render(p, args.m, lands))
+        lines.append(render_ferrers(p, args.m))
     print("\n".join(lines), file=out)
     return 0
 
 
 def _cmd_involve(args, out: TextIO) -> int:
     p = parse_partition(args.partition)
-    result, lands = _involute(p, args.m)
+    result = involute(p, args.m)
     lines = [f"case: {result.case.value}", f"image: {_display_partition(result.image)}"]
     if args.trace and p.n:
         lines.append("input (staircase marked):")
-        lines.append(_render(p, args.m, lands))
+        lines.append(render_ferrers(p, args.m))
         if result.case is not InvolutionCase.FIXED:
             lines.append("image (staircase marked):")
             lines.append(render_ferrers(result.image, args.m))
@@ -289,11 +289,14 @@ _HANDLERS = {
 def run(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        target = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
+        if args.out is None:
+            target = nullcontext(sys.stdout)
+        else:
+            target = open(args.out, "w", encoding="utf-8")
         with target as out:
             return _HANDLERS[args.command](args, out)
     except OSError as exc:
-        message = f"cannot write {args.out or 'stdout'}: {exc}"
+        message = f"cannot write {'stdout' if args.out is None else args.out}: {exc}"
     except ValueError as exc:
         message = str(exc)
     except MemoryError:

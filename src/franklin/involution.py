@@ -126,26 +126,21 @@ def sigma(p: DistinctPartition, m: int) -> DistinctPartition:
 
 def involute(p: DistinctPartition, m: int) -> InvolutionResult:
     """Apply the involution once; the empty partition is fixed."""
-    return _involute(p, m)[0]
-
-
-def _involute(p: DistinctPartition, m: int) -> tuple[InvolutionResult, list[int]]:
-    """involute, and the landings per row of p's walk ([] for the empty partition)."""
     if m < 0:
         raise ValueError("m must be nonnegative")
     if p.n == 0:
-        return InvolutionResult(p, _FIXED), []
+        return InvolutionResult(p, _FIXED)
     _require_valid(p, m)
     tau_ok, sigma_ok, lands, s, _ = _guards(p.parts, m)
     if tau_ok and sigma_ok:
         raise AssertionError(f"move guards are not exclusive on {p.parts}, m={m}")
     if tau_ok:
         image = DistinctPartition(_tau_tuple(p.parts, m, lands, p.parts[-1]))
-        return InvolutionResult(image, _TAU), lands
+        return InvolutionResult(image, _TAU)
     if sigma_ok:
         image = DistinctPartition(_sigma_tuple(p.parts, lands, s))
-        return InvolutionResult(image, _SIGMA), lands
-    return InvolutionResult(p, _FIXED), lands
+        return InvolutionResult(image, _SIGMA)
+    return InvolutionResult(p, _FIXED)
 
 
 def _fixed_criterion(parts: tuple[int, ...], m: int) -> bool:

@@ -125,11 +125,6 @@ def classify_cells(p: DistinctPartition, m: int) -> list[list[CellClass]]:
 
 def staircase(p: DistinctPartition, m: int) -> Staircase:
     """The m-landing staircase of p; requires all parts > m."""
-    return _staircase(p, m)[0]
-
-
-def _staircase(p: DistinctPartition, m: int) -> tuple[Staircase, list[int]]:
-    """The staircase and the landings its walk took per row, from one walk."""
     _require_valid(p, m)
     lands, length, _ = _walk(p.parts, m)
     cells: list[Cell] = []
@@ -146,7 +141,7 @@ def _staircase(p: DistinctPartition, m: int) -> tuple[Staircase, list[int]]:
         landing_rows=tuple(landing_rows),
         stair_count=len(lands),
         length=length,
-    ), lands
+    )
 
 
 def render_ferrers(p: DistinctPartition, m: int) -> str:
@@ -154,13 +149,6 @@ def render_ferrers(p: DistinctPartition, m: int) -> str:
 
     Every cell is three characters wide and staircase cells are bracketed,
     e.g. ``[S]`` next to `` L ``, keeping columns aligned across rows.
-    """
-    _require_valid(p, m)
-    return _render(p, m, _walk(p.parts, m)[0])
-
-
-def _render(p: DistinctPartition, m: int, lands: list[int]) -> str:
-    """render_ferrers from the landings per row of p's walk, not walking again.
 
     Each row is drawn from its run lengths, not cell by cell.  A row below
     the top is the interior cells under the next part, the gap's landings
@@ -168,6 +156,8 @@ def _render(p: DistinctPartition, m: int, lands: list[int]) -> str:
     m landings and its end stair.  A walked row brackets its last
     1 + lands[i] cells: the landings taken next to its end stair, and the stair.
     """
+    _require_valid(p, m)
+    lands = _walk(p.parts, m)[0]
     parts = p.parts
     n = len(parts)
     lines = []

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import subprocess
 import sys
@@ -114,22 +115,51 @@ class TestInvolveCmd:
         assert "[S]" in out
 
 
-class TestWalksPerCommand:
-    """Diagrams are drawn from the walk the command already made."""
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+class TestCommandsReachThePublicFunctions:
+    """staircase and involve go through the names the benchmark's tracer wraps."""
+
+    @pytest.fixture
+    def spans(self):
+        spec = importlib.util.spec_from_file_location("franklin_bench_tracing", TRACING)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        tracer = tracing.Tracer()
+        restore = tracing.install(tracer)
+        try:
+            yield tracer.spans
+        finally:
+            tracing.uninstall(restore)
 
     @pytest.mark.parametrize(
-        "argv, walks",
+        "argv, names",
         [
-            (["staircase", "--partition", "14,11,9,8,6", "--m", "3"], 1),
-            (["staircase", "--partition", "14,11,9,8,6", "--m", "3", "--render"], 1),
-            (["involve", "--partition", "11,10,8,5", "--m", "1", "--trace"], 2),  # sigma
-            (["involve", "--partition", "10,8,7,5,4", "--m", "1", "--trace"], 2),  # tau
-            (["involve", "--partition", "9,7,6,5", "--m", "1", "--trace"], 1),  # fixed
+            (["staircase", "--partition", "14,11,9,8,6", "--m", "3"], ["staircase.render"]),
+            (
+                ["staircase", "--partition", "14,11,9,8,6", "--m", "3", "--render"],
+                ["staircase.render", "staircase.render"],
+            ),
+            (
+                ["involve", "--partition", "11,10,8,5", "--m", "1", "--trace"],  # sigma
+                ["involution.involute", "staircase.render", "staircase.render"],
+            ),
+            (
+                ["involve", "--partition", "10,8,7,5,4", "--m", "1", "--trace"],  # tau
+                ["involution.involute", "staircase.render", "staircase.render"],
+            ),
+            (
+                ["involve", "--partition", "9,7,6,5", "--m", "1", "--trace"],  # fixed
+                ["involution.involute", "staircase.render"],
+            ),
         ],
     )
-    def test_walks(self, walk_calls, capsys, argv, walks):
-        assert run(argv) == 0
-        assert len(walk_calls) == walks
+    def test_spans(self, spans, capsys, argv, names):
+        # the tracer wraps the module's name, not the one bound by this file's import
+        assert cli.run(argv) == 0
+        assert [span[0] for span in spans] == ["cli.run", *names]
+        assert all(span[3] == 0 for span in spans[1:])
 
 
 # (partition, m, involution case): single parts, walks that reach the top row
@@ -490,6 +520,12 @@ class TestUsageErrors:
         out, err = out_of(capsys)
         assert out == ""
         assert err.startswith(f"error: cannot write {target}: ")
+
+    def test_empty_out_path_is_not_stdout(self, capsys):
+        assert run(["expand", "--m", "0", "--order", "5", "--out", ""]) == 2
+        out, err = out_of(capsys)
+        assert out == ""
+        assert err.startswith("error: cannot write : ")
 
     def test_failure_after_out_opened_leaves_it_empty(self, tmp_path, capsys):
         target = tmp_path / "points.txt"
