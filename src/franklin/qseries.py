@@ -187,21 +187,26 @@ def _distinct_counts(m: int, order: int, sign: int = 1) -> list[int]:
     """Coefficients of prod_{k>m} (1 + sign*q^k) up to q**order, sign = +1 or -1.
 
     For sign = +1 these count the partitions of each size into distinct
-    parts > m.  Euler: prod_{k>m} (1 + sign*q^k) = sum_n sign^n
-    q^{nm + n(n+1)/2} / (q)_n, as removing the staircase (m+n, ..., m+1)
-    from n such parts leaves a partition into at most n parts; so for
-    sign = -1 column n is subtracted when n is odd.  1/(q)_n = [n+k, k]_q
-    mod q^{k+1}, as every factor (1 - q^{k+i}) of [n+k, k] is 1 below
-    q^{k+1}.  With k = order + 1 the columns of `_gauss_columns` are
-    1/(q)_n in every entry kept, and the (1 - q^{n+k}) subtract never
-    touches them: they end before q^{n+k}.
-    About order**1.5 element steps, not the order**2/4 big-integer adds of
-    the `_product_coeffs` knapsack, which stays the reference route.
+    parts > m.  Euler: prod_{k>m} (1 + sign*q^k) = sum_n sign^n q^{e(n)} / (q)_n
+    with e(n) = nm + n(n+1)/2, as removing the staircase (m+n, ..., m+1)
+    from n such parts leaves a partition into at most n parts.  The sum is
+    nested Horner-style: V_N = sign^N for the largest N with e(N) <= order,
+    V_{n-1} = sign^{n-1} + q^{n+m} V_n / (1 - q^n) down to n = 1, and V_0
+    is the product.  V_n is read up to q**(order - e(n)) and no further, so
+    step n divides exactly order - e(n) + 1 entries by `_divide_step`, the
+    shift is a list splice and the sign lands on the constant term alone,
+    so for sign = -1 the entries stay near the size of the product's own
+    coefficients (11 bits at most for m = 0, order 4000).  About
+    order**1.5 element steps, not the order**2/4 big-integer adds of the
+    `_product_coeffs` knapsack, which stays the reference route.
     """
-    out = [0] * (order + 1)
-    for n, lead, column in _gauss_columns(order + 1, order, lambda n: n * m + n * (n + 1) // 2):
-        _add_shifted(out, column, lead, sub if sign < 0 and n % 2 else add)
-    return out
+    b = 2 * m + 1
+    top = (isqrt(b * b + 8 * order) - b) // 2  # the largest n with e(n) <= order
+    v = [sign**top] + [0] * (order - top * m - top * (top + 1) // 2)
+    for n in range(top, 0, -1):
+        _divide_step(v, n)
+        v[:0] = [sign ** (n - 1)] + [0] * (n + m - 1)
+    return v
 
 
 def euler_product(m: int, order: int) -> QSeries:
@@ -215,7 +220,11 @@ def euler_product(m: int, order: int) -> QSeries:
 
 
 def _divide_step(c: list[int], n: int) -> None:
-    """Divide c by (1 - q^n) in place: a stride-n running sum, c[k] += c[k-n]."""
+    """Divide c by (1 - q^n) in place: a stride-n running sum, c[k] += c[k-n].
+
+    The one division kernel: `_gauss_step`, `_durfee_terms` and
+    `_distinct_counts` all divide through it.
+    """
     for r in range(min(n, len(c) - n)):
         c[r::n] = accumulate(c[r::n])
 
@@ -241,7 +250,9 @@ def _gauss_columns(
     until the next.  Before step n it is cut or zero-padded to
     min(nm, order - lead(n)) + 1 entries: [n+m, m] has degree nm, and a term
     at lead(n) reads no entry past order - lead(n).  Exact, since the step
-    reads only lower entries.  For m = 0 the column stays [1].
+    reads only lower entries.  For m = 0 the column stays [1].  The closed
+    forms read it (`rhs_general`, `_fixed_point_tallies`, `gauss_binomial`);
+    the product does not, so `verify` can set the two against each other.
     """
     column = [1]
     n = 0

@@ -1,7 +1,8 @@
 """Identity checkers: each compares routes that are different algorithms.
 
-* general-product-formula: the product over parts > m vs the closed
-  Gaussian-binomial sum.
+* general-product-formula: the product over parts > m three ways: the
+  knapsack vs the closed Gaussian-binomial sum vs Euler's staircase sum
+  (`euler_product`, the route `expand` prints).
 * fixed-point-formula: the fixed-point generating function vs the
   product vs enumeration of the involution's fixed points.
 * sylvester: the product of (1 + z q**n) vs the Durfee-square sum.
@@ -9,13 +10,16 @@
   by Durfee class vs each class's term, the summands of sylvester's side.
 * involution-audit: every involution law on every partition in range.
 
-The first two take the product from the `_product_coeffs` knapsack, not
-from `euler_product`: that reads Euler's staircase sum through the same
-Gaussian-binomial stepper as the closed forms, so it would not be an
-independent route.
+The first side of both product checks is the `_product_coeffs` knapsack,
+which shares no kernel with the others.  Euler's sum and the closed forms
+share only `_divide_step`, so a fault there moves both and still shows
+against the knapsack.
 
 Checks report a verdict instead of raising: Fail is data, not an
-exception.
+exception.  Arguments are checked before any route runs, so a usage
+error still raises ValueError; a ValueError that a route raises (a guard
+tripped by a faulty kernel) is a Fail whose first mismatch is
+{"error": message}.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import time
 from collections import defaultdict
 from dataclasses import dataclass
+from typing import Callable
 
 from .involution import enumerate_fixed_points, orbit_audit
 from .partitions import DurfeeCategory, _distinct_tuples, _durfee
@@ -31,6 +36,7 @@ from .qseries import (
     ZQSeries,
     _durfee_terms,
     _product_coeffs,
+    euler_product,
     max_distinct_parts,
     rhs_fixed_points,
     rhs_general,
@@ -85,7 +91,13 @@ def _zq_mismatch(a: ZQSeries, b: ZQSeries, lhs: str, rhs: str) -> dict | None:
     }
 
 
-def _report(identity: str, params: dict, mismatch: dict | None, start: float) -> VerificationReport:
+def _run(identity: str, params: dict, routes: Callable[[], dict | None]) -> VerificationReport:
+    """Time routes(), which returns the first mismatch or None, into a report."""
+    start = time.perf_counter()
+    try:
+        mismatch = routes()
+    except ValueError as exc:
+        mismatch = {"error": str(exc)}
     return VerificationReport(
         identity=identity,
         params=params,
@@ -95,47 +107,56 @@ def _report(identity: str, params: dict, mismatch: dict | None, start: float) ->
     )
 
 
+def _nonnegative(**args: int) -> None:
+    if any(v < 0 for v in args.values()):
+        raise ValueError(f"{' and '.join(args)} must be nonnegative")
+
+
 def _knapsack_product(m: int, order: int) -> QSeries:
     """Product of (1 - q**k) over m < k <= order, truncated at order, by the knapsack."""
-    if m < 0 or order < 0:
-        raise ValueError("m and order must be nonnegative")
     return QSeries(order, _product_coeffs(m + 1, order, order, -1))
 
 
 def check_general_formula(m: int, order: int) -> VerificationReport:
-    """Product over parts > m vs its closed form."""
-    start = time.perf_counter()
-    mismatch = _qseries_mismatch(
-        _knapsack_product(m, order), rhs_general(m, order), "product", "closed-form"
-    )
-    return _report(
-        "general-product-formula", {"m": m, "order": order}, mismatch, start
-    )
+    """Product over parts > m: knapsack vs closed form vs Euler's sum."""
+    _nonnegative(m=m, order=order)
+
+    def routes() -> dict | None:
+        product = _knapsack_product(m, order)
+        return _qseries_mismatch(
+            product, rhs_general(m, order), "product", "closed-form"
+        ) or _qseries_mismatch(product, euler_product(m, order), "product", "euler-sum")
+
+    return _run("general-product-formula", {"m": m, "order": order}, routes)
 
 
 def check_fixed_point_formula(m: int, order: int) -> VerificationReport:
     """Fixed-point generating function vs the product vs direct enumeration."""
-    start = time.perf_counter()
-    closed = rhs_fixed_points(m, order)
-    product = _knapsack_product(m, order)
-    tally = [0] * (order + 1)
-    for _, w in enumerate_fixed_points(m, order):
-        tally[w.exponent] += w.sign
-    enum = QSeries(order, tally)
-    mismatch = _qseries_mismatch(closed, product, "fixed-point-sum", "product")
-    if mismatch is None:
-        mismatch = _qseries_mismatch(closed, enum, "fixed-point-sum", "enumeration")
-    return _report("fixed-point-formula", {"m": m, "order": order}, mismatch, start)
+    _nonnegative(m=m, order=order)
+
+    def routes() -> dict | None:
+        closed = rhs_fixed_points(m, order)
+        product = _knapsack_product(m, order)
+        tally = [0] * (order + 1)
+        for _, w in enumerate_fixed_points(m, order):
+            tally[w.exponent] += w.sign
+        enum = QSeries(order, tally)
+        return _qseries_mismatch(
+            closed, product, "fixed-point-sum", "product"
+        ) or _qseries_mismatch(closed, enum, "fixed-point-sum", "enumeration")
+
+    return _run("fixed-point-formula", {"m": m, "order": order}, routes)
 
 
 def check_sylvester(q_order: int) -> VerificationReport:
     """Both sides of the Durfee-square identity, every q**j z**k in the truncation."""
-    if q_order < 0:
-        raise ValueError("q_order must be nonnegative")
-    start = time.perf_counter()
-    lhs, rhs = sylvester_sides(q_order)
-    mismatch = _zq_mismatch(lhs, rhs, "product-side", "durfee-side")
-    return _report("sylvester", {"order": q_order}, mismatch, start)
+    _nonnegative(q_order=q_order)
+
+    def routes() -> dict | None:
+        lhs, rhs = sylvester_sides(q_order)
+        return _zq_mismatch(lhs, rhs, "product-side", "durfee-side")
+
+    return _run("sylvester", {"order": q_order}, routes)
 
 
 def check_durfee_decomposition(order: int) -> VerificationReport:
@@ -147,52 +168,50 @@ def check_durfee_decomposition(order: int) -> VerificationReport:
     category) up to the largest dimension that the enumeration or the
     terms reach, which the report gives as maxDimension.
     """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    start = time.perf_counter()
-    z_cap = max_distinct_parts(order)
-    counted = defaultdict(lambda: [[0] * (order + 1) for _ in range(z_cap + 1)])
-    for size in range(order + 1):
-        for parts in _distinct_tuples(size, 0):
-            counted[_durfee(parts)][len(parts)][size] += 1
-    # dimension 0 is the empty partition alone, category One
-    terms = {(0, DurfeeCategory.ONE): ZQSeries.one(order)}
-    for d, one, two in _durfee_terms(order):
-        terms[d, DurfeeCategory.ONE] = one
-        terms[d, DurfeeCategory.TWO] = two
-    top = max(d for d, _ in counted.keys() | terms.keys())
-    mismatch = None
-    classes = ((d, category) for d in range(top + 1) for category in DurfeeCategory)
-    for d, category in classes:
-        enumerated = ZQSeries(order, counted.get((d, category), ()))
-        term = terms.get((d, category), ZQSeries(order))
-        found = _zq_mismatch(enumerated, term, "enumeration", "term-expansion")
-        if found:
-            mismatch = {"dimension": d, "category": category.value, **found}
-            break
-    return _report(
-        "durfee-decomposition",
-        {"order": order, "maxDimension": top},
-        mismatch,
-        start,
-    )
+    _nonnegative(order=order)
+    params = {"order": order}
+
+    def routes() -> dict | None:
+        z_cap = max_distinct_parts(order)
+        counted = defaultdict(lambda: [[0] * (order + 1) for _ in range(z_cap + 1)])
+        for size in range(order + 1):
+            for parts in _distinct_tuples(size, 0):
+                counted[_durfee(parts)][len(parts)][size] += 1
+        # dimension 0 is the empty partition alone, category One
+        terms = {(0, DurfeeCategory.ONE): ZQSeries.one(order)}
+        for d, one, two in _durfee_terms(order):
+            terms[d, DurfeeCategory.ONE] = one
+            terms[d, DurfeeCategory.TWO] = two
+        top = params["maxDimension"] = max(d for d, _ in counted.keys() | terms.keys())
+        for d in range(top + 1):
+            for category in DurfeeCategory:
+                enumerated = ZQSeries(order, counted.get((d, category), ()))
+                term = terms.get((d, category), ZQSeries(order))
+                found = _zq_mismatch(enumerated, term, "enumeration", "term-expansion")
+                if found:
+                    return {"dimension": d, "category": category.value, **found}
+        return None
+
+    return _run("durfee-decomposition", params, routes)
 
 
 def check_involution_laws(m: int, max_size: int) -> VerificationReport:
     """Every involution law on each partition of size <= max_size (orbit_audit)."""
-    start = time.perf_counter()
-    audit = orbit_audit(m, max_size)
-    mismatch = None
-    if audit.violations:
+    _nonnegative(m=m, max_size=max_size)
+    params = {"m": m, "maxSize": max_size}
+
+    def routes() -> dict | None:
+        audit = orbit_audit(m, max_size)
+        params.update(
+            totalPartitions=audit.total_partitions,
+            pairedCount=audit.paired_count,
+            fixedCount=audit.fixed_count,
+            tauMoved=audit.tau_moved,
+            sigmaMoved=audit.sigma_moved,
+        )
+        if not audit.violations:
+            return None
         law, parts = audit.violations[0]
-        mismatch = {"law": law, "partition": ",".join(map(str, parts))}
-    params = {
-        "m": m,
-        "maxSize": max_size,
-        "totalPartitions": audit.total_partitions,
-        "pairedCount": audit.paired_count,
-        "fixedCount": audit.fixed_count,
-        "tauMoved": audit.tau_moved,
-        "sigmaMoved": audit.sigma_moved,
-    }
-    return _report("involution-audit", params, mismatch, start)
+        return {"law": law, "partition": ",".join(map(str, parts))}
+
+    return _run("involution-audit", params, routes)

@@ -495,6 +495,23 @@ class TestCancellationStats:
         assert row.fixed_negative >= 1
         assert row.residual >= 1
 
+    def test_residual_onset_law(self):
+        # the n-part fixed points fill sizes base(n)..base(n) + n(m+1), and
+        # base(n+1) - base(n) = 3n+1+m, so parts n and n+1 first meet once n(m-2) >= m+1
+        def base(n, m):
+            return (3 * n * n - n) // 2 + n * m
+
+        onsets = {}
+        for m in range(13):
+            table = cancellation_stats(m, 1000)
+            onsets[m] = next((row.size for row in table if row.residual), None)
+            if m <= 2:
+                assert onsets[m] is None, m
+            else:
+                n_star = -(-(m + 1) // (m - 2))
+                assert onsets[m] == base(n_star + 1, m), m
+        assert [onsets[m] for m in range(3, 11)] == [50, 38, 27, 30, 33, 36, 39, 42]
+
     def test_coefficient_matches_signed_dp(self):
         for m in range(4):
             table = cancellation_stats(m, 45)

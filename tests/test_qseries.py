@@ -11,6 +11,7 @@ from franklin.partitions import count_distinct_signed, enumerate_distinct
 from franklin.qseries import (
     NonUnitConstantTerm,
     _distinct_counts,
+    _divide_step,
     _durfee_terms,
     _fixed_point_tallies,
     _gauss_step,
@@ -159,8 +160,7 @@ class TestDistinctCounts:
         assert _distinct_counts(m, order, -1) == _product_coeffs(m + 1, order, order, -1)
 
     def test_general_check_does_not_share_the_stepper(self, monkeypatch):
-        # a faulty Gaussian-binomial step reaches euler_product and rhs_general alike;
-        # the check still fails, because its product side is the knapsack's
+        # a faulty Gaussian-binomial step reaches rhs_general but not euler_product
         real = qseries._gauss_step
 
         def corrupted(c, n, m):
@@ -168,11 +168,33 @@ class TestDistinctCounts:
             if n == 1:
                 c[0] += 1
 
-        monkeypatch.setattr(qseries, "_gauss_step", corrupted)
         knapsack = _product_coeffs(3, 40, 40, -1)
-        assert euler_product(2, 40).coeffs != knapsack
+        clean = euler_product(2, 40).coeffs
+        monkeypatch.setattr(qseries, "_gauss_step", corrupted)
+        assert euler_product(2, 40).coeffs == clean == knapsack
         report = check_general_formula(2, 40)
         assert report.verdict == "Fail"
+        assert report.first_mismatch["lhsRoute"] == "product"
+        assert report.first_mismatch["rhsRoute"] == "closed-form"
+        assert report.first_mismatch["lhs"] == knapsack[report.first_mismatch["exponent"]]
+
+    def test_general_check_fails_on_a_shared_division_fault(self, monkeypatch):
+        # a faulty division reaches euler_product and rhs_general alike; the check
+        # still fails, because its first side is the knapsack's
+        real = qseries._divide_step
+
+        def corrupted(c, n):
+            real(c, n)
+            if n == 1:
+                c[-1] += 1
+
+        knapsack = _product_coeffs(3, 40, 40, -1)
+        monkeypatch.setattr(qseries, "_divide_step", corrupted)
+        assert euler_product(2, 40).coeffs != knapsack
+        assert rhs_general(2, 40).coeffs != knapsack
+        report = check_general_formula(2, 40)
+        assert report.verdict == "Fail"
+        assert report.first_mismatch["lhsRoute"] == "product"
         assert report.first_mismatch["lhs"] == knapsack[report.first_mismatch["exponent"]]
 
     def test_matches_subset_sums(self):
@@ -443,22 +465,23 @@ class TestColumnSizing:
 
 class TestDistinctCountsSizing:
     @pytest.mark.parametrize("m", range(13))
-    def test_step_n_sees_at_most_the_room(self, monkeypatch, m):
-        # 1/(q)_n at lead(n) is read up to order - lead(n), and no further
+    def test_step_n_sees_exactly_the_room(self, monkeypatch, m):
+        # V_n is read up to order - lead(n), and the steps run from the last term down
         seen = []
 
-        def recording(c, n, m_):
+        def recording(c, n):
             seen.append((n, len(c)))
-            _gauss_step(c, n, m_)
+            _divide_step(c, n)
 
-        monkeypatch.setattr(qseries, "_gauss_step", recording)
+        monkeypatch.setattr(qseries, "_divide_step", recording)
         for order in trim_orders(m, distinct_lead):
-            seen.clear()
-            _distinct_counts(m, order)
-            terms = sum(1 for n in range(order + 1) if distinct_lead(n, m) <= order)
-            assert [n for n, _ in seen] == list(range(1, terms)), order
-            for n, size in seen:
-                assert size <= order - distinct_lead(n, m) + 1, (order, n, size)
+            for sign in (1, -1):
+                seen.clear()
+                _distinct_counts(m, order, sign)
+                terms = sum(1 for n in range(order + 1) if distinct_lead(n, m) <= order)
+                assert [n for n, _ in seen] == list(range(terms - 1, 0, -1)), (order, sign)
+                for n, size in seen:
+                    assert size == order - distinct_lead(n, m) + 1, (order, sign, n, size)
 
 
 class TestSylvester:

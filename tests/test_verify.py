@@ -66,6 +66,97 @@ class TestGeneralFormula:
         assert report.first_mismatch["exponent"] == 7
         assert report.first_mismatch["lhs"] == report.first_mismatch["rhs"] - 1
 
+    def test_euler_sum_fault(self, monkeypatch):
+        # the knapsack and the closed form agree; the route expand prints does not
+        real = qseries._distinct_counts
+
+        def corrupted(m, order, sign=1):
+            c = real(m, order, sign)
+            if sign < 0 and order >= 9:
+                c[9] += 1
+            return c
+
+        monkeypatch.setattr(qseries, "_distinct_counts", corrupted)
+        report = check_general_formula(1, 40)
+        assert report.verdict == "Fail"
+        mismatch = report.first_mismatch
+        assert (mismatch["lhsRoute"], mismatch["rhsRoute"]) == ("product", "euler-sum")
+        assert mismatch["exponent"] == 9
+        assert mismatch["rhs"] == mismatch["lhs"] + 1
+
+    def test_euler_sum_fault_fails_the_cli(self, monkeypatch, capsys):
+        real = qseries._distinct_counts
+
+        def corrupted(m, order, sign=1):
+            c = real(m, order, sign)
+            if sign < 0:
+                c[-1] -= 1
+            return c
+
+        monkeypatch.setattr(qseries, "_distinct_counts", corrupted)
+        assert run(["verify", "--suite", "general", "--json"]) == 1
+        reports = json.loads(capsys.readouterr().out)
+        general = [r for r in reports if r["identity"] == "general-product-formula"]
+        assert len(general) == 5
+        assert all(r["firstMismatch"]["rhsRoute"] == "euler-sum" for r in general)
+        assert all(r["verdict"] == "Pass" for r in reports if r not in general)
+
+    def test_negative_arguments_rejected(self):
+        with pytest.raises(ValueError, match="^m and order must be nonnegative$"):
+            check_general_formula(-1, 10)
+        with pytest.raises(ValueError, match="^m and order must be nonnegative$"):
+            check_fixed_point_formula(0, -1)
+
+
+class TestRouteErrors:
+    """A ValueError that a route raises is a Fail (exit 1), not a usage error (exit 2)."""
+
+    @staticmethod
+    def corrupt_zq_step(monkeypatch):
+        # a stray z power in the top column trips ZQSeries' own guard once shifted
+        real = qseries._times_one_plus_zq
+
+        def corrupted(columns, i):
+            real(columns, i)
+            columns[-1][0] += 1
+
+        monkeypatch.setattr(qseries, "_times_one_plus_zq", corrupted)
+
+    def test_zq_guard_is_a_fail(self, monkeypatch):
+        self.corrupt_zq_step(monkeypatch)
+        report = check_sylvester(12)
+        assert report.verdict == "Fail"
+        assert report.params == {"order": 12}
+        assert report.first_mismatch == {"error": "nonzero z power above max_distinct_parts(12)"}
+
+    @pytest.mark.parametrize("suite", ["sylvester", "durfee"])
+    def test_zq_guard_exits_1(self, monkeypatch, capsys, suite):
+        self.corrupt_zq_step(monkeypatch)
+        assert run(["verify", "--suite", suite, "--json"]) == 1
+        captured = capsys.readouterr()
+        [report] = json.loads(captured.out)
+        assert report["verdict"] == "Fail"
+        assert "max_distinct_parts" in report["firstMismatch"]["error"]
+        assert captured.err == ""
+
+    def test_audit_error_is_a_fail(self, monkeypatch):
+        def raising(m, max_size):
+            raise ValueError("walk left the diagram")
+
+        monkeypatch.setattr(verify, "orbit_audit", raising)
+        report = verify.check_involution_laws(2, 10)
+        assert report.verdict == "Fail"
+        assert report.params == {"m": 2, "maxSize": 10}
+        assert report.first_mismatch == {"error": "walk left the diagram"}
+        with pytest.raises(ValueError, match="^m and max_size must be nonnegative$"):
+            verify.check_involution_laws(2, -1)
+
+    def test_usage_errors_still_exit_2(self, monkeypatch, capsys):
+        self.corrupt_zq_step(monkeypatch)
+        assert run(["verify", "--suite", "sylvester", "--m", "1"]) == 2
+        assert run(["verify", "--suite", "sylvester", "--order", "-1"]) == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestFixedPointFormula:
     @pytest.mark.parametrize("m", [0, 2, 4])
