@@ -20,7 +20,6 @@ partition mu with mu_1 <= m, or mu_1 = m + 1 with mu_n >= 1.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from operator import add, sub
 from typing import Iterable, Iterator, NamedTuple
 
@@ -43,15 +42,18 @@ class InvolutionCase(enum.Enum):
 _TAU, _SIGMA, _FIXED = InvolutionCase.TAU_MOVED, InvolutionCase.SIGMA_MOVED, InvolutionCase.FIXED
 
 
-@dataclass(frozen=True)
-class InvolutionResult:
+class InvolutionResult(NamedTuple):
     image: DistinctPartition
     case: InvolutionCase
 
 
-@dataclass
-class AuditReport:
-    """Outcome of exhaustively checking the involution laws on a size range."""
+class AuditReport(NamedTuple):
+    """Outcome of exhaustively checking the involution laws on a size range.
+
+    Each violation is (law, parts) for the partition that broke the law,
+    except the partition-count law, whose second item is (size, enumerated
+    total, counted total).
+    """
 
     m: int
     size_range: tuple[int, int]
@@ -60,7 +62,7 @@ class AuditReport:
     fixed_count: int
     tau_moved: int
     sigma_moved: int
-    violations: list[tuple[str, tuple[int, ...]]] = field(default_factory=list)
+    violations: list[tuple[str, tuple[int, ...]]]
 
 
 class SizeStats(NamedTuple):
@@ -293,6 +295,10 @@ def orbit_audit(m: int, max_size: int, sizes: Iterable[int] | None = None) -> Au
     the other move's domain and reverses), the staircase/top-row transfer
     laws, weight antisymmetry (size preserved, part count changed by one),
     and agreement of the fixed-point criterion with the applied case.
+    The partition-count law compares each size's enumerated total with
+    Euler's staircase count `_distinct_counts`, the route behind the
+    `partitions` column of `cancellation_stats`; a mismatch is reported
+    after that size's per-partition violations.
 
     `sizes` restricts the audit to a nonempty set of distinct sizes in
     0..max_size so runs can be sharded; reports for disjoint shards add
@@ -305,9 +311,11 @@ def orbit_audit(m: int, max_size: int, sizes: Iterable[int] | None = None) -> Au
         raise ValueError("sizes must be a nonempty set of distinct sizes")
     if size_list[0] < 0 or size_list[-1] > max_size:
         raise ValueError(f"sizes must lie in 0..{max_size}")
+    counts = _distinct_counts(m, max_size)
     violations: list[tuple[str, tuple[int, ...]]] = []
     total = fixed = tau_moved = sigma_moved = 0
     for size in size_list:
+        before = total
         for parts in _distinct_tuples(size, m):
             total += 1
             case = _audit_one(parts, m, size, violations)
@@ -319,6 +327,8 @@ def orbit_audit(m: int, max_size: int, sizes: Iterable[int] | None = None) -> Au
                 sigma_moved += 1
             elif case is _FIXED:
                 fixed += 1
+        if total - before != counts[size]:
+            violations.append(("partition-count", (size, total - before, counts[size])))
     return AuditReport(
         m=m,
         size_range=(size_list[0], size_list[-1]),

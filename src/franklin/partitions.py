@@ -9,8 +9,7 @@ from __future__ import annotations
 import enum
 import functools
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .qseries import _product_coeffs
 
@@ -68,18 +67,28 @@ class DistinctPartition:
         return f"DistinctPartition({list(self.parts)})"
 
 
-@dataclass(frozen=True)
-class SignedMonomial:
-    """Exactly sign * q**exponent with sign in {+1, -1}."""
-
+class _Monomial(NamedTuple):
     sign: int
     exponent: int
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
-        if self.exponent < 0:
-            raise ValueError(f"exponent must be nonnegative, got {self.exponent!r}")
+
+class SignedMonomial(_Monomial):
+    """Exactly sign * q**exponent with sign in {+1, -1}."""
+
+    __slots__ = ()
+
+    def __new__(cls, sign: int, exponent: int):
+        # not isinstance: bool is an int subclass
+        if type(sign) is not int or sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+        if type(exponent) is not int or exponent < 0:
+            raise ValueError(f"exponent must be a nonnegative integer, got {exponent!r}")
+        return super().__new__(cls, sign, exponent)
+
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> SignedMonomial:
+        """Construct through the checks, so `_replace` validates too."""
+        return cls(*iterable)
 
     def __str__(self) -> str:
         s = "+" if self.sign > 0 else "-"
@@ -91,8 +100,7 @@ class DurfeeCategory(enum.Enum):
     TWO = "Two"
 
 
-@dataclass(frozen=True)
-class DurfeeInfo:
+class DurfeeInfo(NamedTuple):
     """Durfee square dimension plus the shape category at its upper boundary.
 
     Category TWO means the part just above the square equals the square's

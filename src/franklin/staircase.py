@@ -25,7 +25,6 @@ staircase cells in the top row.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .partitions import DistinctPartition
@@ -51,8 +50,7 @@ class Cell(NamedTuple):
     col: int
 
 
-@dataclass(frozen=True)
-class Staircase:
+class Staircase(NamedTuple):
     """The m-landing staircase: cells in boundary-walk order.
 
     `cells` starts at (1, part_1) and steps left/up along the profile;

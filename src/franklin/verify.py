@@ -8,7 +8,8 @@
 * sylvester: the product of (1 + z q**n) vs the Durfee-square sum.
 * durfee-decomposition: enumeration of distinct-part partitions graded
   by Durfee class vs each class's term, the summands of sylvester's side.
-* involution-audit: every involution law on every partition in range.
+* involution-audit: every involution law on every partition in range,
+  and each size's enumerated total vs Euler's count, the `stats` route.
 
 The first side of both product checks is the `_product_coeffs` knapsack,
 which shares no kernel with the others.  Euler's sum and the closed forms
@@ -26,8 +27,7 @@ from __future__ import annotations
 
 import time
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .involution import enumerate_fixed_points, orbit_audit
 from .partitions import DurfeeCategory, _distinct_tuples, _durfee
@@ -47,8 +47,7 @@ PASS = "Pass"
 FAIL = "Fail"
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     identity: str
     params: dict
     verdict: str
@@ -212,6 +211,9 @@ def check_involution_laws(m: int, max_size: int) -> VerificationReport:
         if not audit.violations:
             return None
         law, parts = audit.violations[0]
+        if law == "partition-count":
+            size, enumerated, counted = parts
+            return {"law": law, "size": size, "enumerated": enumerated, "counted": counted}
         return {"law": law, "partition": ",".join(map(str, parts))}
 
     return _run("involution-audit", params, routes)

@@ -483,6 +483,63 @@ class TestAuditFaults:
         assert law in {name for name, _ in report.violations}
 
 
+def counts_off_at(*sizes):
+    """`_distinct_counts` with the sign +1 count of each given size one too high."""
+
+    def corrupted(m, order, sign=1):
+        c = _distinct_counts(m, order, sign)
+        for size in sizes:
+            if sign > 0 and size <= order:
+                c[size] += 1
+        return c
+
+    return corrupted
+
+
+class TestPartitionCountLaw:
+    def test_count_fault_is_reported_in_size_order(self, monkeypatch):
+        monkeypatch.setattr(involution, "_distinct_counts", counts_off_at(11, 7))
+        report = orbit_audit(1, 14)
+        real = _distinct_counts(1, 14)
+        assert report.violations == [
+            ("partition-count", (7, real[7], real[7] + 1)),
+            ("partition-count", (11, real[11], real[11] + 1)),
+        ]
+
+    def test_count_fault_follows_that_sizes_partition_laws(self, monkeypatch):
+        real_tau = involution._tau_tuple
+
+        def corrupted(parts, m, lands, t):
+            image = real_tau(parts, m, lands, t)
+            return (image[0] + 1,) + image[1:]
+
+        monkeypatch.setattr(involution, "_tau_tuple", corrupted)
+        monkeypatch.setattr(involution, "_distinct_counts", counts_off_at(3))
+        violations = orbit_audit(0, 5).violations
+        sizes = [item[0] if law == "partition-count" else sum(item) for law, item in violations]
+        at = [law for law, _ in violations].index("partition-count")
+        assert sizes == sorted(sizes)
+        assert sizes[at - 1] == sizes[at] == 3 < sizes[at + 1]
+
+    def test_count_fault_under_sizes(self, monkeypatch):
+        monkeypatch.setattr(involution, "_distinct_counts", counts_off_at(12))
+        assert orbit_audit(2, 20, sizes=[12]).violations[0][0] == "partition-count"
+        assert orbit_audit(2, 20, sizes=[11, 13]).violations == []
+
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    def test_enumerator_dropping_a_partition_is_reported(self, monkeypatch, m):
+        real = involution._distinct_tuples
+
+        def drops_last(total, m):
+            found = list(real(total, m))
+            return iter(found[:-1] if total == 9 + m else found)
+
+        monkeypatch.setattr(involution, "_distinct_tuples", drops_last)
+        report = orbit_audit(m, 16)
+        expected = _distinct_counts(m, 16)[9 + m]
+        assert ("partition-count", (9 + m, expected - 1, expected)) in report.violations
+
+
 class TestCancellationStats:
     def test_m0_explains_everything(self):
         for row in cancellation_stats(0, 60):

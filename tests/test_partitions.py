@@ -109,11 +109,28 @@ class TestWeight:
     def test_size_fifty_fixed_point(self):
         assert weight(DistinctPartition((12, 11, 10, 9, 8))) == SignedMonomial(-1, 50)
 
-    def test_sign_validation(self):
+    # a bool or a float equal to a valid value is still rejected: `type(x) is int`
+    @pytest.mark.parametrize(
+        "sign,exponent",
+        [(2, 0), (1, -3), (True, 3), (1.0, 3), (-1.0, 3), (1, 2.5), (-1, False), (1, 3.0), (1, "3")],
+    )
+    def test_sign_validation(self, sign, exponent):
+        with pytest.raises(ValueError, match="must be"):
+            SignedMonomial(sign, exponent)
+
+    def test_keyword_construction_validates(self):
+        assert SignedMonomial(sign=-1, exponent=4) == SignedMonomial(-1, 4)
+        with pytest.raises(ValueError, match="^sign must be"):
+            SignedMonomial(sign=0, exponent=4)
+
+    def test_replace_and_make_validate(self):
+        w = SignedMonomial(1, 3)
+        assert w._replace(sign=-1) == SignedMonomial(-1, 3)
+        assert type(SignedMonomial._make((1, 0))) is SignedMonomial
         with pytest.raises(ValueError):
-            SignedMonomial(2, 0)
+            w._replace(exponent=-1)
         with pytest.raises(ValueError):
-            SignedMonomial(1, -3)
+            SignedMonomial._make((True, 3))
 
 
 class TestDurfee:

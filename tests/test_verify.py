@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import franklin.involution as involution
 import franklin.qseries as qseries
 import franklin.verify as verify
 from franklin.cli import run
@@ -156,6 +157,48 @@ class TestRouteErrors:
         assert run(["verify", "--suite", "sylvester", "--m", "1"]) == 2
         assert run(["verify", "--suite", "sylvester", "--order", "-1"]) == 2
         assert capsys.readouterr().out == ""
+
+
+class TestPartitionCountLaw:
+    @staticmethod
+    def corrupt_stats_counts(monkeypatch):
+        """One too many partitions of the largest size, on the route behind `stats`."""
+        real = qseries._distinct_counts
+
+        def corrupted(m, order, sign=1):
+            c = real(m, order, sign)
+            if sign > 0:
+                c[-1] += 1
+            return c
+
+        monkeypatch.setattr(qseries, "_distinct_counts", corrupted)
+        monkeypatch.setattr(involution, "_distinct_counts", corrupted)
+
+    @pytest.mark.parametrize("suite", ["involution", "all"])
+    def test_sign_plus_fault_exits_1(self, monkeypatch, capsys, suite):
+        self.corrupt_stats_counts(monkeypatch)
+        assert run(["verify", "--suite", suite, "--json"]) == 1
+        reports = json.loads(capsys.readouterr().out)
+        audits = [r for r in reports if r["identity"] == "involution-audit"]
+        assert len(audits) == 5
+        assert all(r["verdict"] == "Pass" for r in reports if r not in audits)
+        for r in audits:
+            total = r["params"]["maxSize"]
+            counted = qseries._distinct_counts(r["params"]["m"], total)[total]
+            assert r["firstMismatch"] == {
+                "law": "partition-count",
+                "size": total,
+                "enumerated": counted - 1,
+                "counted": counted,
+            }
+
+    def test_fault_is_the_one_stats_prints(self, monkeypatch, capsys):
+        self.corrupt_stats_counts(monkeypatch)
+        assert run(["stats", "--m", "0", "--max-size", "5"]) == 0
+        assert run(["verify", "--suite", "involution", "--m", "0", "--max-size", "5"]) == 1
+        out = capsys.readouterr().out
+        assert "\n5 4 1 1 0 0 1\n" in out
+        assert "law=partition-count size=5 enumerated=3 counted=4" in out
 
 
 class TestFixedPointFormula:
