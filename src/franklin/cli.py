@@ -299,8 +299,8 @@ def run(argv: list[str] | None = None) -> int:
         message = f"cannot write {'stdout' if args.out is None else args.out}: {exc}"
     except ValueError as exc:
         message = str(exc)
-    except MemoryError:
-        message = f"out of memory running {args.command}; lower --order or --max-size"
+    except (MemoryError, OverflowError):
+        message = f"out of memory running {args.command}; a size, order or part is too large"
     print(f"error: {message}", file=sys.stderr)
     return 2
 

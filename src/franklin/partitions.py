@@ -171,22 +171,11 @@ def _tails(rest: int, cap: int, m: int) -> tuple[tuple[int, ...], ...]:
     entries over every m (none for m >= _TAIL), 389 of them for
     m = 0..4, about 0.09 MiB with their tuples.
     """
-    found: list[tuple[int, ...]] = []
-    for part in range(cap, m, -1):
-        left = rest - part
-        # parts below `part` can contribute at most (m+1) + ... + (part-1)
-        if left > (part + m) * (part - 1 - m) // 2:
-            break
-        if not left:
-            found.append((part,))
-        elif left > m:
-            tails = _tails(left, left if left < part else part - 1, m)
-            found.extend((part, *tail) for tail in tails)
-    return tuple(found)
+    return tuple(_parts_below(rest, cap, m))
 
 
-def _distinct_tuples(total: int, m: int) -> Iterator[tuple[int, ...]]:
-    """Strictly decreasing tuples of parts > m summing to total, decreasing lex order.
+def _parts_below(total: int, cap: int, m: int) -> Iterator[tuple[int, ...]]:
+    """Strictly decreasing tuples of parts in (m, cap] summing to total > 0, decreasing lex.
 
     Depth-first without recursion for the leading parts: `parts` holds the
     chosen prefix and `stack` one `(rest, part)` per open level, the amount
@@ -194,11 +183,8 @@ def _distinct_tuples(total: int, m: int) -> Iterator[tuple[int, ...]]:
     a part leaves at most _TAIL to fill, every completion comes from the
     memo `_tails`.
     """
-    if total == 0:
-        yield ()
-        return
     parts: list[int] = []
-    stack = [(total, total)]
+    stack = [(total, cap)]
     while stack:
         rest, part = stack.pop()
         while part > m:
@@ -219,6 +205,11 @@ def _distinct_tuples(total: int, m: int) -> Iterator[tuple[int, ...]]:
             part -= 1
         if parts:
             parts.pop()
+
+
+def _distinct_tuples(total: int, m: int) -> Iterator[tuple[int, ...]]:
+    """Strictly decreasing tuples of parts > m summing to total, decreasing lex order."""
+    return iter([()]) if total == 0 else _parts_below(total, total, m)
 
 
 def enumerate_distinct(size: int, m: int = 0) -> Iterator[DistinctPartition]:

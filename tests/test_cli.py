@@ -500,6 +500,25 @@ class TestUsageErrors:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--suite", "general", "--m", "0", "--order", "99999999999999999999"],
+            ["verify", "--suite", "sylvester", "--order", "99999999999999999999"],
+            ["verify", "--suite", "durfee", "--order", "99999999999999999999"],
+            ["verify", "--suite", "involution", "--max-size", "99999999999999999999"],
+            ["staircase", "--partition", "99999999999999999999", "--m", "0", "--render"],
+            ["involve", "--partition", "99999999999999999999", "--m", "0", "--trace"],
+        ],
+    )
+    def test_value_past_an_index_exits_2(self, capsys, argv):
+        # a list or string of that length cannot exist: OverflowError, not MemoryError
+        code = run(argv)
+        out, err = out_of(capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: out of memory running {argv[0]}; a size, order or part is too large\n"
+
+    @pytest.mark.parametrize(
         "argv,kernel",
         [
             (["expand", "--order", "5"], "euler_product"),

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from franklin import partitions
 from franklin.partitions import (
     DistinctPartition,
     DurfeeCategory,
@@ -232,6 +233,24 @@ class TestDistinctTuples:
             if (cap + m + 1) * (cap - m) // 2 >= rest  # (m+1) + ... + cap
         ]
         assert _tails.cache_info().currsize == len(fillable) == 389
+
+    def test_tail_memo_holds_616_entries_over_every_m(self):
+        _tails.cache_clear()
+        for m in range(18):
+            for total in range(60):
+                for _ in _distinct_tuples(total, m):
+                    pass
+        assert _tails.cache_info().currsize == 616
+
+    def test_tail_memo_is_only_a_cache(self, monkeypatch):
+        # where the loop hands over to the memo changes no output
+        want = {(total, m): list(_distinct_tuples(total, m)) for m in (0, 2, 5) for total in range(46)}
+        for tail in (0, 3, _TAIL, 45):
+            monkeypatch.setattr(partitions, "_TAIL", tail)
+            _tails.cache_clear()
+            for (total, m), found in want.items():
+                assert list(_distinct_tuples(total, m)) == found, (tail, total, m)
+        _tails.cache_clear()
 
     @pytest.mark.parametrize("m", [0, 3])
     def test_negative_total_yields_nothing(self, m):

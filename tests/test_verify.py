@@ -1,11 +1,14 @@
 import json
+from operator import add
 
 import pytest
 
 import franklin.involution as involution
+import franklin.partitions as partitions
 import franklin.qseries as qseries
 import franklin.verify as verify
 from franklin.cli import run
+from franklin.partitions import DurfeeCategory
 from franklin.qseries import rhs_general
 from franklin.verify import (
     check_durfee_decomposition,
@@ -328,3 +331,212 @@ class TestReportShape:
         assert line.startswith("[FAIL] sylvester order=6")
         assert "first mismatch" in line
         assert not failing.passed
+
+
+
+def _plus_one_at_seven(real):
+    def corrupted(*args):
+        c = real(*args)
+        c[7] += 1
+        return c
+
+    return corrupted
+
+
+def _counts_off(sign):
+    """A fault on `_distinct_counts`: the size-7 coefficient of one sign one too high."""
+
+    def fault(real):
+        def corrupted(m, order, s=1):
+            c = real(m, order, s)
+            if s == sign:
+                c[7] += 1
+            return c
+
+        return corrupted
+
+    return fault
+
+
+def _column_two_off(real):
+    def corrupted(m, order, lead):
+        for n, e, column in real(m, order, lead):
+            yield n, e, column if n != 2 else [column[0] + 1, *column[1:]]
+
+    return corrupted
+
+
+def _drops_last_of(real, at):
+    """An enumerator whose call with these leading arguments loses its last item."""
+
+    def corrupted(*args):
+        found = list(real(*args))
+        return iter(found[:-1] if args[: len(at)] == at else found)
+
+    return corrupted
+
+
+def _category_swapped_at_two(real):
+    def corrupted(parts):
+        d, category = real(parts)
+        if d == 2:
+            category = DurfeeCategory.TWO if category is DurfeeCategory.ONE else DurfeeCategory.ONE
+        return d, category
+
+    return corrupted
+
+
+def _zq_step_off(real):
+    def corrupted(columns, i):
+        real(columns, i)
+        if i == 2:
+            columns[1][5] += 1
+
+    return corrupted
+
+
+def _zq_step_shifted(real):
+    # q^{i+1} for q^i: both sides of sylvester read this kernel
+    def corrupted(columns, i):
+        for k in range(len(columns) - 1, 0, -1):
+            qseries._add_shifted(columns[k], columns[k - 1], i + 1, add)
+
+    return corrupted
+
+
+def _overlap_plus_one(real):
+    def corrupted(parts, m):
+        lands, s, overlap = real(parts, m)
+        return lands, s, overlap + 1 if overlap else 0
+
+    return corrupted
+
+
+def _bottom_plus_one(real):
+    def corrupted(*args):
+        image = real(*args)
+        return (image[0] + 1,) + image[1:]
+
+    return corrupted
+
+
+def _drops_top(real):
+    def corrupted(*args):
+        return real(*args)[:-1]
+
+    return corrupted
+
+
+def _flipped_on_pairs(real):
+    def corrupted(parts, m):
+        return real(parts, m) != (len(parts) == 2)
+
+    return corrupted
+
+
+_SUITE_ARGS = {
+    "general": ["--m", "1", "--order", "20"],
+    "sylvester": ["--order", "14"],
+    "durfee": ["--order", "14"],
+    "involution": ["--m", "1", "--max-size", "16"],
+}
+
+# kernel: (patches as (module, name, fault of the real kernel), suites the kernel feeds,
+# each failing identity with the audit law that fails first, if any)
+KERNEL_FAULTS = {
+    "_product_coeffs": (
+        [(verify, "_product_coeffs", _plus_one_at_seven)],
+        ["general"],
+        {"general-product-formula": None, "fixed-point-formula": None},
+    ),
+    "_distinct_counts +1": (
+        [(module, "_distinct_counts", _counts_off(1)) for module in (qseries, involution)],
+        ["general", "involution"],
+        {"involution-audit": "partition-count"},
+    ),
+    "_distinct_counts -1": (
+        [(module, "_distinct_counts", _counts_off(-1)) for module in (qseries, involution)],
+        ["general", "involution"],
+        {"general-product-formula": None},
+    ),
+    "_gauss_columns": (
+        [(qseries, "_gauss_columns", _column_two_off)],
+        ["general"],
+        {"general-product-formula": None, "fixed-point-formula": None},
+    ),
+    "_box_lex": (
+        [(involution, "_box_lex", lambda real: _drops_last_of(real, (2, 1, 1)))],
+        ["general"],
+        {"fixed-point-formula": None},
+    ),
+    "_parts_below": (
+        [(partitions, "_parts_below", lambda real: _drops_last_of(real, (9,)))],
+        ["durfee", "involution"],
+        {"durfee-decomposition": None, "involution-audit": "partition-count"},
+    ),
+    "_durfee": (
+        [(verify, "_durfee", _category_swapped_at_two)],
+        ["durfee"],
+        {"durfee-decomposition": None},
+    ),
+    "_durfee_terms": (
+        [(module, "_durfee_terms", lambda real: corrupted_durfee_terms) for module in (qseries, verify)],
+        ["sylvester", "durfee"],
+        {"sylvester": None, "durfee-decomposition": None},
+    ),
+    "_times_one_plus_zq": (
+        [(qseries, "_times_one_plus_zq", _zq_step_off)],
+        ["sylvester", "durfee"],
+        {"sylvester": None},
+    ),
+    "_times_one_plus_zq shift": (
+        [(qseries, "_times_one_plus_zq", _zq_step_shifted)],
+        ["sylvester", "durfee"],
+        {"sylvester": None, "durfee-decomposition": None},
+    ),
+    "_walk": (
+        [(involution, "_walk", _overlap_plus_one)],
+        ["involution"],
+        {"involution-audit": "taxicab"},
+    ),
+    "_tau_tuple": (
+        [(involution, "_tau_tuple", _bottom_plus_one)],
+        ["involution"],
+        {"involution-audit": "tau-sigma-roundtrip"},
+    ),
+    "_sigma_tuple": (
+        [(involution, "_sigma_tuple", _drops_top)],
+        ["involution"],
+        {"involution-audit": "sigma-image"},
+    ),
+    "_fixed_criterion": (
+        [(involution, "_fixed_criterion", _flipped_on_pairs)],
+        ["involution"],
+        {"involution-audit": "fixed-criterion"},
+    ),
+}
+
+
+class TestKernelFaultMatrix:
+    """One fault per kernel: `verify` over the suites it feeds exits 1 on the named identities."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_tail_memo(self):
+        # the memo would keep tails that a faulty enumeration loop built
+        partitions._tails.cache_clear()
+        yield
+        partitions._tails.cache_clear()
+
+    @pytest.mark.parametrize("kernel", list(KERNEL_FAULTS))
+    def test_fault_fails_the_named_identities(self, monkeypatch, capsys, kernel):
+        patches, suites, failing = KERNEL_FAULTS[kernel]
+        for module, name, fault in patches:
+            monkeypatch.setattr(module, name, fault(getattr(module, name)))
+        failed = {}
+        for suite in suites:
+            code = run(["verify", "--suite", suite, *_SUITE_ARGS[suite], "--json"])
+            reports = json.loads(capsys.readouterr().out)
+            fails = {r["identity"]: r["firstMismatch"].get("law") for r in reports if r["verdict"] == "Fail"}
+            assert code == (1 if fails else 0)
+            failed |= fails
+        assert failed == failing
