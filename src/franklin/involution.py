@@ -24,7 +24,7 @@ from operator import add, sub
 from typing import Iterable, Iterator, NamedTuple
 
 from .partitions import DistinctPartition, SignedMonomial, _distinct_tuples, base_partition
-from .qseries import _distinct_counts, _fixed_point_tallies
+from .qseries import _distinct_counts, _fixed_point_tallies, _nonnegative
 from .staircase import _require_valid, _walk
 
 
@@ -128,9 +128,7 @@ def sigma(p: DistinctPartition, m: int) -> DistinctPartition:
 
 def involute(p: DistinctPartition, m: int) -> InvolutionResult:
     """Apply the involution once; the empty partition is fixed."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    if p.n == 0:
+    if p.n == 0 and m >= 0:
         return InvolutionResult(p, _FIXED)
     _require_valid(p, m)
     tau_ok, sigma_ok, lands, s, _ = _guards(p.parts, m)
@@ -206,10 +204,8 @@ def enumerate_fixed_points(
     ties broken lexicographically on the parts.  A negative m or max_size
     raises at the call.
     """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    if max_size < 0:
-        raise ValueError("max_size must be nonnegative")
+    _nonnegative(m=m)
+    _nonnegative(max_size=max_size)
     return _fixed_points(m, max_size)
 
 
@@ -304,8 +300,7 @@ def orbit_audit(m: int, max_size: int, sizes: Iterable[int] | None = None) -> Au
     0..max_size so runs can be sharded; reports for disjoint shards add
     component-wise.
     """
-    if m < 0 or max_size < 0:
-        raise ValueError("m and max_size must be nonnegative")
+    _nonnegative(m=m, max_size=max_size)
     size_list = sorted(sizes) if sizes is not None else list(range(max_size + 1))
     if not size_list or len(set(size_list)) < len(size_list):
         raise ValueError("sizes must be a nonempty set of distinct sizes")
@@ -354,8 +349,7 @@ def cancellation_stats(m: int, max_size: int) -> list[SizeStats]:
     fixed_positive - fixed_negative.  Each row is a named tuple built
     positionally from these columns.
     """
-    if m < 0 or max_size < 0:
-        raise ValueError("m and max_size must be nonnegative")
+    _nonnegative(m=m, max_size=max_size)
     counts = _distinct_counts(m, max_size)
     pos, neg = _fixed_point_tallies(m, max_size)
     return list(

@@ -11,7 +11,7 @@ import functools
 import re
 from typing import Iterable, Iterator, NamedTuple
 
-from .qseries import _product_coeffs
+from .qseries import _nonnegative, _product_coeffs
 
 
 class DistinctPartition:
@@ -213,11 +213,12 @@ def _distinct_tuples(total: int, m: int) -> Iterator[tuple[int, ...]]:
 
 
 def enumerate_distinct(size: int, m: int = 0) -> Iterator[DistinctPartition]:
-    """All partitions of `size` into distinct parts > m, decreasing lex order."""
-    if size < 0 or m < 0:
-        raise ValueError("size and m must be nonnegative")
-    for parts in _distinct_tuples(size, m):
-        yield DistinctPartition(parts)
+    """All partitions of `size` into distinct parts > m, decreasing lex order.
+
+    A negative size or m raises at the call.
+    """
+    _nonnegative(size=size, m=m)
+    return map(DistinctPartition, _distinct_tuples(size, m))
 
 
 def count_distinct_signed(m: int, n_max: int) -> list[tuple[int, int]]:
@@ -229,8 +230,7 @@ def count_distinct_signed(m: int, n_max: int) -> list[tuple[int, int]]:
     reference route: tests compare `cancellation_stats` and `euler_product`,
     which read Euler's staircase sum instead, against it.
     """
-    if m < 0 or n_max < 0:
-        raise ValueError("m and n_max must be nonnegative")
+    _nonnegative(m=m, n_max=n_max)
     counts = _product_coeffs(m + 1, n_max, n_max, 1)
     signed = _product_coeffs(m + 1, n_max, n_max, -1)
     return list(zip(counts, signed))
@@ -238,7 +238,6 @@ def count_distinct_signed(m: int, n_max: int) -> list[tuple[int, int]]:
 
 def base_partition(n: int, m: int) -> DistinctPartition:
     """The minimal involution fixed point with n parts: (2n-1+m, ..., n+m)."""
-    if n < 0 or m < 0:
-        raise ValueError("n and m must be nonnegative")
+    _nonnegative(n=n, m=m)
     return DistinctPartition(tuple(2 * n - 1 + m - i for i in range(n)))
 

@@ -25,14 +25,19 @@ class NonUnitConstantTerm(ValueError):
     """Series inversion needs constant term +1 or -1."""
 
 
+def _nonnegative(**args: int) -> None:
+    """The one check that sizes, orders and bounds are nonnegative, by name."""
+    if min(args.values()) < 0:
+        raise ValueError(f"{' and '.join(args)} must be nonnegative")
+
+
 class QSeries:
     """Integer power series in q truncated (inclusively) at `order`."""
 
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs: Iterable[int] = ()):
-        if order < 0:
-            raise ValueError("order must be nonnegative")
+        _nonnegative(order=order)
         c = list(coeffs)
         if len(c) > order + 1:
             raise ValueError(f"{len(c)} coefficients exceed order {order}")
@@ -102,8 +107,7 @@ class ZQSeries:
     __slots__ = ("q_order", "columns")
 
     def __init__(self, q_order: int, columns: Sequence[Sequence[int]] = ()):
-        if q_order < 0:
-            raise ValueError("q_order must be nonnegative")
+        _nonnegative(q_order=q_order)
         if any(len(c) > q_order + 1 for c in columns):
             raise ValueError("columns do not fit the truncation")
         stored = max_distinct_parts(q_order) + 1
@@ -214,8 +218,7 @@ def euler_product(m: int, order: int) -> QSeries:
 
     Read from Euler's signed staircase sum, `_distinct_counts(m, order, -1)`.
     """
-    if m < 0 or order < 0:
-        raise ValueError("m and order must be nonnegative")
+    _nonnegative(m=m, order=order)
     return QSeries(order, _distinct_counts(m, order, -1))
 
 
@@ -286,8 +289,7 @@ def _shifted(columns: list[list[int]], lead: int, z_shift: int, q_order: int) ->
 
 def pochhammer_neg_zq(n: int, q_order: int) -> ZQSeries:
     """(-zq)_n = product of (1 + z q**i) for 1 <= i <= n, truncated."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _nonnegative(n=n)
     series = ZQSeries.one(q_order)
     for i in range(1, min(n, q_order) + 1):
         _times_one_plus_zq(series.columns, i)
@@ -335,8 +337,7 @@ def rhs_general(m: int, order: int) -> QSeries:
     including terms while their leading exponent stays within the order,
     each read from `_gauss_columns`.
     """
-    if m < 0 or order < 0:
-        raise ValueError("m and order must be nonnegative")
+    _nonnegative(m=m, order=order)
     c = [0] * (order + 1)
     for n, lead, column in _gauss_columns(m, order, lambda n: (3 * n * n + n) // 2 + n * m):
         plus, minus = (sub, add) if n % 2 else (add, sub)
@@ -363,8 +364,7 @@ def _fixed_point_tallies(m: int, order: int) -> tuple[list[int], list[int]]:
 
 def rhs_fixed_points(m: int, order: int) -> QSeries:
     """Sum of the per-n fixed-point polynomials, truncated at order."""
-    if m < 0 or order < 0:
-        raise ValueError("m and order must be nonnegative")
+    _nonnegative(m=m, order=order)
     even, odd = _fixed_point_tallies(m, order)
     return QSeries(order, list(map(sub, even, odd)))
 
@@ -386,6 +386,5 @@ def sylvester_sides(q_order: int) -> tuple[ZQSeries, ZQSeries]:
 
 def max_distinct_parts(size: int) -> int:
     """Largest k with k(k+1)/2 <= size: a cap on distinct part counts."""
-    if size < 0:
-        raise ValueError("size must be nonnegative")
+    _nonnegative(size=size)
     return (isqrt(8 * size + 1) - 1) // 2

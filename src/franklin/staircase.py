@@ -28,6 +28,7 @@ import enum
 from typing import NamedTuple
 
 from .partitions import DistinctPartition
+from .qseries import _nonnegative
 
 
 class PartTooSmall(ValueError):
@@ -66,8 +67,7 @@ class Staircase(NamedTuple):
 
 
 def _require_valid(p: DistinctPartition, m: int) -> None:
-    if m < 0:
-        raise ValueError("m must be nonnegative")
+    _nonnegative(m=m)
     if p.n == 0:
         raise EmptyPartition("staircase is undefined for the empty partition")
     if p.parts[-1] <= m:

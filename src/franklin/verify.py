@@ -35,9 +35,9 @@ from .qseries import (
     QSeries,
     ZQSeries,
     _durfee_terms,
+    _nonnegative,
     _product_coeffs,
     euler_product,
-    max_distinct_parts,
     rhs_fixed_points,
     rhs_general,
     sylvester_sides,
@@ -106,11 +106,6 @@ def _run(identity: str, params: dict, routes: Callable[[], dict | None]) -> Veri
     )
 
 
-def _nonnegative(**args: int) -> None:
-    if any(v < 0 for v in args.values()):
-        raise ValueError(f"{' and '.join(args)} must be nonnegative")
-
-
 def _knapsack_product(m: int, order: int) -> QSeries:
     """Product of (1 - q**k) over m < k <= order, truncated at order, by the knapsack."""
     return QSeries(order, _product_coeffs(m + 1, order, order, -1))
@@ -171,11 +166,10 @@ def check_durfee_decomposition(order: int) -> VerificationReport:
     params = {"order": order}
 
     def routes() -> dict | None:
-        z_cap = max_distinct_parts(order)
-        counted = defaultdict(lambda: [[0] * (order + 1) for _ in range(z_cap + 1)])
+        counted = defaultdict(lambda: ZQSeries(order))
         for size in range(order + 1):
             for parts in _distinct_tuples(size, 0):
-                counted[_durfee(parts)][len(parts)][size] += 1
+                counted[_durfee(parts)].columns[len(parts)][size] += 1
         # dimension 0 is the empty partition alone, category One
         terms = {(0, DurfeeCategory.ONE): ZQSeries.one(order)}
         for d, one, two in _durfee_terms(order):
@@ -184,9 +178,8 @@ def check_durfee_decomposition(order: int) -> VerificationReport:
         top = params["maxDimension"] = max(d for d, _ in counted.keys() | terms.keys())
         for d in range(top + 1):
             for category in DurfeeCategory:
-                enumerated = ZQSeries(order, counted.get((d, category), ()))
                 term = terms.get((d, category), ZQSeries(order))
-                found = _zq_mismatch(enumerated, term, "enumeration", "term-expansion")
+                found = _zq_mismatch(counted[d, category], term, "enumeration", "term-expansion")
                 if found:
                     return {"dimension": d, "category": category.value, **found}
         return None

@@ -84,3 +84,39 @@ def test_tracer_installs_on_every_target_and_uninstall_restores_it():
     finally:
         tracing.uninstall(restore)
     assert [namespace.get(attr) for namespace, attr in owners] == before
+
+
+P3 = franklin.DistinctPartition((3,))
+
+# one row per public check of "these integers must be nonnegative": each call
+# takes one negative argument and must raise at the call, before any item of
+# a returned iterator is drawn
+NEGATIVE_ARGUMENT = {
+    "QSeries": (lambda: franklin.QSeries(-1), "order"),
+    "ZQSeries": (lambda: franklin.ZQSeries(-1), "q_order"),
+    "euler_product": (lambda: franklin.euler_product(-1, 5), "m and order"),
+    "rhs_general": (lambda: franklin.rhs_general(0, -1), "m and order"),
+    "rhs_fixed_points": (lambda: franklin.rhs_fixed_points(-1, 5), "m and order"),
+    "pochhammer_neg_zq": (lambda: franklin.pochhammer_neg_zq(-1, 5), "n"),
+    "max_distinct_parts": (lambda: franklin.max_distinct_parts(-1), "size"),
+    "involute": (lambda: franklin.involute(P3, -1), "m"),
+    "involute-empty": (lambda: franklin.involute(franklin.DistinctPartition(), -1), "m"),
+    "enumerate_fixed_points-m": (lambda: franklin.enumerate_fixed_points(-1, 5), "m"),
+    "enumerate_fixed_points-max_size": (
+        lambda: franklin.enumerate_fixed_points(0, -1),
+        "max_size",
+    ),
+    "orbit_audit": (lambda: franklin.orbit_audit(-1, 5), "m and max_size"),
+    "cancellation_stats": (lambda: franklin.cancellation_stats(0, -1), "m and max_size"),
+    "enumerate_distinct": (lambda: franklin.enumerate_distinct(-1), "size and m"),
+    "count_distinct_signed": (lambda: franklin.count_distinct_signed(-1, 5), "m and n_max"),
+    "base_partition": (lambda: franklin.base_partition(-1, 0), "n and m"),
+    "staircase": (lambda: franklin.staircase(P3, -1), "m"),
+}
+
+
+@pytest.mark.parametrize("call,names", NEGATIVE_ARGUMENT.values(), ids=NEGATIVE_ARGUMENT)
+def test_negative_argument_raises_at_the_call(call, names):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == f"{names} must be nonnegative"

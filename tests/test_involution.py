@@ -207,6 +207,12 @@ class TestEnumerateFixedPoints:
         with pytest.raises(ValueError):
             enumerate_fixed_points(-1, 5)
 
+    def test_bad_size_raises_before_iteration(self):
+        # the distinct-part enumerator checks at the call too, as this one does
+        for size, m in ((-1, 0), (3, -1)):
+            with pytest.raises(ValueError, match="size and m must be nonnegative"):
+                enumerate_distinct(size, m)
+
     def test_negative_max_size_raises_before_iteration(self):
         with pytest.raises(ValueError, match="max_size must be nonnegative"):
             enumerate_fixed_points(3, -1)
