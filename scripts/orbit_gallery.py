@@ -9,9 +9,9 @@ places.
 
 import argparse
 
-from franklin.cli import _integer
+from franklin.cli import _display_partition, _integer
 from franklin.involution import InvolutionCase, involute
-from franklin.partitions import enumerate_distinct, format_partition
+from franklin.partitions import enumerate_distinct
 from franklin.staircase import render_ferrers
 
 
@@ -32,10 +32,10 @@ def main() -> None:
         result = involute(p, args.m)
         seen.add(result.image.parts)
         if result.case is InvolutionCase.FIXED:
-            print(f"{format_partition(p) or '()'}  (fixed)")
+            print(f"{_display_partition(p)}  (fixed)")
         else:
             arrow = "tau" if result.case is InvolutionCase.TAU_MOVED else "sigma"
-            print(f"{format_partition(p)}  <-{arrow}->  {format_partition(result.image)}")
+            print(f"{_display_partition(p)}  <-{arrow}->  {_display_partition(result.image)}")
         if args.render and p.n:
             print(render_ferrers(p, args.m))
             print()

@@ -66,6 +66,9 @@ def _build_parser() -> argparse.ArgumentParser:
     out.add_argument("--out", help="write output to a file instead of stdout")
     m = argparse.ArgumentParser(add_help=False)
     m.add_argument("--m", type=_integer, default=0, help="parts must exceed m")
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument("--max-size", type=_integer, required=True)
+    table.add_argument("--json", action="store_true")
 
     parser = argparse.ArgumentParser(
         prog="franklin",
@@ -94,15 +97,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--partition", required=True)
     p.add_argument("--trace", action="store_true", help="draw both diagrams")
 
-    p = sub.add_parser(
-        "fixed-points", parents=[m, out], help="list involution fixed points by size"
+    sub.add_parser(
+        "fixed-points", parents=[m, out, table], help="list involution fixed points by size"
     )
-    p.add_argument("--max-size", type=_integer, required=True)
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("stats", parents=[m, out], help="per-size cancellation statistics")
-    p.add_argument("--max-size", type=_integer, required=True)
-    p.add_argument("--json", action="store_true")
+    sub.add_parser("stats", parents=[m, out, table], help="per-size cancellation statistics")
 
     p = sub.add_parser("verify", parents=[out], help="run identity checks")
     p.add_argument(
@@ -164,13 +162,14 @@ def _json_payload(out: TextIO, m: int, max_size: int, key: str, rows: Iterable[s
 
     `rows` are the list's objects at depth two, each written as it comes: several
     times faster than ``json.dumps``, which drops to pure Python under ``indent``.
+    Every caller has at least one row (size 0), so the list is never ``[]``.
     """
     out.write(f'{{\n  "m": {m},\n  "maxSize": {max_size},\n  "{key}": [')
     sep = "\n"
     for row in rows:
         out.write(sep + row)
         sep = ",\n"
-    out.write("]\n}\n" if sep == "\n" else "\n  ]\n}\n")
+    out.write("\n  ]\n}\n")
 
 
 def _text_template(n: int, w: SignedMonomial) -> str:
@@ -185,6 +184,16 @@ def _json_template(n: int, w: SignedMonomial) -> str:
         f'    {{\n      "parts": {parts},\n'
         f'      "size": {w.exponent},\n      "sign": {w.sign}\n    }}'
     )
+
+
+# a SizeStats row as JSON at depth two and as text, %d for each field in order;
+# partitions and productCoefficient may exceed 64 bits: decimal strings
+_STATS_JSON_ROW = (
+    '    {\n      "size": %d,\n      "partitions": "%d",\n      "fixed": %d,\n'
+    '      "fixedPositive": %d,\n      "fixedNegative": %d,\n      "residual": %d,\n'
+    '      "productCoefficient": "%d"\n    }'
+)
+_STATS_TEXT_ROW = "%d %d %d %d %d %d %d\n"
 
 
 def _rows(
@@ -217,22 +226,10 @@ def _cmd_fixed_points(args, out: TextIO) -> int:
 def _cmd_stats(args, out: TextIO) -> int:
     table = cancellation_stats(args.m, args.max_size)
     if args.json:
-        # partitions and productCoefficient may exceed 64 bits: decimal strings
-        # SizeStats rows are tuples: unpacking reads the fields faster than attributes
-        rows = (
-            f'    {{\n      "size": {size},\n'
-            f'      "partitions": "{partitions}",\n'
-            f'      "fixed": {fixed},\n'
-            f'      "fixedPositive": {positive},\n'
-            f'      "fixedNegative": {negative},\n'
-            f'      "residual": {residual},\n'
-            f'      "productCoefficient": "{coefficient}"\n    }}'
-            for size, partitions, fixed, positive, negative, residual, coefficient in table
-        )
-        _json_payload(out, args.m, args.max_size, "perSize", rows)
-        return 0
-    out.write("size partitions fixed fixed+ fixed- residual coefficient\n")
-    out.writelines(" ".join(map(str, row)) + "\n" for row in table)
+        _json_payload(out, args.m, args.max_size, "perSize", map(_STATS_JSON_ROW.__mod__, table))
+    else:
+        out.write("size partitions fixed fixed+ fixed- residual coefficient\n")
+        out.writelines(map(_STATS_TEXT_ROW.__mod__, table))
     return 0
 
 

@@ -351,6 +351,14 @@ class TestStatsCmd:
         assert lines[1] == "0 1 1 1 0 0 1"
         assert lines[6] == "5 3 1 1 0 0 1"
 
+    @pytest.mark.parametrize("m,max_size", [(0, 0), (3, 50), (10, 250), (6, 300), (0, 1500)])
+    def test_text_bytes_match_the_reference(self, capsys, m, max_size):
+        run(["stats", "--m", str(m), "--max-size", str(max_size)])
+        out, _ = out_of(capsys)
+        header = "size partitions fixed fixed+ fixed- residual coefficient"
+        want = [header] + [" ".join(map(str, row)) for row in cancellation_stats(m, max_size)]
+        assert out.splitlines(keepends=True) == [line + "\n" for line in want]
+
 
 class TestVerifyCmd:
     def test_small_general_suite(self, capsys):
