@@ -1,7 +1,8 @@
 """Command-line front end: expansion, diagrams, involution, statistics, checks.
 
 Exit codes: 0 success (all checks Pass), 1 verification failure, 2 usage
-or input error.  Big integers are serialized as decimal strings in JSON.
+or input error, or a reader that closed stdout.  Big integers are
+serialized as decimal strings in JSON.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from contextlib import nullcontext
 from typing import Callable, Iterable, Iterator, TextIO
@@ -32,17 +34,25 @@ from .verify import (
     check_sylvester,
 )
 
-_GENERAL_ORDER = 240
-_FIXED_ORDER = 120
-_SYLVESTER_ORDER = 32
-_DURFEE_ORDER = 26
-_AUDIT_SIZE = 30
 _DEFAULT_MS = (0, 1, 2, 3, 4)
-# the verify suites that read each flag besides "all"; any other suite rejects it
-_VERIFY_FLAG_SUITES = {
-    "m": ("general", "involution"),
-    "order": ("general", "sylvester", "durfee"),
-    "max_size": ("involution",),
+# verify's suites, in the order --suite all runs them: the flags each reads, and its
+# checks from (ms, order, max_size), where an unset flag is None and the row applies
+# its default.  Rows look up check_* as they run, so a replacement set here is called.
+_SUITES = {
+    "general": (("m", "order"), lambda ms, order, _: (
+        check(m, default if order is None else order)
+        for m in ms
+        for check, default in ((check_general_formula, 240), (check_fixed_point_formula, 120))
+    )),
+    "sylvester": (("order",), lambda _, order, __: [
+        check_sylvester(32 if order is None else order)
+    ]),
+    "durfee": (("order",), lambda _, order, __: [
+        check_durfee_decomposition(26 if order is None else order)
+    ]),
+    "involution": (("m", "max_size"), lambda ms, _, max_size: (
+        check_involution_laws(m, 30 if max_size is None else max_size) for m in ms
+    )),
 }
 
 
@@ -105,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[out], help="run identity checks")
     p.add_argument(
         "--suite",
-        choices=("all", "general", "sylvester", "durfee", "involution"),
+        choices=("all", *_SUITES),
         default="all",
     )
     p.add_argument("--m", type=_integer, help="restrict to one m (default: sweep 0..4)")
@@ -233,28 +243,19 @@ def _cmd_stats(args, out: TextIO) -> int:
     return 0
 
 
-def _or_default(value: int | None, default: int) -> int:
-    return default if value is None else value
-
-
 def _cmd_verify(args, out: TextIO) -> int:
-    for flag, suites in _VERIFY_FLAG_SUITES.items():
-        if getattr(args, flag) is not None and args.suite not in ("all", *suites):
+    suites = tuple(_SUITES) if args.suite == "all" else (args.suite,)
+    for flag in ("m", "order", "max_size"):
+        if getattr(args, flag) is not None and all(flag not in _SUITES[s][0] for s in suites):
             raise ValueError(f"--{flag.replace('_', '-')} does not apply to --suite {args.suite}")
-    ms = [args.m] if args.m is not None else list(_DEFAULT_MS)
+    ms = _DEFAULT_MS if args.m is None else (args.m,)
     reports: list[VerificationReport] = []
-    if args.suite in ("all", "general"):
-        for m in ms:
-            reports.append(check_general_formula(m, _or_default(args.order, _GENERAL_ORDER)))
-            reports.append(check_fixed_point_formula(m, _or_default(args.order, _FIXED_ORDER)))
-    if args.suite in ("all", "sylvester"):
-        reports.append(check_sylvester(_or_default(args.order, _SYLVESTER_ORDER)))
-    if args.suite in ("all", "durfee"):
-        reports.append(check_durfee_decomposition(_or_default(args.order, _DURFEE_ORDER)))
-    if args.suite in ("all", "involution"):
-        for m in ms:
-            reports.append(check_involution_laws(m, _or_default(args.max_size, _AUDIT_SIZE)))
-    failed = [r for r in reports if not r.passed]
+    for suite in suites:
+        for r in _SUITES[suite][1](ms, args.order, args.max_size):
+            reports.append(r)
+            if not args.json:
+                print(r.summary(), file=out, flush=True)
+    passed = sum(r.passed for r in reports)
     if args.json:
         payload = [
             {
@@ -268,9 +269,8 @@ def _cmd_verify(args, out: TextIO) -> int:
         ]
         out.write(json.dumps(payload, indent=2) + "\n")
     else:
-        out.writelines(f"{r.summary()}\n" for r in reports)
-        out.write(f"{len(reports) - len(failed)}/{len(reports)} checks passed\n")
-    return 1 if failed else 0
+        out.write(f"{passed}/{len(reports)} checks passed\n")
+    return 0 if passed == len(reports) else 1
 
 
 _HANDLERS = {
@@ -291,7 +291,17 @@ def run(argv: list[str] | None = None) -> int:
         else:
             target = open(args.out, "w", encoding="utf-8")
         with target as out:
+            negative = [f"--{k.replace('_', '-')}" for k in ("m", "order", "max_size")
+                        if (getattr(args, k, None) or 0) < 0]
+            if negative:
+                raise ValueError(" and ".join(negative) + " must be nonnegative")
             return _HANDLERS[args.command](args, out)
+    except BrokenPipeError:
+        # the reader has gone: send what stdout still buffers to devnull, so the flush
+        # at exit cannot fail, and say nothing (Python's signal docs, "Note on SIGPIPE")
+        if args.out is None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except OSError as exc:
         message = f"cannot write {'stdout' if args.out is None else args.out}: {exc}"
     except ValueError as exc:

@@ -51,8 +51,10 @@ class AuditReport(NamedTuple):
     """Outcome of exhaustively checking the involution laws on a size range.
 
     Each violation is (law, parts) for the partition that broke the law,
-    except the partition-count law, whose second item is (size, enumerated
-    total, counted total).
+    except the two count laws: partition-count's second item is (size,
+    enumerated total, counted total), and fixed-count's is (size, "even" or
+    "odd", fixed points enumerated with that part-count parity, their
+    closed-form tally).
     """
 
     m: int
@@ -62,7 +64,7 @@ class AuditReport(NamedTuple):
     fixed_count: int
     tau_moved: int
     sigma_moved: int
-    violations: list[tuple[str, tuple[int, ...]]]
+    violations: list[tuple[str, tuple[int | str, ...]]]
 
 
 class SizeStats(NamedTuple):
@@ -222,7 +224,7 @@ def _audit_one(
     parts: tuple[int, ...],
     m: int,
     size: int,
-    violations: list[tuple[str, tuple[int, ...]]],
+    violations: list[tuple[str, tuple[int | str, ...]]],
 ) -> InvolutionCase | None:
     """Check every involution law on one partition; returns its case.
 
@@ -293,8 +295,11 @@ def orbit_audit(m: int, max_size: int, sizes: Iterable[int] | None = None) -> Au
     and agreement of the fixed-point criterion with the applied case.
     The partition-count law compares each size's enumerated total with
     Euler's staircase count `_distinct_counts`, the route behind the
-    `partitions` column of `cancellation_stats`; a mismatch is reported
-    after that size's per-partition violations.
+    `partitions` column of `cancellation_stats`, and the fixed-count law
+    compares the fixed points found, by the parity of their part count,
+    with `_fixed_point_tallies`, the route behind its `fixed_positive` and
+    `fixed_negative` columns; mismatches are reported after that size's
+    per-partition violations, partition-count first, then even, then odd.
 
     `sizes` restricts the audit to a nonempty set of distinct sizes in
     0..max_size so runs can be sharded; reports for disjoint shards add
@@ -307,10 +312,12 @@ def orbit_audit(m: int, max_size: int, sizes: Iterable[int] | None = None) -> Au
     if size_list[0] < 0 or size_list[-1] > max_size:
         raise ValueError(f"sizes must lie in 0..{max_size}")
     counts = _distinct_counts(m, max_size)
-    violations: list[tuple[str, tuple[int, ...]]] = []
+    tallies = _fixed_point_tallies(m, max_size)
+    violations: list[tuple[str, tuple[int | str, ...]]] = []
     total = fixed = tau_moved = sigma_moved = 0
     for size in size_list:
         before = total
+        by_parity = [0, 0]
         for parts in _distinct_tuples(size, m):
             total += 1
             case = _audit_one(parts, m, size, violations)
@@ -322,8 +329,12 @@ def orbit_audit(m: int, max_size: int, sizes: Iterable[int] | None = None) -> Au
                 sigma_moved += 1
             elif case is _FIXED:
                 fixed += 1
+                by_parity[len(parts) % 2] += 1
         if total - before != counts[size]:
             violations.append(("partition-count", (size, total - before, counts[size])))
+        for parity, found, tally in zip(("even", "odd"), by_parity, tallies):
+            if found != tally[size]:
+                violations.append(("fixed-count", (size, parity, found, tally[size])))
     return AuditReport(
         m=m,
         size_range=(size_list[0], size_list[-1]),

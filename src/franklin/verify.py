@@ -8,8 +8,9 @@
 * sylvester: the product of (1 + z q**n) vs the Durfee-square sum.
 * durfee-decomposition: enumeration of distinct-part partitions graded
   by Durfee class vs each class's term, the summands of sylvester's side.
-* involution-audit: every involution law on every partition in range,
-  and each size's enumerated total vs Euler's count, the `stats` route.
+* involution-audit: every involution law on every partition in range;
+  each size's enumerated total vs Euler's count, and its fixed points by
+  part-count parity vs their closed-form tallies: the `stats` routes.
 
 The first side of both product checks is the `_product_coeffs` knapsack,
 which shares no kernel with the others.  Euler's sum and the closed forms
@@ -187,6 +188,13 @@ def check_durfee_decomposition(order: int) -> VerificationReport:
     return _run("durfee-decomposition", params, routes)
 
 
+# the audit laws that compare a size's tally with a closed form, and their item's fields
+_COUNT_LAW_FIELDS = {
+    "partition-count": ("size", "enumerated", "counted"),
+    "fixed-count": ("size", "parity", "enumerated", "counted"),
+}
+
+
 def check_involution_laws(m: int, max_size: int) -> VerificationReport:
     """Every involution law on each partition of size <= max_size (orbit_audit)."""
     _nonnegative(m=m, max_size=max_size)
@@ -203,10 +211,9 @@ def check_involution_laws(m: int, max_size: int) -> VerificationReport:
         )
         if not audit.violations:
             return None
-        law, parts = audit.violations[0]
-        if law == "partition-count":
-            size, enumerated, counted = parts
-            return {"law": law, "size": size, "enumerated": enumerated, "counted": counted}
-        return {"law": law, "partition": ",".join(map(str, parts))}
+        law, item = audit.violations[0]
+        if law in _COUNT_LAW_FIELDS:
+            return {"law": law, **dict(zip(_COUNT_LAW_FIELDS[law], item))}
+        return {"law": law, "partition": ",".join(map(str, item))}
 
     return _run("involution-audit", params, routes)

@@ -161,6 +161,12 @@ class TestCommandsReachThePublicFunctions:
         assert [span[0] for span in spans] == ["cli.run", *names]
         assert all(span[3] == 0 for span in spans[1:])
 
+    def test_verify_checks_are_spans_under_run(self, spans, capsys):
+        # the suite table calls each check through the module global the tracer wraps
+        assert cli.run(["verify", "--suite", "general", "--m", "0", "--order", "8"]) == 0
+        assert spans[0][0] == "cli.run"
+        assert [span[3] for span in spans if span[0] == "verify.check"] == [0, 0]
+
 
 # (partition, m, involution case): single parts, walks that reach the top row
 # (all of it for 1, 3 and 6,5,4), m = 0, and sigma- and tau-moved inputs
@@ -286,13 +292,13 @@ class TestFixedPointsCmd:
     @pytest.mark.parametrize("fmt", [[], ["--json"]])
     def test_bad_m_writes_nothing(self, capsys, fmt):
         assert run(["fixed-points", "--m", "-1", "--max-size", "5"] + fmt) == 2
-        assert out_of(capsys) == ("", "error: m must be nonnegative\n")
+        assert out_of(capsys) == ("", "error: --m must be nonnegative\n")
 
     @pytest.mark.parametrize("fmt", [[], ["--json"]])
     def test_negative_max_size_writes_nothing(self, capsys, fmt):
         # like stats, expand and verify: a negative size is an input error, not an empty listing
         assert run(["fixed-points", "--m", "3", "--max-size", "-1"] + fmt) == 2
-        assert out_of(capsys) == ("", "error: max_size must be nonnegative\n")
+        assert out_of(capsys) == ("", "error: --max-size must be nonnegative\n")
 
 
 class TestStatsCmd:
@@ -421,13 +427,22 @@ class TestVerifyCmd:
         assert run(["verify", "--suite", "durfee", "--order", "-3"]) == 2
         out, err = out_of(capsys)
         assert out == ""
-        assert err == "error: order must be nonnegative\n"
+        assert err == "error: --order must be nonnegative\n"
 
     def test_negative_sylvester_order_exits_2(self, capsys):
         assert run(["verify", "--suite", "sylvester", "--order", "-1"]) == 2
         out, err = out_of(capsys)
         assert out == ""
-        assert err == "error: q_order must be nonnegative\n"
+        assert err == "error: --order must be nonnegative\n"
+
+    @pytest.fixture
+    def checks_raise(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("a check ran")
+
+        for check in ("check_general_formula", "check_fixed_point_formula", "check_sylvester",
+                      "check_durfee_decomposition", "check_involution_laws"):
+            monkeypatch.setattr(cli, check, never)
 
     @pytest.mark.parametrize(
         "suite,flag",
@@ -440,17 +455,59 @@ class TestVerifyCmd:
             ("durfee", "--m"),
         ],
     )
-    def test_flag_the_suite_does_not_read_exits_2(self, capsys, monkeypatch, suite, flag):
-        def never(*args):
-            raise AssertionError("a check ran")
-
-        for check in ("check_general_formula", "check_fixed_point_formula", "check_sylvester",
-                      "check_durfee_decomposition", "check_involution_laws"):
-            monkeypatch.setattr(cli, check, never)
+    def test_flag_the_suite_does_not_read_exits_2(self, capsys, checks_raise, suite, flag):
         assert run(["verify", "--suite", suite, flag, "1"]) == 2
         out, err = out_of(capsys)
         assert out == ""
         assert err == f"error: {flag} does not apply to --suite {suite}\n"
+
+    @pytest.mark.parametrize(
+        "argv,flags",
+        [
+            (["--max-size", "-1"], "--max-size"),
+            (["--suite", "general", "--m", "-1", "--order", "-2"], "--m and --order"),
+            (
+                ["--m", "-1", "--order", "-2", "--max-size", "-3", "--json"],
+                "--m and --order and --max-size",
+            ),
+            # the sign is refused before the pairing
+            (["--suite", "durfee", "--m", "-1"], "--m"),
+        ],
+    )
+    def test_negative_flag_is_refused_before_any_check(self, capsys, checks_raise, argv, flags):
+        assert run(["verify", *argv]) == 2
+        assert out_of(capsys) == ("", f"error: {flags} must be nonnegative\n")
+
+    def test_every_suite_choice_has_one_row(self):
+        [commands] = [a for a in cli._build_parser()._actions if a.dest == "command"]
+        [suite] = [a for a in commands.choices["verify"]._actions if a.dest == "suite"]
+        assert suite.choices == ("all", *cli._SUITES)
+        assert len(set(suite.choices)) == len(suite.choices)
+        for flags, _ in cli._SUITES.values():
+            assert set(flags) <= {"m", "order", "max_size"}
+
+    def test_text_lines_are_written_as_each_check_finishes(self, capsys, monkeypatch):
+        real, seen = cli.check_involution_laws, []
+
+        def audit(m, max_size):
+            seen.append(capsys.readouterr().out)
+            return real(m, max_size)
+
+        monkeypatch.setattr(cli, "check_involution_laws", audit)
+        argv = ["verify", "--m", "0", "--order", "8", "--max-size", "4"]
+        assert run(argv) == 0
+        assert [line.split()[1] for line in seen[0].splitlines()] == [
+            "general-product-formula",
+            "fixed-point-formula",
+            "sylvester",
+            "durfee-decomposition",
+        ]
+        rest = out_of(capsys)[0].splitlines()
+        assert rest[0].startswith("[PASS] involution-audit m=0 maxSize=4 ")
+        assert rest[1:] == ["5/5 checks passed"]
+        # the JSON list is written once, after the last check
+        assert run(argv + ["--json"]) == 0
+        assert seen[1] == ""
 
     def test_suite_all_takes_every_flag(self, capsys):
         code = run(["verify", "--m", "1", "--order", "8", "--max-size", "6", "--json"])
@@ -548,6 +605,25 @@ class TestUsageErrors:
         assert out == ""
         assert err.startswith(f"error: cannot write {target}: ")
 
+    @pytest.mark.parametrize("stderr_closed", [False, True], ids=["stdout", "stdout+stderr"])
+    def test_closed_stdout_ends_the_run_quietly(self, stderr_closed):
+        # about 1 MB of rows: the writer fills the pipe and meets the closed end
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "franklin.cli", "stats", "--m", "0", "--max-size", "10000"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={"PYTHONPATH": src},
+        )
+        with proc:
+            assert proc.stdout.readline().startswith(b"size partitions ")
+            proc.stdout.close()
+            if stderr_closed:
+                proc.stderr.close()
+            else:
+                assert proc.stderr.read() == b""
+            assert proc.wait(timeout=60) == 2
+
     def test_empty_out_path_is_not_stdout(self, capsys):
         assert run(["expand", "--m", "0", "--order", "5", "--out", ""]) == 2
         out, err = out_of(capsys)
@@ -557,7 +633,7 @@ class TestUsageErrors:
     def test_failure_after_out_opened_leaves_it_empty(self, tmp_path, capsys):
         target = tmp_path / "points.txt"
         assert run(["fixed-points", "--m", "-1", "--max-size", "5", "--out", str(target)]) == 2
-        assert out_of(capsys) == ("", "error: m must be nonnegative\n")
+        assert out_of(capsys) == ("", "error: --m must be nonnegative\n")
         assert target.read_text() == ""
 
     # one argv per integer option, "X" standing for the value under test

@@ -546,6 +546,31 @@ class TestPartitionCountLaw:
         assert ("partition-count", (9 + m, expected - 1, expected)) in report.violations
 
 
+class TestFixedCountLaw:
+    @staticmethod
+    def odd_tally_off_at(size):
+        def corrupted(m, order):
+            even, odd = _fixed_point_tallies(m, order)
+            odd[size] += 1
+            return even, odd
+
+        return corrupted
+
+    def test_tally_fault_names_size_and_parity(self, monkeypatch):
+        # the one fixed point of size 5 at m = 0 is (3, 2), two parts
+        monkeypatch.setattr(involution, "_fixed_point_tallies", self.odd_tally_off_at(5))
+        assert orbit_audit(0, 8).violations == [("fixed-count", (5, "odd", 0, 1))]
+        assert orbit_audit(0, 8, sizes=[4, 6]).violations == []
+
+    def test_counted_after_that_sizes_partition_count(self, monkeypatch):
+        monkeypatch.setattr(involution, "_fixed_point_tallies", self.odd_tally_off_at(7))
+        monkeypatch.setattr(involution, "_distinct_counts", counts_off_at(7))
+        violations = orbit_audit(1, 9).violations
+        real = _distinct_counts(1, 9)[7]
+        assert [law for law, _ in violations] == ["partition-count", "fixed-count"]
+        assert violations[0] == ("partition-count", (7, real, real + 1))
+
+
 class TestCancellationStats:
     def test_m0_explains_everything(self):
         for row in cancellation_stats(0, 60):

@@ -204,6 +204,30 @@ class TestPartitionCountLaw:
         assert "law=partition-count size=5 enumerated=3 counted=4" in out
 
 
+class TestFixedCountLaw:
+    def test_parity_fault_is_reported_with_size_and_parity(self, monkeypatch, capsys):
+        real = qseries._fixed_point_tallies
+
+        def corrupted(m, order):
+            even, odd = real(m, order)
+            odd[5] += 1
+            return even, odd
+
+        monkeypatch.setattr(involution, "_fixed_point_tallies", corrupted)
+        argv = ["verify", "--suite", "involution", "--m", "0", "--max-size", "8"]
+        assert run(argv + ["--json"]) == 1
+        [report] = json.loads(capsys.readouterr().out)
+        assert report["firstMismatch"] == {
+            "law": "fixed-count",
+            "size": 5,
+            "parity": "odd",
+            "enumerated": 0,
+            "counted": 1,
+        }
+        assert run(argv) == 1
+        assert "law=fixed-count size=5 parity=odd enumerated=0 counted=1" in capsys.readouterr().out
+
+
 class TestFixedPointFormula:
     @pytest.mark.parametrize("m", [0, 2, 4])
     def test_passes(self, m):
@@ -358,6 +382,22 @@ def _counts_off(sign):
     return fault
 
 
+def _both_parities_off(real):
+    """A fault on `_fixed_point_tallies`: one fixed point too many of each parity at size 7.
+
+    The fixed-point generating function reads only their difference, so it is unmoved.
+    """
+
+    def corrupted(m, order):
+        even, odd = real(m, order)
+        if order >= 7:
+            even[7] += 1
+            odd[7] += 1
+        return even, odd
+
+    return corrupted
+
+
 def _column_two_off(real):
     def corrupted(m, order, lead):
         for n, e, column in real(m, order, lead):
@@ -458,6 +498,11 @@ KERNEL_FAULTS = {
         [(module, "_distinct_counts", _counts_off(-1)) for module in (qseries, involution)],
         ["general", "involution"],
         {"general-product-formula": None},
+    ),
+    "_fixed_point_tallies": (
+        [(module, "_fixed_point_tallies", _both_parities_off) for module in (qseries, involution)],
+        ["general", "involution"],
+        {"involution-audit": "fixed-count"},
     ),
     "_gauss_columns": (
         [(qseries, "_gauss_columns", _column_two_off)],
