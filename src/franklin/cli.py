@@ -35,8 +35,8 @@ from .verify import (
 )
 
 _DEFAULT_MS = (0, 1, 2, 3, 4)
-# the integer flags of every command, by argparse dest
-_INTEGER_FLAGS = ("m", "order", "max_size")
+# every command's integer flags: argparse dest -> flag
+_INTEGER_FLAGS = {"m": "--m", "order": "--order", "max_size": "--max-size"}
 # verify's suites, in the order --suite all runs them: the flags each reads, and its
 # checks from (ms, order, max_size), where an unset flag is None and the row applies
 # its default.  Rows look up check_* as they run, so a replacement set here is called.
@@ -56,10 +56,6 @@ _SUITES = {
         check_involution_laws(m, 30 if max_size is None else max_size) for m in ms
     )),
 }
-
-
-def _flag(dest: str) -> str:
-    return f"--{dest.replace('_', '-')}"
 
 
 def _display_partition(p: DistinctPartition) -> str:
@@ -251,9 +247,9 @@ def _cmd_stats(args, out: TextIO) -> int:
 
 def _cmd_verify(args, out: TextIO) -> int:
     suites = tuple(_SUITES) if args.suite == "all" else (args.suite,)
-    for flag in _INTEGER_FLAGS:
-        if getattr(args, flag) is not None and all(flag not in _SUITES[s][0] for s in suites):
-            raise ValueError(f"{_flag(flag)} does not apply to --suite {args.suite}")
+    for dest, flag in _INTEGER_FLAGS.items():
+        if getattr(args, dest) is not None and all(dest not in _SUITES[s][0] for s in suites):
+            raise ValueError(f"{flag} does not apply to --suite {args.suite}")
     ms = _DEFAULT_MS if args.m is None else (args.m,)
     reports: list[VerificationReport] = []
     for suite in suites:
@@ -297,7 +293,7 @@ def run(argv: list[str] | None = None) -> int:
         else:
             target = open(args.out, "w", encoding="utf-8")
         with target as out:
-            negative = [_flag(k) for k in _INTEGER_FLAGS if (getattr(args, k, None) or 0) < 0]
+            negative = [f for k, f in _INTEGER_FLAGS.items() if (getattr(args, k, None) or 0) < 0]
             if negative:
                 raise ValueError(" and ".join(negative) + " must be nonnegative")
             return _HANDLERS[args.command](args, out)
