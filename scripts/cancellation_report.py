@@ -32,9 +32,6 @@ def main() -> None:
     parser.add_argument("--max-m", type=_integer, default=6)
     parser.add_argument("--max-size", type=_integer, default=200)
     args = parser.parse_args()
-    for flag, value in (("--max-m", args.max_m), ("--max-size", args.max_size)):
-        if value < 0:
-            parser.error(f"{flag} must be nonnegative, got {value}")
 
     print(f"residual cancellation among fixed points, sizes <= {args.max_size}")
     print("m first_residual_size predicted_first total_residual worst_size worst_residual")

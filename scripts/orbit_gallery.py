@@ -21,9 +21,6 @@ def main() -> None:
     parser.add_argument("--m", type=_integer, default=1)
     parser.add_argument("--render", action="store_true", help="draw marked diagrams")
     args = parser.parse_args()
-    for flag, value in (("--size", args.size), ("--m", args.m)):
-        if value < 0:
-            parser.error(f"{flag} must be nonnegative, got {value}")
 
     seen = set()
     for p in enumerate_distinct(args.size, args.m):

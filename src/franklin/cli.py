@@ -1,8 +1,8 @@
 """Command-line front end: expansion, diagrams, involution, statistics, checks.
 
 Exit codes: 0 success (all checks Pass), 1 verification failure, 2 usage
-or input error, or a reader that closed stdout.  Big integers are
-serialized as decimal strings in JSON.
+or input error (one ``error:`` line, argparse's too) or a reader that
+closed stdout.  Big integers are serialized as decimal strings in JSON.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .verify import (
 )
 
 _DEFAULT_MS = (0, 1, 2, 3, 4)
-# every command's integer flags: argparse dest -> flag
+# verify's integer flags, argparse dest -> flag, for its does-not-apply refusal
 _INTEGER_FLAGS = {"m": "--m", "order": "--order", "max_size": "--max-size"}
 # verify's suites, in the order --suite all runs them: the flags each reads, and its
 # checks from (ms, order, max_size), where an unset flag is None and the row applies
@@ -63,13 +63,20 @@ def _display_partition(p: DistinctPartition) -> str:
 
 
 def _integer(text: str) -> int:
-    """The integer flags' type: an optional sign and ASCII digits, as in a partition.
+    """The integer flags' type: an optional sign and ASCII digits, as in a partition; not negative.
 
     int() alone would also take '1_0' and non-ASCII decimal digits.
     """
     if not _INTEGER.fullmatch(text.strip()):
         raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError("must be nonnegative")
     return int(text)
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # no usage block: run prints the one line; subparsers inherit
+        raise ValueError(message)
 
 
 @functools.cache
@@ -82,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     table.add_argument("--max-size", type=_integer, required=True)
     table.add_argument("--json", action="store_true")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="franklin",
         description=(
             "Exact expansions of the product of (1 - q^k) over k > m, and the"
@@ -286,16 +293,14 @@ _HANDLERS = {
 
 
 def run(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = argparse.Namespace(command="franklin", out=None)  # read below if parsing fails
     try:
+        args = _build_parser().parse_args(argv)
         if args.out is None:
             target = nullcontext(sys.stdout)
         else:
             target = open(args.out, "w", encoding="utf-8")
         with target as out:
-            negative = [f for k, f in _INTEGER_FLAGS.items() if (getattr(args, k, None) or 0) < 0]
-            if negative:
-                raise ValueError(" and ".join(negative) + " must be nonnegative")
             return _HANDLERS[args.command](args, out)
     except BrokenPipeError:
         # the reader has gone: send what stdout still buffers to devnull, so the flush

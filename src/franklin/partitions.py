@@ -111,13 +111,13 @@ class DurfeeInfo(NamedTuple):
     category: DurfeeCategory
 
 
-_INTEGER = re.compile(r"[+-]?[0-9]+")
+_INTEGER = re.compile(r"[+-]?[0-9]{1,640}")  # int() reads 640 digits under any limit set
 
 
 def parse_partition(text: str) -> DistinctPartition:
     """Parse comma-separated decimal parts, largest first.
 
-    Each token is an optional sign and ASCII digits; whitespace around
+    Each token is an optional sign and 1 to 640 ASCII digits; whitespace around
     tokens is ignored; an empty (or all-space) string is the empty partition.
     """
     if text.strip() == "":

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -292,13 +293,13 @@ class TestFixedPointsCmd:
     @pytest.mark.parametrize("fmt", [[], ["--json"]])
     def test_bad_m_writes_nothing(self, capsys, fmt):
         assert run(["fixed-points", "--m", "-1", "--max-size", "5"] + fmt) == 2
-        assert out_of(capsys) == ("", "error: --m must be nonnegative\n")
+        assert out_of(capsys) == ("", "error: argument --m: must be nonnegative\n")
 
     @pytest.mark.parametrize("fmt", [[], ["--json"]])
     def test_negative_max_size_writes_nothing(self, capsys, fmt):
         # like stats, expand and verify: a negative size is an input error, not an empty listing
         assert run(["fixed-points", "--m", "3", "--max-size", "-1"] + fmt) == 2
-        assert out_of(capsys) == ("", "error: --max-size must be nonnegative\n")
+        assert out_of(capsys) == ("", "error: argument --max-size: must be nonnegative\n")
 
 
 class TestStatsCmd:
@@ -427,13 +428,13 @@ class TestVerifyCmd:
         assert run(["verify", "--suite", "durfee", "--order", "-3"]) == 2
         out, err = out_of(capsys)
         assert out == ""
-        assert err == "error: --order must be nonnegative\n"
+        assert err == "error: argument --order: must be nonnegative\n"
 
     def test_negative_sylvester_order_exits_2(self, capsys):
         assert run(["verify", "--suite", "sylvester", "--order", "-1"]) == 2
         out, err = out_of(capsys)
         assert out == ""
-        assert err == "error: --order must be nonnegative\n"
+        assert err == "error: argument --order: must be nonnegative\n"
 
     @pytest.fixture
     def checks_raise(self, monkeypatch):
@@ -462,21 +463,20 @@ class TestVerifyCmd:
         assert err == f"error: {flag} does not apply to --suite {suite}\n"
 
     @pytest.mark.parametrize(
-        "argv,flags",
+        "argv,flag",
         [
             (["--max-size", "-1"], "--max-size"),
-            (["--suite", "general", "--m", "-1", "--order", "-2"], "--m and --order"),
-            (
-                ["--m", "-1", "--order", "-2", "--max-size", "-3", "--json"],
-                "--m and --order and --max-size",
-            ),
+            # several negative flags: the first in argv order is named
+            (["--suite", "general", "--m", "-1", "--order", "-2"], "--m"),
+            (["--suite", "general", "--order", "-2", "--m", "-1"], "--order"),
+            (["--m", "-1", "--order", "-2", "--max-size", "-3", "--json"], "--m"),
             # the sign is refused before the pairing
             (["--suite", "durfee", "--m", "-1"], "--m"),
         ],
     )
-    def test_negative_flag_is_refused_before_any_check(self, capsys, checks_raise, argv, flags):
+    def test_negative_flag_is_refused_before_any_check(self, capsys, checks_raise, argv, flag):
         assert run(["verify", *argv]) == 2
-        assert out_of(capsys) == ("", f"error: {flags} must be nonnegative\n")
+        assert out_of(capsys) == ("", f"error: argument {flag}: must be nonnegative\n")
 
     def test_every_suite_choice_has_one_row(self):
         [commands] = [a for a in cli._build_parser()._actions if a.dest == "command"]
@@ -549,6 +549,43 @@ class TestVerifyCmd:
         out, _ = out_of(capsys)
         assert code == 1
         assert "[FAIL]" in out
+
+
+def _refusals():
+    """(argv, the flag or token its error line names): every flag of every command."""
+    # a valid argv per command; each row adds one bad flag to it or drops one
+    valid = {
+        "expand": ["--order", "5"],
+        "staircase": ["--partition", "3"],
+        "involve": ["--partition", "3"],
+        "fixed-points": ["--max-size", "5"],
+        "stats": ["--max-size", "5"],
+        "verify": ["--suite", "sylvester"],
+    }
+    [commands] = [a for a in cli._build_parser()._actions if a.dest == "command"]
+    rows = [([], "command"), (["bogus"], "'bogus'")]
+    for name, parser in commands.choices.items():
+        base = [name, *valid[name]]
+        rows.append((base + ["--bogus"], "--bogus"))
+        for action in parser._actions:
+            flag = action.option_strings[-1]
+            if flag == "--help":
+                continue
+            if action.required:
+                at = base.index(flag)
+                rows.append((base[:at] + base[at + 2:], flag))
+            if action.type is cli._integer:
+                rows += [(base + [flag, "-1"], flag), (base + [flag, "1_0"], flag)]
+            elif action.choices:
+                rows.append((base + [flag, "nope"], flag))
+            elif action.nargs == 0:
+                rows.append((base + [flag + "=1"], flag))
+            else:
+                rows.append((base + [flag], flag))  # its value left out
+        if "--partition" in base:
+            # a part is refused by the library, which names the token
+            rows += [([name, "--partition", t], t) for t in ("-3", "1_0", "9" * 5000)]
+    return rows
 
 
 class TestUsageErrors:
@@ -631,10 +668,28 @@ class TestUsageErrors:
         assert err.startswith("error: cannot write : ")
 
     def test_failure_after_out_opened_leaves_it_empty(self, tmp_path, capsys):
-        target = tmp_path / "points.txt"
-        assert run(["fixed-points", "--m", "-1", "--max-size", "5", "--out", str(target)]) == 2
-        assert out_of(capsys) == ("", "error: --m must be nonnegative\n")
+        # the part is checked against --m by the command, after --out is opened
+        target = tmp_path / "staircase.txt"
+        target.write_text("old\n")
+        assert run(["staircase", "--partition", "2", "--m", "3", "--out", str(target)]) == 2
+        assert out_of(capsys) == ("", "error: all parts must exceed m=3, got (2,)\n")
         assert target.read_text() == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fixed-points", "--m", "-1", "--max-size", "5"],
+            ["expand", "--order", "1_0"],
+        ],
+    )
+    def test_refused_flag_leaves_out_untouched(self, tmp_path, capsys, argv):
+        target = tmp_path / "kept.txt"
+        target.write_text("old\n")
+        assert run(argv + ["--out", str(target)]) == 2
+        out, err = out_of(capsys)
+        assert out == ""
+        assert err.startswith("error: argument ")
+        assert target.read_text() == "old\n"
 
     # one argv per integer option, "X" standing for the value under test
     INTEGER_FLAGS = [
@@ -648,35 +703,58 @@ class TestUsageErrors:
     ]
     FLAG_IDS = [a[0] + a[a.index("X") - 1] for a in INTEGER_FLAGS]
 
-    @pytest.mark.parametrize("token", ["1_0", "\u0663", " 3_", "0x3", "3.0", ""])
+    @pytest.mark.parametrize(
+        "token",
+        # int() alone reads '1_0' as 10 and Arabic-Indic '\u0663' as 3, and refuses
+        # 5000 digits with a hint about sys.set_int_max_str_digits()
+        ["1_0", "\u0663", " 3_", "0x3", "3.0", "", pytest.param("9" * 5000, id="5000-digits")],
+    )
     @pytest.mark.parametrize("argv", INTEGER_FLAGS, ids=FLAG_IDS)
     def test_integer_flag_takes_only_ascii_digits(self, capsys, argv, token):
-        # int() alone reads '1_0' as 10 and Arabic-Indic '\u0663' as 3
-        with pytest.raises(SystemExit) as exc:
-            run([token if a == "X" else a for a in argv])
-        out, err = out_of(capsys)
-        assert exc.value.code == 2
-        assert out == ""
-        assert f"invalid integer {token!r}" in err
+        flag = argv[argv.index("X") - 1]
+        assert run([token if a == "X" else a for a in argv]) == 2
+        assert out_of(capsys) == ("", f"error: argument {flag}: invalid integer {token!r}\n")
 
     @pytest.mark.parametrize("argv", INTEGER_FLAGS, ids=FLAG_IDS)
     def test_integer_flag_keeps_sign_and_zero(self, argv):
-        dest = argv[argv.index("X") - 1].lstrip("-").replace("-", "_")
-        for token, value in (("0", 0), ("+3", 3), ("-2", -2), (" 7 ", 7)):
+        flag = argv[argv.index("X") - 1]
+        dest = flag.lstrip("-").replace("-", "_")
+        for token, value in (("0", 0), ("+3", 3), ("-0", 0), (" 7 ", 7)):
             args = cli._build_parser().parse_args([token if a == "X" else a for a in argv])
             assert getattr(args, dest) == value
+        with pytest.raises(ValueError, match=f"^argument {flag}: must be nonnegative$"):
+            cli._build_parser().parse_args(["-2" if a == "X" else a for a in argv])
 
-    def test_unknown_flag(self):
-        with pytest.raises(SystemExit) as exc:
-            run(["expand", "--m", "0", "--order", "5", "--bogus"])
-        assert exc.value.code == 2
+    def test_unknown_flag(self, capsys):
+        assert run(["expand", "--m", "0", "--order", "5", "--bogus"]) == 2
+        assert out_of(capsys) == ("", "error: unrecognized arguments: --bogus\n")
 
-    def test_unknown_command(self):
-        with pytest.raises(SystemExit) as exc:
-            run(["bogus"])
-        assert exc.value.code == 2
+    def test_unknown_command(self, capsys):
+        assert run(["bogus"]) == 2
+        out, err = out_of(capsys)
+        assert out == ""
+        # the list of choices is worded differently across Python versions
+        assert err.startswith("error: argument command: invalid choice: 'bogus' (choose from ")
+        assert err.count("\n") == 1 and err.endswith(")\n")
 
-    def test_missing_required(self):
-        with pytest.raises(SystemExit) as exc:
-            run(["expand", "--m", "0"])
-        assert exc.value.code == 2
+    def test_missing_required(self, capsys):
+        assert run(["expand", "--m", "0"]) == 2
+        assert out_of(capsys) == ("", "error: the following arguments are required: --order\n")
+
+    REFUSALS = _refusals()
+
+    @pytest.mark.parametrize(
+        "argv,named",
+        REFUSALS,
+        ids=[" ".join(["franklin", *(a if len(a) < 99 else f"<{len(a)} digits>" for a in argv)])
+             for argv, _ in REFUSALS],
+    )
+    def test_every_refusal_is_one_error_line(self, capsys, argv, named):
+        assert run(argv) == 2
+        out, err = out_of(capsys)
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert "usage:" not in err
+        # named whole: '--m' must not pass on a line that names only '--max-size'
+        assert re.search(rf"(?<![\w-]){re.escape(named)}(?![\w-])", err), err
+
