@@ -17,9 +17,9 @@ from typing import Callable, Iterable, Iterator, TextIO
 
 from .involution import InvolutionCase, cancellation_stats, enumerate_fixed_points, involute
 from .partitions import (
-    _INTEGER,
     DistinctPartition,
     SignedMonomial,
+    _parse_integer,
     format_partition,
     parse_partition,
 )
@@ -63,15 +63,14 @@ def _display_partition(p: DistinctPartition) -> str:
 
 
 def _integer(text: str) -> int:
-    """The integer flags' type: an optional sign and ASCII digits, as in a partition; not negative.
-
-    int() alone would also take '1_0' and non-ASCII decimal digits.
-    """
-    if not _INTEGER.fullmatch(text.strip()):
-        raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
-    if int(text) < 0:
+    """The integer flags' type: a sign and ASCII digits, as in a partition; not negative."""
+    try:
+        value = _parse_integer(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+    if value < 0:
         raise argparse.ArgumentTypeError("must be nonnegative")
-    return int(text)
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -122,11 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("stats", parents=[m, out, table], help="per-size cancellation statistics")
 
     p = sub.add_parser("verify", parents=[out], help="run identity checks")
-    p.add_argument(
-        "--suite",
-        choices=("all", *_SUITES),
-        default="all",
-    )
+    p.add_argument("--suite", choices=("all", *_SUITES), default="all")
     p.add_argument("--m", type=_integer, help="restrict to one m (default: sweep 0..4)")
     p.add_argument("--order", type=_integer, help="override the default truncation order")
     p.add_argument("--max-size", type=_integer, help="involution audit size bound")

@@ -111,13 +111,19 @@ class DurfeeInfo(NamedTuple):
     category: DurfeeCategory
 
 
-_INTEGER = re.compile(r"[+-]?[0-9]{1,640}")  # int() reads 640 digits under any limit set
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _parse_integer(token: str) -> int:
+    if not _INTEGER.fullmatch(token.strip()):  # int() also takes '1_0' and non-ASCII digits
+        raise ValueError(token)
+    return int(token)  # raises ValueError past its digit limit (4300 by default)
 
 
 def parse_partition(text: str) -> DistinctPartition:
     """Parse comma-separated decimal parts, largest first.
 
-    Each token is an optional sign and 1 to 640 ASCII digits; whitespace around
+    Each token is an optional sign and ASCII digits; whitespace around
     tokens is ignored; an empty (or all-space) string is the empty partition.
     """
     if text.strip() == "":
@@ -125,10 +131,10 @@ def parse_partition(text: str) -> DistinctPartition:
     parts = []
     for token in text.split(","):
         token = token.strip()
-        # int() alone would also take '1_0' and non-ASCII decimal digits
-        if not _INTEGER.fullmatch(token):
-            raise ValueError(f"invalid part {token!r}: not an integer")
-        parts.append(int(token))
+        try:
+            parts.append(_parse_integer(token))
+        except ValueError:
+            raise ValueError(f"invalid part {token!r}: not an integer") from None
     return DistinctPartition(parts)
 
 

@@ -725,6 +725,33 @@ class TestUsageErrors:
         with pytest.raises(ValueError, match=f"^argument {flag}: must be nonnegative$"):
             cli._build_parser().parse_args(["-2" if a == "X" else a for a in argv])
 
+    @pytest.mark.parametrize("argv", INTEGER_FLAGS, ids=FLAG_IDS)
+    def test_integer_flag_takes_as_many_digits_as_int_reads(self, argv):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 4300 by default
+        if not limit:
+            pytest.skip("int() reads any number of digits")
+        flag = argv[argv.index("X") - 1]
+        dest = flag.lstrip("-").replace("-", "_")
+        args = cli._build_parser().parse_args(["9" * limit if a == "X" else a for a in argv])
+        assert getattr(args, dest) == 10**limit - 1
+        token = "9" * (limit + 1)
+        with pytest.raises(ValueError) as refused:
+            cli._build_parser().parse_args([token if a == "X" else a for a in argv])
+        assert str(refused.value) == f"argument {flag}: invalid integer {token!r}"
+
+    @pytest.mark.parametrize(
+        "argv,stdout",
+        [
+            (["expand", "--m", "9" * 700, "--order", "5"], "1\n"),
+            (["stats", "--m", "9" * 700, "--max-size", "1"],
+             "size partitions fixed fixed+ fixed- residual coefficient\n0 1 1 1 0 0 1\n1 0 0 0 0 0 0\n"),
+        ],
+        ids=["expand", "stats"],
+    )
+    def test_long_m_runs(self, capsys, argv, stdout):
+        assert run(argv) == 0
+        assert out_of(capsys) == (stdout, "")
+
     def test_unknown_flag(self, capsys):
         assert run(["expand", "--m", "0", "--order", "5", "--bogus"]) == 2
         assert out_of(capsys) == ("", "error: unrecognized arguments: --bogus\n")

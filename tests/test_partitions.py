@@ -1,3 +1,4 @@
+import sys
 from itertools import combinations
 
 import pytest
@@ -90,6 +91,15 @@ class TestParse:
     def test_nonpositive_part(self, text):
         with pytest.raises(ValueError):
             parse_partition(text)
+
+    def test_parts_as_long_as_int_reads(self):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 4300 by default
+        if not limit:
+            pytest.skip("int() reads any number of digits")
+        text = "9" * limit + ",1"
+        assert format_partition(parse_partition(text)) == text
+        with pytest.raises(ValueError, match="not an integer"):
+            parse_partition("9" * (limit + 1))
 
     def test_whitespace_insignificant(self):
         assert parse_partition(" 5 , 3 ").parts == (5, 3)
