@@ -20,6 +20,7 @@ from .partitions import (
     DistinctPartition,
     SignedMonomial,
     _parse_integer,
+    _shown,
     format_partition,
     parse_partition,
 )
@@ -67,7 +68,7 @@ def _integer(text: str) -> int:
     try:
         value = _parse_integer(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid integer {_shown(text)}") from None
     if value < 0:
         raise argparse.ArgumentTypeError("must be nonnegative")
     return value
@@ -247,11 +248,17 @@ def _cmd_stats(args, out: TextIO) -> int:
     return 0
 
 
-def _cmd_verify(args, out: TextIO) -> int:
+def _verify_suites(args) -> tuple[str, ...]:
+    """The suites --suite names; refuses an integer flag that none of them reads."""
     suites = tuple(_SUITES) if args.suite == "all" else (args.suite,)
     for dest, flag in _INTEGER_FLAGS.items():
         if getattr(args, dest) is not None and all(dest not in _SUITES[s][0] for s in suites):
             raise ValueError(f"{flag} does not apply to --suite {args.suite}")
+    return suites
+
+
+def _cmd_verify(args, out: TextIO) -> int:
+    suites = _verify_suites(args)
     ms = _DEFAULT_MS if args.m is None else (args.m,)
     reports: list[VerificationReport] = []
     for suite in suites:
@@ -291,6 +298,8 @@ def run(argv: list[str] | None = None) -> int:
     args = argparse.Namespace(command="franklin", out=None)  # read below if parsing fails
     try:
         args = _build_parser().parse_args(argv)
+        if args.command == "verify":
+            _verify_suites(args)  # refuse before --out is opened, which would empty it
         if args.out is None:
             target = nullcontext(sys.stdout)
         else:

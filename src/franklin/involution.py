@@ -80,25 +80,29 @@ class SizeStats(NamedTuple):
 
 
 def _tau_tuple(parts: tuple[int, ...], m: int, lands: list[int], t: int) -> tuple[int, ...]:
-    """Apply tau to raw parts; caller guarantees the tau guard."""
+    """Apply tau to raw parts; caller guarantees the tau guard.
+
+    The guard's t <= s_m = len(lands) + m means the walk covered rows 1..t-m,
+    so rows 2..t-m each get their landings plus one cell, and row 1 the rest.
+    """
     new = list(parts[:-1])
     placed = 0
-    limit = t - m - 1
-    for i in range(min(limit, len(lands))):
-        if lands[i]:
-            new[i + 1] += lands[i]
-            placed += lands[i]
-    new[0] += m - placed
-    for i in range(t - m):
-        new[i] += 1
+    i = 1
+    for taken in lands[: t - m - 1]:
+        new[i] += taken + 1
+        placed += taken
+        i += 1
+    new[0] += m - placed + 1
     return tuple(new)
 
 
 def _sigma_tuple(parts: tuple[int, ...], lands: list[int], s: int) -> tuple[int, ...]:
     """Apply sigma to raw parts; caller guarantees the sigma guard."""
     new = list(parts)
-    for i, taken in enumerate(lands):
-        new[i] -= 1 + taken
+    i = 0
+    for taken in lands:
+        new[i] -= taken + 1
+        i += 1
     new.append(s)
     return tuple(new)
 
@@ -221,68 +225,77 @@ def _is_valid_distinct(parts: tuple[int, ...], m: int) -> bool:
 
 
 def _audit_one(
-    parts: tuple[int, ...],
-    m: int,
-    size: int,
-    violations: list[tuple[str, tuple[int | str, ...]]],
-) -> InvolutionCase | None:
-    """Check every involution law on one partition; returns its case.
+    size: int, m: int, violations: list[tuple[str, tuple[int | str, ...]]]
+) -> tuple[int, int, int, int, int]:
+    """Check every involution law on each partition of one size, in one loop.
 
-    None means both guards hold.
+    Walks each nonempty partition once and each moved one's image once more.
+    Violations are appended in enumeration order.  Returns the size's tally
+    (tau-moved, sigma-moved, fixed with an even part count, fixed with an
+    odd part count, both guards holding).  The helpers are read as module
+    globals on every use, so a replaced one is the one called.
     """
-    n = len(parts)
-    if n == 0:
-        if not _fixed_criterion(parts, m):
-            violations.append(("fixed-criterion", parts))
-        return _FIXED
-    t = parts[-1]
-    tau_ok, sigma_ok, lands, s, overlap = _guards(parts, m)
-    if not (m + 1 <= s <= m + n):
-        violations.append(("staircase-bounds", parts))
-    if tau_ok and sigma_ok:
-        violations.append(("guards-overlap", parts))
-        return None
-    crit = _fixed_criterion(parts, m)
-    # maximal staircase + box form pins down the sigma guard quantity
-    if s == m + n and t >= n + m:
-        mu1 = parts[0] - (2 * n - 1) - m
-        if t - overlap != mu1 + n - 1:
+    tau_moved = sigma_moved = even = odd = both = 0
+    for parts in _distinct_tuples(size, m):
+        n = len(parts)
+        if not n:
+            if not _fixed_criterion(parts, m):
+                violations.append(("fixed-criterion", parts))
+            even += 1
+            continue
+        t = parts[-1]
+        full = m + n  # the longest staircase n rows allow
+        tau_ok, sigma_ok, lands, s, overlap = _guards(parts, m)
+        if not (m < s <= full):
+            violations.append(("staircase-bounds", parts))
+        if tau_ok and sigma_ok:
+            violations.append(("guards-overlap", parts))
+            both += 1
+            continue
+        # maximal staircase + box form pins down the sigma guard quantity:
+        # t - overlap = mu_1 + n - 1 with mu_1 = parts[0] - (2n - 1) - m
+        if s == full and t >= full and t - overlap != parts[0] - full:
             violations.append(("taxicab", parts))
-    if not (tau_ok or sigma_ok):
-        if not crit:
+        crit = _fixed_criterion(parts, m)
+        if not (tau_ok or sigma_ok):
+            if not crit:
+                violations.append(("fixed-criterion", parts))
+            if t < full or s != full:
+                violations.append(("fixed-shape", parts))
+            if n % 2:
+                odd += 1
+            else:
+                even += 1
+            continue
+        if crit:
             violations.append(("fixed-criterion", parts))
-        if t < m + n or s != m + n:
-            violations.append(("fixed-shape", parts))
-        return _FIXED
-    if crit:
-        violations.append(("fixed-criterion", parts))
-    if tau_ok:
-        img = _tau_tuple(parts, m, lands, t)
-        if len(img) != n - 1 or sum(img) != size or not _is_valid_distinct(img, m):
-            violations.append(("tau-image", parts))
-            return _TAU
-        i_tau, i_sigma, i_lands, i_s, _ = _guards(img, m)
-        if i_s != t:
-            violations.append(("tau-staircase-transfer", parts))
-        if i_tau or not i_sigma:
-            violations.append(("tau-image-guard", parts))
-            return _TAU
-        if _sigma_tuple(img, i_lands, i_s) != parts:
-            violations.append(("sigma-tau-roundtrip", parts))
-        return _TAU
-    img = _sigma_tuple(parts, lands, s)
-    if len(img) != n + 1 or sum(img) != size or not _is_valid_distinct(img, m):
-        violations.append(("sigma-image", parts))
-        return _SIGMA
-    if img[-1] != s:
-        violations.append(("sigma-top-transfer", parts))
-    i_tau, i_sigma, i_lands, _, _ = _guards(img, m)
-    if not i_tau or i_sigma:
-        violations.append(("sigma-image-guard", parts))
-        return _SIGMA
-    if _tau_tuple(img, m, i_lands, img[-1]) != parts:
-        violations.append(("tau-sigma-roundtrip", parts))
-    return _SIGMA
+        if tau_ok:
+            tau_moved += 1
+            img = _tau_tuple(parts, m, lands, t)
+            if len(img) != n - 1 or sum(img) != size or not _is_valid_distinct(img, m):
+                violations.append(("tau-image", parts))
+                continue
+            i_tau, i_sigma, i_lands, i_s, _ = _guards(img, m)
+            if i_s != t:
+                violations.append(("tau-staircase-transfer", parts))
+            if i_tau or not i_sigma:
+                violations.append(("tau-image-guard", parts))
+            elif _sigma_tuple(img, i_lands, i_s) != parts:
+                violations.append(("sigma-tau-roundtrip", parts))
+            continue
+        sigma_moved += 1
+        img = _sigma_tuple(parts, lands, s)
+        if len(img) != n + 1 or sum(img) != size or not _is_valid_distinct(img, m):
+            violations.append(("sigma-image", parts))
+            continue
+        if img[-1] != s:
+            violations.append(("sigma-top-transfer", parts))
+        i_tau, i_sigma, i_lands, _, _ = _guards(img, m)
+        if not i_tau or i_sigma:
+            violations.append(("sigma-image-guard", parts))
+        elif _tau_tuple(img, m, i_lands, img[-1]) != parts:
+            violations.append(("tau-sigma-roundtrip", parts))
+    return tau_moved, sigma_moved, even, odd, both
 
 
 def orbit_audit(m: int, max_size: int, sizes: Iterable[int] | None = None) -> AuditReport:
@@ -300,6 +313,7 @@ def orbit_audit(m: int, max_size: int, sizes: Iterable[int] | None = None) -> Au
     with `_fixed_point_tallies`, the route behind its `fixed_positive` and
     `fixed_negative` columns; mismatches are reported after that size's
     per-partition violations, partition-count first, then even, then odd.
+    Each size is one `_audit_one` pass over the enumerator's tuples.
 
     `sizes` restricts the audit to a nonempty set of distinct sizes in
     0..max_size so runs can be sharded; reports for disjoint shards add
@@ -316,25 +330,17 @@ def orbit_audit(m: int, max_size: int, sizes: Iterable[int] | None = None) -> Au
     violations: list[tuple[str, tuple[int | str, ...]]] = []
     total = fixed = tau_moved = sigma_moved = 0
     for size in size_list:
-        before = total
-        by_parity = [0, 0]
-        for parts in _distinct_tuples(size, m):
-            total += 1
-            case = _audit_one(parts, m, size, violations)
-            # moved partitions outnumber fixed ones; a dict tally would hash
-            # the members through Enum.__hash__, a Python-level call
-            if case is _TAU:
-                tau_moved += 1
-            elif case is _SIGMA:
-                sigma_moved += 1
-            elif case is _FIXED:
-                fixed += 1
-                by_parity[len(parts) % 2] += 1
-        if total - before != counts[size]:
-            violations.append(("partition-count", (size, total - before, counts[size])))
-        for parity, found, tally in zip(("even", "odd"), by_parity, tallies):
-            if found != tally[size]:
-                violations.append(("fixed-count", (size, parity, found, tally[size])))
+        tau_n, sigma_n, even, odd, both = _audit_one(size, m, violations)
+        found = tau_n + sigma_n + even + odd + both
+        if found != counts[size]:
+            violations.append(("partition-count", (size, found, counts[size])))
+        for parity, fixed_n, tally in zip(("even", "odd"), (even, odd), tallies):
+            if fixed_n != tally[size]:
+                violations.append(("fixed-count", (size, parity, fixed_n, tally[size])))
+        total += found
+        fixed += even + odd
+        tau_moved += tau_n
+        sigma_moved += sigma_n
     return AuditReport(
         m=m,
         size_range=(size_list[0], size_list[-1]),

@@ -120,6 +120,12 @@ def _parse_integer(token: str) -> int:
     return int(token)  # raises ValueError past its digit limit (4300 by default)
 
 
+def _shown(token: str) -> str:
+    """repr(token) for a refusal line; past 22 characters, its first 21, '…' and the token's length."""
+    shown = repr(token)
+    return shown if len(shown) <= 22 else f"{shown[:21]}… ({len(token)} characters)"
+
+
 def parse_partition(text: str) -> DistinctPartition:
     """Parse comma-separated decimal parts, largest first.
 
@@ -134,7 +140,7 @@ def parse_partition(text: str) -> DistinctPartition:
         try:
             parts.append(_parse_integer(token))
         except ValueError:
-            raise ValueError(f"invalid part {token!r}: not an integer") from None
+            raise ValueError(f"invalid part {_shown(token)}: not an integer") from None
     return DistinctPartition(parts)
 
 

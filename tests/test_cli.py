@@ -462,6 +462,13 @@ class TestVerifyCmd:
         assert out == ""
         assert err == f"error: {flag} does not apply to --suite {suite}\n"
 
+    def test_flag_the_suite_does_not_read_leaves_out_untouched(self, tmp_path, capsys, checks_raise):
+        target = tmp_path / "kept.txt"
+        target.write_text("old\n")
+        assert run(["verify", "--suite", "durfee", "--max-size", "5", "--out", str(target)]) == 2
+        assert out_of(capsys) == ("", "error: --max-size does not apply to --suite durfee\n")
+        assert target.read_text() == "old\n"
+
     @pytest.mark.parametrize(
         "argv,flag",
         [
@@ -584,7 +591,8 @@ def _refusals():
                 rows.append((base + [flag], flag))  # its value left out
         if "--partition" in base:
             # a part is refused by the library, which names the token
-            rows += [([name, "--partition", t], t) for t in ("-3", "1_0", "9" * 5000)]
+            rows += [([name, "--partition", t], t) for t in ("-3", "1_0")]
+            rows.append(([name, "--partition", "9" * 5000], "'99999999999999999999… (5000 characters)"))
     return rows
 
 
@@ -712,8 +720,25 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv", INTEGER_FLAGS, ids=FLAG_IDS)
     def test_integer_flag_takes_only_ascii_digits(self, capsys, argv, token):
         flag = argv[argv.index("X") - 1]
+        # a long token is echoed as its first 20 characters and its length
+        shown = repr(token) if len(token) <= 20 else f"'{token[:20]}… ({len(token)} characters)"
         assert run([token if a == "X" else a for a in argv]) == 2
-        assert out_of(capsys) == ("", f"error: argument {flag}: invalid integer {token!r}\n")
+        assert out_of(capsys) == ("", f"error: argument {flag}: invalid integer {shown}\n")
+
+    @pytest.mark.parametrize(
+        # digits; a printable two-byte digit; an unprintable character whose repr takes 10
+        "token", ["9" * 5000, "\u0663" * 5000, "\U000e0001" * 5000], ids=["digits", "arabic", "tag"]
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        INTEGER_FLAGS + [["staircase", "--partition", "X"], ["involve", "--partition", "3,X"]],
+        ids=FLAG_IDS + ["staircase--partition", "involve--partition"],
+    )
+    def test_refusal_of_a_long_token_is_short(self, capsys, argv, token):
+        assert run([a.replace("X", token) for a in argv]) == 2
+        out, err = out_of(capsys)
+        assert out == "" and err.count("\n") == 1
+        assert "… (5000 characters)" in err and len(err.encode()) < 200, err
 
     @pytest.mark.parametrize("argv", INTEGER_FLAGS, ids=FLAG_IDS)
     def test_integer_flag_keeps_sign_and_zero(self, argv):
@@ -737,7 +762,8 @@ class TestUsageErrors:
         token = "9" * (limit + 1)
         with pytest.raises(ValueError) as refused:
             cli._build_parser().parse_args([token if a == "X" else a for a in argv])
-        assert str(refused.value) == f"argument {flag}: invalid integer {token!r}"
+        shown = f"'{token[:20]}… ({limit + 1} characters)"
+        assert str(refused.value) == f"argument {flag}: invalid integer {shown}"
 
     @pytest.mark.parametrize(
         "argv,stdout",

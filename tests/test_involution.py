@@ -370,6 +370,33 @@ class TestGuards:
                     assert sum(per_row) == len(cells), p.parts
 
 
+def _staircase_laid_on_top(parts, m):
+    """Sigma read off the diagram: each staircase cell leaves its row, then all of them
+    form a new top row.  A reference for both moves that calls neither."""
+    stairs = staircase(DistinctPartition(parts), m)
+    rows = list(parts)
+    for cell in stairs.cells:
+        rows[cell.row - 1] -= 1
+    return (*rows, stairs.length)
+
+
+class TestMovesAgainstCells:
+    @pytest.mark.parametrize("m", range(5))
+    def test_moves_match_the_staircase_cells(self, m):
+        moved = Counter()
+        for size in range(1, 41):
+            for parts in (p.parts for p in enumerate_distinct(size, m)):
+                tau_ok, sigma_ok, lands, s, _ = _guards(parts, m)
+                if sigma_ok:
+                    image = involution._sigma_tuple(parts, lands, s)
+                    assert image == _staircase_laid_on_top(parts, m), parts
+                elif tau_ok:
+                    image = involution._tau_tuple(parts, m, lands, parts[-1])
+                    assert _staircase_laid_on_top(image, m) == parts, parts
+                moved[tau_ok, sigma_ok] += 1
+        assert moved[True, False] == moved[False, True] > 0
+
+
 # One corruption of one audit helper per law that _audit_one names: each
 # wraps the real helper and bends its result so that the law must fire.
 def _flip_fixed(real):
