@@ -1,8 +1,9 @@
 """Command-line front end: expansion, diagrams, involution, statistics, checks.
 
 Exit codes: 0 success (all checks Pass), 1 verification failure, 2 usage
-or input error (one ``error:`` line, argparse's too) or a reader that
-closed stdout.  Big integers are serialized as decimal strings in JSON.
+or input error (one ``error:`` line under 200 bytes, argparse's too) or a
+reader that closed stdout.  Big integers are serialized as decimal strings
+in JSON.
 """
 
 from __future__ import annotations
@@ -318,6 +319,10 @@ def run(argv: list[str] | None = None) -> int:
         message = str(exc)
     except (MemoryError, OverflowError):
         message = f"out of memory running {args.command}; a size, order or part is too large"
+    raw = message.encode(errors="backslashreplace")
+    if len(raw) > 191:  # the line stays under 200 bytes: head (names the flag), tail, length
+        head, tail = raw[:120].decode(errors="ignore"), raw[-40:].decode(errors="ignore")
+        message = f"{head}…{tail} ({len(message)} characters)"
     print(f"error: {message}", file=sys.stderr)
     return 2
 

@@ -38,10 +38,6 @@ class InvolutionCase(enum.Enum):
     FIXED = "Fixed"
 
 
-# bound once: each InvolutionCase.X lookup goes through the enum's class machinery
-_TAU, _SIGMA, _FIXED = InvolutionCase.TAU_MOVED, InvolutionCase.SIGMA_MOVED, InvolutionCase.FIXED
-
-
 class InvolutionResult(NamedTuple):
     image: DistinctPartition
     case: InvolutionCase
@@ -115,38 +111,38 @@ def _guards(parts: tuple[int, ...], m: int) -> tuple[bool, bool, list[int], int,
 
 
 def tau(p: DistinctPartition, m: int) -> DistinctPartition:
-    """Move the top row onto the staircase; requires t <= s_m and t < m + n."""
+    """The involution where it moves by tau (t <= s_m and t < m + n); raises elsewhere."""
     _require_valid(p, m)
-    tau_ok, _, lands, _, _ = _guards(p.parts, m)
-    if not tau_ok:
+    image, case = involute(p, m)
+    if case is not InvolutionCase.TAU_MOVED:
         raise PreconditionViolated(f"tau guard fails for {p.parts} with m={m}")
-    return DistinctPartition(_tau_tuple(p.parts, m, lands, p.parts[-1]))
+    return image
 
 
 def sigma(p: DistinctPartition, m: int) -> DistinctPartition:
-    """Move the staircase to a new top row; requires t - overlap > s_m."""
+    """The involution where it moves by sigma (t - overlap > s_m); raises elsewhere."""
     _require_valid(p, m)
-    _, sigma_ok, lands, s, _ = _guards(p.parts, m)
-    if not sigma_ok:
+    image, case = involute(p, m)
+    if case is not InvolutionCase.SIGMA_MOVED:
         raise PreconditionViolated(f"sigma guard fails for {p.parts} with m={m}")
-    return DistinctPartition(_sigma_tuple(p.parts, lands, s))
+    return image
 
 
 def involute(p: DistinctPartition, m: int) -> InvolutionResult:
-    """Apply the involution once; the empty partition is fixed."""
+    """Apply the involution once; the empty partition is fixed.  tau and sigma restrict it."""
     if p.n == 0 and m >= 0:
-        return InvolutionResult(p, _FIXED)
+        return InvolutionResult(p, InvolutionCase.FIXED)
     _require_valid(p, m)
     tau_ok, sigma_ok, lands, s, _ = _guards(p.parts, m)
     if tau_ok and sigma_ok:
         raise AssertionError(f"move guards are not exclusive on {p.parts}, m={m}")
     if tau_ok:
         image = DistinctPartition(_tau_tuple(p.parts, m, lands, p.parts[-1]))
-        return InvolutionResult(image, _TAU)
+        return InvolutionResult(image, InvolutionCase.TAU_MOVED)
     if sigma_ok:
         image = DistinctPartition(_sigma_tuple(p.parts, lands, s))
-        return InvolutionResult(image, _SIGMA)
-    return InvolutionResult(p, _FIXED)
+        return InvolutionResult(image, InvolutionCase.SIGMA_MOVED)
+    return InvolutionResult(p, InvolutionCase.FIXED)
 
 
 def _fixed_criterion(parts: tuple[int, ...], m: int) -> bool:

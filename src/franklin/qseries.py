@@ -125,20 +125,6 @@ class ZQSeries:
         if self.q_order != other.q_order:
             raise TruncationMismatch(f"q orders differ: {self.q_order} vs {other.q_order}")
 
-    def first_difference(self, other: "ZQSeries") -> tuple[int, int, int, int] | None:
-        """(q_exp, z_exp, own, other's) at the first unequal coefficient, or None.
-
-        The scan is q-major: every power of z at q**0 first, then at q**1.
-        """
-        self._check(other)
-        found = None
-        for k, (a, b) in enumerate(zip(self.columns, other.columns)):
-            if a != b:
-                j = next(j for j, (x, y) in enumerate(zip(a, b)) if x != y)
-                if found is None or j < found[0]:
-                    found = (j, k, a[j], b[j])
-        return found
-
     def __iadd__(self, other: "ZQSeries") -> "ZQSeries":
         self._check(other)
         for total, c in zip(self.columns, other.columns):

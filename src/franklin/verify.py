@@ -77,18 +77,19 @@ def _qseries_mismatch(a: QSeries, b: QSeries, lhs: str, rhs: str) -> dict | None
 
 
 def _zq_mismatch(a: ZQSeries, b: ZQSeries, lhs: str, rhs: str) -> dict | None:
-    found = a.first_difference(b)
-    if found is None:
+    """The first unequal q**j z**k in q-major order (each z**k at q**0 first), or None."""
+    a._check(b)
+    # each z-column is compared whole; only an unequal one is scanned for its first j
+    found = [
+        (next(j for j, (x, y) in enumerate(zip(u, v)) if x != y), k)
+        for k, (u, v) in enumerate(zip(a.columns, b.columns))
+        if u != v
+    ]
+    if not found:
         return None
-    j, k, x, y = found
-    return {
-        "qExponent": j,
-        "zExponent": k,
-        "lhs": x,
-        "rhs": y,
-        "lhsRoute": lhs,
-        "rhsRoute": rhs,
-    }
+    j, k = min(found)
+    x, y = a.columns[k][j], b.columns[k][j]
+    return {"qExponent": j, "zExponent": k, "lhs": x, "rhs": y, "lhsRoute": lhs, "rhsRoute": rhs}
 
 
 def _run(identity: str, params: dict, routes: Callable[[], dict | None]) -> VerificationReport:

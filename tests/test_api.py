@@ -22,6 +22,7 @@ REMOVED = {
         "ZQSeries.__add__",
         "ZQSeries.__rmul__",
         "ZQSeries.__str__",
+        "ZQSeries.first_difference",
     ],
     "franklin.partitions": ["mu_decompose", "NotInStaircaseForm", "DistinctPartition.min_part"],
     "franklin.involution": ["is_fixed_criterion", "combine_audit_reports"],

@@ -740,6 +740,47 @@ class TestUsageErrors:
         assert out == "" and err.count("\n") == 1
         assert "… (5000 characters)" in err and len(err.encode()) < 200, err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["staircase", "--partition", ",".join(map(str, range(1, 3000))), "--m", "0"],
+            ["staircase", "--partition", "5", "--m", "9" * 4000],
+            ["verify", "--suite", "9" * 5000],
+            ["expand", "--m", "0", "--order", "5", "--rhs", "a" * 5000],
+            ["expand", "--m", "0", "--order", "5", "9" * 5000],
+            ["expand", "--m", "0", "--order", "5", "--out", "PATH"],
+        ],
+        ids=["partition", "m", "suite", "rhs", "extra-argument", "out"],
+    )
+    def test_refusal_of_a_long_input_is_short(self, capsys, tmp_path, argv):
+        # the head names the flag or command, the tail ends the message, then its length
+        argv = [str(tmp_path / ("x" * 5000)) if a == "PATH" else a for a in argv]
+        assert run(argv) == 2
+        out, err = out_of(capsys)
+        assert out == "" and err.count("\n") == 1 and err.startswith("error: ")
+        assert re.search(r"…[^…]+ \(\d+ characters\)\n$", err) and len(err.encode()) < 200, err
+
+    @pytest.mark.parametrize(
+        "message,shown",
+        [
+            ("a" * 191, "a" * 191),  # a 199-byte line is written whole
+            ("a" * 192, "a" * 120 + "…" + "a" * 40 + " (192 characters)"),
+            ("é" * 5000, "é" * 60 + "…" + "é" * 20 + " (5000 characters)"),
+            # a cut never splits a character: 120 bytes hold "a" and 39 three-byte ones, 40 hold 13
+            ("a" + "€" * 5000, "a" + "€" * 39 + "…" + "€" * 13 + " (5001 characters)"),
+            # an undecodable argv byte arrives as a lone surrogate; the cut shows it escaped
+            ("\udcff" * 5000, "\\udcff" * 20 + "…dcff" + "\\udcff" * 6 + " (5000 characters)"),
+        ],
+        ids=["199-bytes", "200-bytes", "two-byte", "three-byte", "surrogate"],
+    )
+    def test_every_refusal_line_is_under_200_bytes(self, capsys, monkeypatch, message, shown):
+        def refuse(args, out):
+            raise ValueError(message)
+
+        monkeypatch.setitem(cli._HANDLERS, "expand", refuse)
+        assert run(["expand", "--m", "0", "--order", "5"]) == 2
+        assert out_of(capsys) == ("", f"error: {shown}\n")
+
     @pytest.mark.parametrize("argv", INTEGER_FLAGS, ids=FLAG_IDS)
     def test_integer_flag_keeps_sign_and_zero(self, argv):
         flag = argv[argv.index("X") - 1]

@@ -129,6 +129,27 @@ class TestInvolute:
             assert (wi.sign, wi.exponent) == (-w.sign, w.exponent)
 
 
+class TestMovesRestrictInvolute:
+    """tau and sigma are the involution restricted to one case each."""
+
+    @pytest.mark.parametrize("m", range(5))
+    def test_every_partition_up_to_size_30(self, m):
+        moves = (
+            ("tau", tau, InvolutionCase.TAU_MOVED),
+            ("sigma", sigma, InvolutionCase.SIGMA_MOVED),
+        )
+        for size in range(1, 31):
+            for p in enumerate_distinct(size, m):
+                image, case = involute(p, m)
+                for name, move, own in moves:
+                    if case is own:
+                        assert move(p, m) == image
+                        continue
+                    with pytest.raises(PreconditionViolated) as refused:
+                        move(p, m)
+                    assert str(refused.value) == f"{name} guard fails for {p.parts} with m={m}"
+
+
 class TestFixedCriterion:
     def test_box_witness(self):
         assert _fixed_criterion((14, 13, 12, 11), 3)

@@ -293,6 +293,32 @@ class TestSylvester:
         assert report.verdict == "Fail"
         assert (report.first_mismatch["qExponent"], report.first_mismatch["zExponent"]) == (3, 2)
 
+    def test_first_mismatch_takes_the_lower_z_power_at_one_q_power(self, monkeypatch):
+        real = verify.sylvester_sides
+
+        def corrupted(q_order):
+            lhs, rhs = real(q_order)
+            rhs.columns[2][5] += 1
+            rhs.columns[1][5] += 1
+            return lhs, rhs
+
+        monkeypatch.setattr(verify, "sylvester_sides", corrupted)
+        mismatch = check_sylvester(8).first_mismatch
+        assert (mismatch["qExponent"], mismatch["zExponent"]) == (5, 1)
+
+    def test_sides_truncated_at_different_orders_are_a_fail(self, monkeypatch, capsys):
+        real = verify.sylvester_sides
+        monkeypatch.setattr(
+            verify, "sylvester_sides", lambda q_order: (real(q_order)[0], real(q_order + 1)[1])
+        )
+        report = check_sylvester(8)
+        assert report.verdict == "Fail"
+        assert report.first_mismatch == {"error": "q orders differ: 8 vs 9"}
+        assert run(["verify", "--suite", "sylvester"]) == 1
+        out, err = capsys.readouterr()
+        assert "[FAIL] sylvester order=32 " in out and out.endswith("0/1 checks passed\n")
+        assert "first mismatch: error=q orders differ: 32 vs 33\n" in out and err == ""
+
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError, match="^q_order must be nonnegative$"):
             check_sylvester(-3)
