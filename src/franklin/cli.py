@@ -314,7 +314,9 @@ def run(argv: list[str] | None = None) -> int:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
     except OSError as exc:
-        message = f"cannot write {'stdout' if args.out is None else args.out}: {exc}"
+        # strerror alone: str(exc) would name the path again, and push the reason into the cut
+        reason = exc.strerror or str(exc)
+        message = f"cannot write {'stdout' if args.out is None else args.out}: {reason}"
     except ValueError as exc:
         message = str(exc)
     except (MemoryError, OverflowError):

@@ -157,21 +157,25 @@ def _fixed_criterion(parts: tuple[int, ...], m: int) -> bool:
     return mu1 <= m or (mu1 == m + 1 and mun >= 1)
 
 
-def _box_lex(rows: int, width: int, total: int) -> Iterator[tuple[int, ...]]:
-    """Weakly decreasing `rows`-tuples in [0, width] summing to total, lex-increasing.
+def _box_lex(base: tuple[int, ...], width: int, total: int) -> Iterator[tuple[int, ...]]:
+    """base + mu for each weakly decreasing mu in [0, width] summing to total, mu lex-increasing.
 
-    From the flattest tuple, each step raises by one the rightmost entry that
-    can go up while the entries after it hold rest > 0 units, then refills
-    those as flat as possible with rest - 1 units (Knuth, TAOCP 4A, 7.2.1.4).
+    mu has len(base) rows.  From the flattest mu, each step raises by one the
+    rightmost entry that can go up while the entries after it hold rest > 0
+    units, then refills those as flat as possible with rest - 1 units (Knuth,
+    TAOCP 4A, 7.2.1.4).  The sum parts = base + mu is stepped in place next to
+    mu, so each point costs the one tuple yielded.
     """
+    rows = len(base)
     if not 0 <= total <= rows * width:
         return
-    mu, i, rest = [0] * rows, -1, total + 1
+    mu, parts, i, rest = [0] * rows, list(base), -1, total + 1
     while True:
         for j in range(rows - 1, i, -1):  # j - i entries left to hold rest - 1 units
             mu[j] = v = (rest - 1) // (j - i)
+            parts[j] = base[j] + v
             rest -= v
-        yield tuple(mu)
+        yield tuple(parts)
         i, rest = rows - 1, 0
         while i >= 0 and (not rest or mu[i] == width or (i and mu[i] == mu[i - 1])):
             rest += mu[i]
@@ -179,21 +183,27 @@ def _box_lex(rows: int, width: int, total: int) -> Iterator[tuple[int, ...]]:
         if i < 0:
             return
         mu[i] += 1
+        parts[i] += 1
 
 
 def _fixed_points(m: int, max_size: int) -> Iterator[tuple[DistinctPartition, SignedMonomial]]:
+    """The fixed points with their weights, in enumerate_fixed_points' order.
+
+    Family A is base + mu for mu in the n x m box; family B, mu = (m + 1, 1 + nu)
+    for nu in the (n - 1) x m box, is the fixed top part 2n + 2m followed by
+    (2n + m - 1, ..., n + m + 1) + nu.
+    """
     n = 0
     while (base_size := (3 * n * n - n) // 2 + n * m) <= max_size:
         base = base_partition(n, m).parts
-        # family B: mu = (m + 1, 1 + nu) for nu in the (n - 1) x m box; parts = shifted + (0, *nu)
-        shifted = (2 * n + 2 * m, *range(2 * n + m - 1, n + m, -1))
+        top, below = (2 * n + 2 * m,), tuple(range(2 * n + m - 1, n + m, -1))
         for r in range(min(max_size - base_size, n * (m + 1)) + 1):
             weight = SignedMonomial(-1 if n % 2 else 1, base_size + r)
-            for mu in _box_lex(n, m, r):
-                yield DistinctPartition._trusted(tuple(map(add, base, mu))), weight
+            for parts in _box_lex(base, m, r):
+                yield DistinctPartition._trusted(parts), weight
             if n:
-                for nu in _box_lex(n - 1, m, r - m - n):
-                    yield DistinctPartition._trusted(tuple(map(add, shifted, (0, *nu)))), weight
+                for parts in _box_lex(below, m, r - m - n):
+                    yield DistinctPartition._trusted(top + parts), weight
         n += 1
 
 
@@ -206,8 +216,7 @@ def enumerate_fixed_points(
     ties broken lexicographically on the parts.  A negative m or max_size
     raises at the call.
     """
-    _nonnegative(m=m)
-    _nonnegative(max_size=max_size)
+    _nonnegative(m=m, max_size=max_size)
     return _fixed_points(m, max_size)
 
 

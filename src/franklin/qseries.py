@@ -26,9 +26,10 @@ class NonUnitConstantTerm(ValueError):
 
 
 def _nonnegative(**args: int) -> None:
-    """The one check that sizes, orders and bounds are nonnegative, by name."""
+    """The one check that sizes, orders and bounds are nonnegative; names the negative ones."""
     if min(args.values()) < 0:
-        raise ValueError(f"{' and '.join(args)} must be nonnegative")
+        negative = [name for name, value in args.items() if value < 0]
+        raise ValueError(f"{' and '.join(negative)} must be nonnegative")
 
 
 class QSeries:

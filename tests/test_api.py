@@ -95,9 +95,9 @@ P3 = franklin.DistinctPartition((3,))
 NEGATIVE_ARGUMENT = {
     "QSeries": (lambda: franklin.QSeries(-1), "order"),
     "ZQSeries": (lambda: franklin.ZQSeries(-1), "q_order"),
-    "euler_product": (lambda: franklin.euler_product(-1, 5), "m and order"),
-    "rhs_general": (lambda: franklin.rhs_general(0, -1), "m and order"),
-    "rhs_fixed_points": (lambda: franklin.rhs_fixed_points(-1, 5), "m and order"),
+    "euler_product": (lambda: franklin.euler_product(-1, 5), "m"),
+    "rhs_general": (lambda: franklin.rhs_general(0, -1), "order"),
+    "rhs_fixed_points": (lambda: franklin.rhs_fixed_points(-1, 5), "m"),
     "pochhammer_neg_zq": (lambda: franklin.pochhammer_neg_zq(-1, 5), "n"),
     "max_distinct_parts": (lambda: franklin.max_distinct_parts(-1), "size"),
     "involute": (lambda: franklin.involute(P3, -1), "m"),
@@ -107,11 +107,11 @@ NEGATIVE_ARGUMENT = {
         lambda: franklin.enumerate_fixed_points(0, -1),
         "max_size",
     ),
-    "orbit_audit": (lambda: franklin.orbit_audit(-1, 5), "m and max_size"),
-    "cancellation_stats": (lambda: franklin.cancellation_stats(0, -1), "m and max_size"),
-    "enumerate_distinct": (lambda: franklin.enumerate_distinct(-1), "size and m"),
-    "count_distinct_signed": (lambda: franklin.count_distinct_signed(-1, 5), "m and n_max"),
-    "base_partition": (lambda: franklin.base_partition(-1, 0), "n and m"),
+    "orbit_audit": (lambda: franklin.orbit_audit(-1, 5), "m"),
+    "cancellation_stats": (lambda: franklin.cancellation_stats(0, -1), "max_size"),
+    "enumerate_distinct": (lambda: franklin.enumerate_distinct(-1), "size"),
+    "count_distinct_signed": (lambda: franklin.count_distinct_signed(-1, 5), "m"),
+    "base_partition": (lambda: franklin.base_partition(-1, 0), "n"),
     "staircase": (lambda: franklin.staircase(P3, -1), "m"),
 }
 

@@ -644,11 +644,16 @@ class TestUsageErrors:
             raise AssertionError(f"{kernel} ran before --out was opened")
 
         monkeypatch.setattr(cli, kernel, never)
-        target = tmp_path / "missing" / "x.txt"
-        assert run(argv + ["--out", str(target)]) == 2
-        out, err = out_of(capsys)
-        assert out == ""
-        assert err.startswith(f"error: cannot write {target}: ")
+        monkeypatch.chdir(tmp_path)
+        assert run(argv + ["--out", "missing/x.txt"]) == 2
+        assert out_of(capsys) == ("", "error: cannot write missing/x.txt: No such file or directory\n")
+
+    def test_long_out_path_keeps_the_reason(self, tmp_path, capsys, monkeypatch):
+        # 13 + 5000 + 20 characters: the cut keeps the path's head and the whole reason
+        monkeypatch.chdir(tmp_path)
+        assert run(["expand", "--m", "0", "--order", "5", "--out", "x" * 5000]) == 2
+        line = f"error: cannot write {'x' * 107}…{'x' * 20}: File name too long (5033 characters)\n"
+        assert out_of(capsys) == ("", line)
 
     @pytest.mark.parametrize("stderr_closed", [False, True], ids=["stdout", "stdout+stderr"])
     def test_closed_stdout_ends_the_run_quietly(self, stderr_closed):

@@ -3,6 +3,7 @@ import itertools
 import re
 import tracemalloc
 from collections import Counter
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -210,7 +211,7 @@ class TestEnumerateFixedPoints:
 
     def test_matches_involute_fixed_set(self):
         # the stream's order, pinned: part count, then size, then lex on the parts
-        for m in range(6):
+        for m in (*range(7), 10):
             direct = sorted(
                 (
                     p.parts
@@ -230,8 +231,8 @@ class TestEnumerateFixedPoints:
 
     def test_bad_size_raises_before_iteration(self):
         # the distinct-part enumerator checks at the call too, as this one does
-        for size, m in ((-1, 0), (3, -1)):
-            with pytest.raises(ValueError, match="size and m must be nonnegative"):
+        for size, m, names in ((-1, 0, "size"), (3, -1, "m"), (-1, -1, "size and m")):
+            with pytest.raises(ValueError, match=f"^{names} must be nonnegative$"):
                 enumerate_distinct(size, m)
 
     def test_negative_max_size_raises_before_iteration(self):
@@ -254,7 +255,10 @@ class TestEnumerateFixedPoints:
 
 class TestBoxLex:
     @pytest.mark.parametrize("rows", range(6))
-    def test_matches_brute_force(self, rows):
+    @pytest.mark.parametrize("shifted", [False, True], ids=["zero-base", "base-partition"])
+    def test_matches_brute_force(self, rows, shifted):
+        # a nonzero base checks the parts stepped in place, not only mu
+        base = base_partition(rows, 2).parts if shifted else (0,) * rows
         for width in range(5):
             boxes = sorted(
                 mu
@@ -262,8 +266,8 @@ class TestBoxLex:
                 if all(a >= b for a, b in zip(mu, mu[1:]))
             )
             for total in range(-1, rows * width + 2):
-                expected = [mu for mu in boxes if sum(mu) == total]
-                assert list(_box_lex(rows, width, total)) == expected, (rows, width, total)
+                expected = [tuple(map(add, base, mu)) for mu in boxes if sum(mu) == total]
+                assert list(_box_lex(base, width, total)) == expected, (base, width, total)
 
 
 def sum_shards(reports):
@@ -676,10 +680,10 @@ class TestCancellationStats:
             while (base := (3 * n * n - n) // 2 + n * m) <= max_size:
                 tally = neg if n % 2 else pos
                 for r in range(max_size - base + 1):
-                    tally[base + r] += sum(1 for _ in _box_lex(n, m, r))
+                    tally[base + r] += sum(1 for _ in _box_lex((0,) * n, m, r))
                     if n:
                         # mu_1 = m + 1, mu_n >= 1: one less in rows 2..n
-                        tally[base + r] += sum(1 for _ in _box_lex(n - 1, m, r - m - n))
+                        tally[base + r] += sum(1 for _ in _box_lex((0,) * (n - 1), m, r - m - n))
                 n += 1
             table = cancellation_stats(m, max_size)
             assert [row.fixed_positive for row in table] == pos
