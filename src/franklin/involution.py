@@ -47,10 +47,11 @@ class AuditReport(NamedTuple):
     """Outcome of exhaustively checking the involution laws on a size range.
 
     Each violation is (law, parts) for the partition that broke the law,
-    except the two count laws: partition-count's second item is (size,
-    enumerated total, counted total), and fixed-count's is (size, "even" or
-    "odd", fixed points enumerated with that part-count parity, their
-    closed-form tally).
+    except the three count laws: partition-count's second item is (size,
+    enumerated total, counted total), pair-count's is (size, tau-moved,
+    sigma-moved), and fixed-count's is (size, "even" or "odd", fixed points
+    enumerated with that part-count parity, their closed-form tally).  The
+    totals are the sums of the per-size tallies that these laws checked.
     """
 
     m: int
@@ -75,16 +76,16 @@ class SizeStats(NamedTuple):
     product_coefficient: int
 
 
-def _tau_tuple(parts: tuple[int, ...], m: int, lands: list[int], t: int) -> tuple[int, ...]:
+def _tau_tuple(parts: tuple[int, ...], m: int, lands: list[int]) -> tuple[int, ...]:
     """Apply tau to raw parts; caller guarantees the tau guard.
 
-    The guard's t <= s_m = len(lands) + m means the walk covered rows 1..t-m,
-    so rows 2..t-m each get their landings plus one cell, and row 1 the rest.
+    The guard's t = parts[-1] <= s_m = len(lands) + m means the walk covered
+    rows 1..t-m, so rows 2..t-m each get their landings plus one cell, and row 1 the rest.
     """
     new = list(parts[:-1])
     placed = 0
     i = 1
-    for taken in lands[: t - m - 1]:
+    for taken in lands[: parts[-1] - m - 1]:
         new[i] += taken + 1
         placed += taken
         i += 1
@@ -110,22 +111,23 @@ def _guards(parts: tuple[int, ...], m: int) -> tuple[bool, bool, list[int], int,
     return (t <= s and t < m + len(parts), t - overlap > s, lands, s, overlap)
 
 
+def _restricted(p: DistinctPartition, m: int, move: str, case: InvolutionCase) -> DistinctPartition:
+    """The involution where it applies `move`; raises elsewhere, the empty partition included."""
+    _require_valid(p, m)
+    image, applied = involute(p, m)
+    if applied is not case:
+        raise PreconditionViolated(f"{move} guard fails for {p.parts} with m={m}")
+    return image
+
+
 def tau(p: DistinctPartition, m: int) -> DistinctPartition:
     """The involution where it moves by tau (t <= s_m and t < m + n); raises elsewhere."""
-    _require_valid(p, m)
-    image, case = involute(p, m)
-    if case is not InvolutionCase.TAU_MOVED:
-        raise PreconditionViolated(f"tau guard fails for {p.parts} with m={m}")
-    return image
+    return _restricted(p, m, "tau", InvolutionCase.TAU_MOVED)
 
 
 def sigma(p: DistinctPartition, m: int) -> DistinctPartition:
     """The involution where it moves by sigma (t - overlap > s_m); raises elsewhere."""
-    _require_valid(p, m)
-    image, case = involute(p, m)
-    if case is not InvolutionCase.SIGMA_MOVED:
-        raise PreconditionViolated(f"sigma guard fails for {p.parts} with m={m}")
-    return image
+    return _restricted(p, m, "sigma", InvolutionCase.SIGMA_MOVED)
 
 
 def involute(p: DistinctPartition, m: int) -> InvolutionResult:
@@ -137,7 +139,7 @@ def involute(p: DistinctPartition, m: int) -> InvolutionResult:
     if tau_ok and sigma_ok:
         raise AssertionError(f"move guards are not exclusive on {p.parts}, m={m}")
     if tau_ok:
-        image = DistinctPartition(_tau_tuple(p.parts, m, lands, p.parts[-1]))
+        image = DistinctPartition(_tau_tuple(p.parts, m, lands))
         return InvolutionResult(image, InvolutionCase.TAU_MOVED)
     if sigma_ok:
         image = DistinctPartition(_sigma_tuple(p.parts, lands, s))
@@ -189,14 +191,14 @@ def _box_lex(base: tuple[int, ...], width: int, total: int) -> Iterator[tuple[in
 def _fixed_points(m: int, max_size: int) -> Iterator[tuple[DistinctPartition, SignedMonomial]]:
     """The fixed points with their weights, in enumerate_fixed_points' order.
 
-    Family A is base + mu for mu in the n x m box; family B, mu = (m + 1, 1 + nu)
-    for nu in the (n - 1) x m box, is the fixed top part 2n + 2m followed by
-    (2n + m - 1, ..., n + m + 1) + nu.
+    With base = base_partition(n, m), family A is base + mu for mu in the
+    n x m box; family B, mu = (m + 1, 1 + nu) for nu in the (n - 1) x m box,
+    is the top part base[0] + m + 1 followed by base[1:] + 1 + nu.
     """
     n = 0
-    while (base_size := (3 * n * n - n) // 2 + n * m) <= max_size:
-        base = base_partition(n, m).parts
-        top, below = (2 * n + 2 * m,), tuple(range(2 * n + m - 1, n + m, -1))
+    while (base_size := sum(base := base_partition(n, m).parts)) <= max_size:
+        least_b = tuple(map(add, base, (m + 1,) + (1,) * (n - 1)))  # mu = (m + 1, 1, ..., 1)
+        top, below = least_b[:1], least_b[1:]
         for r in range(min(max_size - base_size, n * (m + 1)) + 1):
             weight = SignedMonomial(-1 if n % 2 else 1, base_size + r)
             for parts in _box_lex(base, m, r):
@@ -276,7 +278,7 @@ def _audit_one(
             violations.append(("fixed-criterion", parts))
         if tau_ok:
             tau_moved += 1
-            img = _tau_tuple(parts, m, lands, t)
+            img = _tau_tuple(parts, m, lands)
             if len(img) != n - 1 or sum(img) != size or not _is_valid_distinct(img, m):
                 violations.append(("tau-image", parts))
                 continue
@@ -298,7 +300,7 @@ def _audit_one(
         i_tau, i_sigma, i_lands, _, _ = _guards(img, m)
         if not i_tau or i_sigma:
             violations.append(("sigma-image-guard", parts))
-        elif _tau_tuple(img, m, i_lands, img[-1]) != parts:
+        elif _tau_tuple(img, m, i_lands) != parts:
             violations.append(("tau-sigma-roundtrip", parts))
     return tau_moved, sigma_moved, even, odd, both
 
@@ -313,11 +315,14 @@ def orbit_audit(m: int, max_size: int, sizes: Iterable[int] | None = None) -> Au
     and agreement of the fixed-point criterion with the applied case.
     The partition-count law compares each size's enumerated total with
     Euler's staircase count `_distinct_counts`, the route behind the
-    `partitions` column of `cancellation_stats`, and the fixed-count law
-    compares the fixed points found, by the parity of their part count,
-    with `_fixed_point_tallies`, the route behind its `fixed_positive` and
-    `fixed_negative` columns; mismatches are reported after that size's
-    per-partition violations, partition-count first, then even, then odd.
+    `partitions` column of `cancellation_stats`; the pair-count law
+    requires as many tau moves as sigma moves at each size, since each
+    move maps one side onto the other; and the fixed-count law compares
+    the fixed points found, by the parity of their part count, with
+    `_fixed_point_tallies`, the route behind its `fixed_positive` and
+    `fixed_negative` columns.  Mismatches are reported after that size's
+    per-partition violations: partition-count, pair-count, then even, then
+    odd.
     Each size is one `_audit_one` pass over the enumerator's tuples.
 
     `sizes` restricts the audit to a nonempty set of distinct sizes in
@@ -333,27 +338,28 @@ def orbit_audit(m: int, max_size: int, sizes: Iterable[int] | None = None) -> Au
     counts = _distinct_counts(m, max_size)
     tallies = _fixed_point_tallies(m, max_size)
     violations: list[tuple[str, tuple[int | str, ...]]] = []
-    total = fixed = tau_moved = sigma_moved = 0
+    rows = []
     for size in size_list:
-        tau_n, sigma_n, even, odd, both = _audit_one(size, m, violations)
-        found = tau_n + sigma_n + even + odd + both
+        rows.append(_audit_one(size, m, violations))
+        tau_n, sigma_n, even, odd, _ = rows[-1]
+        found = sum(rows[-1])
         if found != counts[size]:
             violations.append(("partition-count", (size, found, counts[size])))
+        if tau_n != sigma_n:
+            violations.append(("pair-count", (size, tau_n, sigma_n)))
         for parity, fixed_n, tally in zip(("even", "odd"), (even, odd), tallies):
             if fixed_n != tally[size]:
                 violations.append(("fixed-count", (size, parity, fixed_n, tally[size])))
-        total += found
-        fixed += even + odd
-        tau_moved += tau_n
-        sigma_moved += sigma_n
+    tau_n, sigma_n, even, odd, both = map(sum, zip(*rows))
+    paired, fixed = tau_n + sigma_n + both, even + odd
     return AuditReport(
         m=m,
         size_range=(size_list[0], size_list[-1]),
-        total_partitions=total,
-        paired_count=total - fixed,
+        total_partitions=paired + fixed,
+        paired_count=paired,
         fixed_count=fixed,
-        tau_moved=tau_moved,
-        sigma_moved=sigma_moved,
+        tau_moved=tau_n,
+        sigma_moved=sigma_n,
         violations=violations,
     )
 

@@ -243,8 +243,8 @@ def count_distinct_signed(m: int, n_max: int) -> list[tuple[int, int]]:
     which read Euler's staircase sum instead, against it.
     """
     _nonnegative(m=m, n_max=n_max)
-    counts = _product_coeffs(m + 1, n_max, n_max, 1)
-    signed = _product_coeffs(m + 1, n_max, n_max, -1)
+    counts = _product_coeffs(m, n_max, 1)
+    signed = _product_coeffs(m, n_max, -1)
     return list(zip(counts, signed))
 
 

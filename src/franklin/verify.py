@@ -4,13 +4,16 @@
   knapsack vs the closed Gaussian-binomial sum vs Euler's staircase sum
   (`euler_product`, the route `expand` prints).
 * fixed-point-formula: the fixed-point generating function vs the
-  product vs enumeration of the involution's fixed points.
+  product vs enumeration of the involution's fixed points, where each
+  enumerated point must have its own weight, hold neither move's guard
+  and come after the one before it, as `fixed-points` lists them.
 * sylvester: the product of (1 + z q**n) vs the Durfee-square sum.
 * durfee-decomposition: enumeration of distinct-part partitions graded
   by Durfee class vs each class's term, the summands of sylvester's side.
 * involution-audit: every involution law on every partition in range;
-  each size's enumerated total vs Euler's count, and its fixed points by
-  part-count parity vs their closed-form tallies: the `stats` routes.
+  each size's enumerated total vs Euler's count and its fixed points by
+  part-count parity vs their closed-form tallies (the `stats` routes),
+  and its tau moves vs its sigma moves.
 
 The first side of both product checks is the `_product_coeffs` knapsack,
 which shares no kernel with the others.  Euler's sum and the closed forms
@@ -30,8 +33,8 @@ import time
 from collections import defaultdict
 from typing import Callable, NamedTuple
 
-from .involution import enumerate_fixed_points, orbit_audit
-from .partitions import DurfeeCategory, _distinct_tuples, _durfee
+from .involution import _guards, enumerate_fixed_points, orbit_audit
+from .partitions import DurfeeCategory, _distinct_tuples, _durfee, format_partition, weight
 from .qseries import (
     QSeries,
     ZQSeries,
@@ -110,7 +113,7 @@ def _run(identity: str, params: dict, routes: Callable[[], dict | None]) -> Veri
 
 def _knapsack_product(m: int, order: int) -> QSeries:
     """Product of (1 - q**k) over m < k <= order, truncated at order, by the knapsack."""
-    return QSeries(order, _product_coeffs(m + 1, order, order, -1))
+    return QSeries(order, _product_coeffs(m, order, -1))
 
 
 def check_general_formula(m: int, order: int) -> VerificationReport:
@@ -127,19 +130,38 @@ def check_general_formula(m: int, order: int) -> VerificationReport:
 
 
 def check_fixed_point_formula(m: int, order: int) -> VerificationReport:
-    """Fixed-point generating function vs the product vs direct enumeration."""
+    """Fixed-point generating function vs the product vs direct enumeration.
+
+    Each enumerated point, as `fixed-points` lists it, must keep three
+    laws, and the first point that breaks one is the first mismatch:
+    point-weight, its weight is `weight(p)`; point-guard, neither move's
+    guard holds on it, by the staircase walk rather than the box formula
+    (the empty point is fixed by definition); point-order, its key (part
+    count, size, parts) rises strictly, the documented order without repeats.
+    """
     _nonnegative(m=m, order=order)
 
     def routes() -> dict | None:
         closed = rhs_fixed_points(m, order)
-        product = _knapsack_product(m, order)
+        found = _qseries_mismatch(closed, _knapsack_product(m, order), "fixed-point-sum", "product")
+        if found:
+            return found
         tally = [0] * (order + 1)
-        for _, w in enumerate_fixed_points(m, order):
+        last: tuple = ()
+        for p, w in enumerate_fixed_points(m, order):
+            parts = p.parts
+            key = (len(parts), w.exponent, parts)  # w.exponent is the size once point-weight holds
+            law = (
+                "point-weight" if w != weight(p)
+                else "point-guard" if parts and any(_guards(parts, m)[:2])
+                else "point-order" if key <= last
+                else None
+            )
+            if law:
+                return {"law": law, "partition": format_partition(p)}
             tally[w.exponent] += w.sign
-        enum = QSeries(order, tally)
-        return _qseries_mismatch(
-            closed, product, "fixed-point-sum", "product"
-        ) or _qseries_mismatch(closed, enum, "fixed-point-sum", "enumeration")
+            last = key
+        return _qseries_mismatch(closed, QSeries(order, tally), "fixed-point-sum", "enumeration")
 
     return _run("fixed-point-formula", {"m": m, "order": order}, routes)
 
@@ -189,9 +211,10 @@ def check_durfee_decomposition(order: int) -> VerificationReport:
     return _run("durfee-decomposition", params, routes)
 
 
-# the audit laws that compare a size's tally with a closed form, and their item's fields
+# the audit's per-size count laws and their item's fields
 _COUNT_LAW_FIELDS = {
     "partition-count": ("size", "enumerated", "counted"),
+    "pair-count": ("size", "tauMoved", "sigmaMoved"),
     "fixed-count": ("size", "parity", "enumerated", "counted"),
 }
 

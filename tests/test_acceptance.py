@@ -135,7 +135,7 @@ def test_criterion_6_fixed_point_criterion(audit_sweep):
 def test_criterion_7_fixed_point_generating_function():
     ok = True
     for m in range(7):
-        ok = ok and rhs_fixed_points(m, 120) == QSeries(120, _product_coeffs(m + 1, 120, 120, -1))
+        ok = ok and rhs_fixed_points(m, 120) == QSeries(120, _product_coeffs(m, 120, -1))
     for m in range(7):
         for n in range(11):
             poly = _fixed_point_reference(n, m)

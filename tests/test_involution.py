@@ -416,7 +416,7 @@ class TestMovesAgainstCells:
                     image = involution._sigma_tuple(parts, lands, s)
                     assert image == _staircase_laid_on_top(parts, m), parts
                 elif tau_ok:
-                    image = involution._tau_tuple(parts, m, lands, parts[-1])
+                    image = involution._tau_tuple(parts, m, lands)
                     assert _staircase_laid_on_top(image, m) == parts, parts
                 moved[tau_ok, sigma_ok] += 1
         assert moved[True, False] == moved[False, True] > 0
@@ -463,7 +463,7 @@ def _no_guards(real):
 
 
 def _tau_extra_part(real):
-    return lambda parts, m, lands, t: real(parts, m, lands, t) + (0,)
+    return lambda parts, m, lands: real(parts, m, lands) + (0,)
 
 
 def _staircase_plus_one(real):
@@ -503,8 +503,8 @@ def _tau_never(real):
 
 
 def _tau_bottom_plus_one(real):
-    def moved(parts, m, lands, t):
-        image = real(parts, m, lands, t)
+    def moved(parts, m, lands):
+        image = real(parts, m, lands)
         return (image[0] + 1,) + image[1:]
 
     return moved
@@ -567,8 +567,8 @@ class TestPartitionCountLaw:
     def test_count_fault_follows_that_sizes_partition_laws(self, monkeypatch):
         real_tau = involution._tau_tuple
 
-        def corrupted(parts, m, lands, t):
-            image = real_tau(parts, m, lands, t)
+        def corrupted(parts, m, lands):
+            image = real_tau(parts, m, lands)
             return (image[0] + 1,) + image[1:]
 
         monkeypatch.setattr(involution, "_tau_tuple", corrupted)
@@ -621,6 +621,37 @@ class TestFixedCountLaw:
         real = _distinct_counts(1, 9)[7]
         assert [law for law, _ in violations] == ["partition-count", "fixed-count"]
         assert violations[0] == ("partition-count", (7, real, real + 1))
+
+
+def moved_counts_shifted_at(size):
+    """`_audit_one` counting one tau-moved partition of the given size as sigma-moved."""
+    real = involution._audit_one
+
+    def corrupted(at, m, violations):
+        tau_n, sigma_n, even, odd, both = real(at, m, violations)
+        if at == size:
+            tau_n, sigma_n = tau_n - 1, sigma_n + 1
+        return tau_n, sigma_n, even, odd, both
+
+    return corrupted
+
+
+class TestPairCountLaw:
+    def test_moved_count_fault_fires_only_the_pair_count_law(self, monkeypatch):
+        tau_n, sigma_n, *_ = involution._audit_one(9, 1, [])
+        clean = orbit_audit(1, 14)
+        monkeypatch.setattr(involution, "_audit_one", moved_counts_shifted_at(9))
+        report = orbit_audit(1, 14)
+        assert report.violations == [("pair-count", (9, tau_n - 1, sigma_n + 1))]
+        moved = report.tau_moved + 1, report.sigma_moved - 1
+        assert moved == (clean.tau_moved, clean.sigma_moved)
+        assert report[:5] == clean[:5]  # m, size range, total, paired and fixed counts
+
+    def test_counted_after_that_sizes_partition_count(self, monkeypatch):
+        monkeypatch.setattr(involution, "_audit_one", moved_counts_shifted_at(7))
+        monkeypatch.setattr(involution, "_distinct_counts", counts_off_at(7))
+        violations = orbit_audit(1, 9).violations
+        assert [law for law, _ in violations] == ["partition-count", "pair-count"]
 
 
 class TestCancellationStats:
@@ -691,8 +722,8 @@ class TestCancellationStats:
 
     def test_m20_to_400_matches_the_product(self):
         table = cancellation_stats(20, 400)
-        assert [r.fixed_positive - r.fixed_negative for r in table] == _product_coeffs(21, 400, 400, -1)
-        assert [r.partitions for r in table] == _product_coeffs(21, 400, 400, 1)
+        assert [r.fixed_positive - r.fixed_negative for r in table] == _product_coeffs(20, 400, -1)
+        assert [r.partitions for r in table] == _product_coeffs(20, 400, 1)
 
     @pytest.mark.parametrize("m,max_size", [(10, 250), (6, 300), (0, 1500)])
     def test_rows_read_the_columns_field_by_field(self, m, max_size):

@@ -119,45 +119,44 @@ class TestEulerProduct:
             j += 1
         assert euler_product(0, order).coeffs == expected
 
-    @pytest.mark.parametrize("lo", range(1, 9))
-    def test_matches_subset_counts(self, lo):
-        # coefficient s of prod (1 + sign q^k): sign^len(S) summed over the sets S of
-        # distinct k in lo..hi with sum(S) = s
+    @pytest.mark.parametrize("m", range(8))
+    def test_matches_subset_counts(self, m):
+        # coefficient s of prod_{k>m} (1 + sign q^k): sign^len(S) summed over the sets S of
+        # distinct k > m with sum(S) = s
         top = 24
         subsets = [
             subset
             for r in range(max_distinct_parts(top) + 1)
-            for subset in combinations(range(lo, top + 1), r)
+            for subset in combinations(range(m + 1, top + 1), r)
             if sum(subset) <= top
         ]
         for order in range(top + 1):
-            for hi in range(lo - 1, order + 3):
-                for sign in (1, -1):
-                    expected = [0] * (order + 1)
-                    for subset in subsets:
-                        if sum(subset) <= order and max(subset, default=0) <= hi:
-                            expected[sum(subset)] += sign ** len(subset)
-                    assert _product_coeffs(lo, hi, order, sign) == expected, (hi, order, sign)
+            for sign in (1, -1):
+                expected = [0] * (order + 1)
+                for subset in subsets:
+                    if sum(subset) <= order:
+                        expected[sum(subset)] += sign ** len(subset)
+                assert _product_coeffs(m, order, sign) == expected, (order, sign)
 
 
 class TestDistinctCounts:
     @pytest.mark.parametrize("m", range(13))
     def test_matches_the_knapsack(self, m):
         for order in (0, 1, 2, 3, 7, 60, 400):
-            assert _distinct_counts(m, order) == _product_coeffs(m + 1, order, order, 1), order
+            assert _distinct_counts(m, order) == _product_coeffs(m, order, 1), order
 
     @pytest.mark.parametrize("m,order", [(20, 20), (50, 20), (0, 2000)])
     def test_matches_the_knapsack_at_the_edges(self, m, order):
-        assert _distinct_counts(m, order) == _product_coeffs(m + 1, order, order, 1)
+        assert _distinct_counts(m, order) == _product_coeffs(m, order, 1)
 
     @pytest.mark.parametrize("m", range(13))
     def test_signed_matches_the_knapsack(self, m):
         for order in (0, 1, 2, 3, 7, 60, 400):
-            assert _distinct_counts(m, order, -1) == _product_coeffs(m + 1, order, order, -1), order
+            assert _distinct_counts(m, order, -1) == _product_coeffs(m, order, -1), order
 
     @pytest.mark.parametrize("m,order", [(20, 20), (50, 20), (0, 2000)])
     def test_signed_matches_the_knapsack_at_the_edges(self, m, order):
-        assert _distinct_counts(m, order, -1) == _product_coeffs(m + 1, order, order, -1)
+        assert _distinct_counts(m, order, -1) == _product_coeffs(m, order, -1)
 
     def test_general_check_does_not_share_the_stepper(self, monkeypatch):
         # a faulty Gaussian-binomial step reaches rhs_general but not euler_product
@@ -168,7 +167,7 @@ class TestDistinctCounts:
             if n == 1:
                 c[0] += 1
 
-        knapsack = _product_coeffs(3, 40, 40, -1)
+        knapsack = _product_coeffs(2, 40, -1)
         clean = euler_product(2, 40).coeffs
         monkeypatch.setattr(qseries, "_gauss_step", corrupted)
         assert euler_product(2, 40).coeffs == clean == knapsack
@@ -188,7 +187,7 @@ class TestDistinctCounts:
             if n == 1:
                 c[-1] += 1
 
-        knapsack = _product_coeffs(3, 40, 40, -1)
+        knapsack = _product_coeffs(2, 40, -1)
         monkeypatch.setattr(qseries, "_divide_step", corrupted)
         assert euler_product(2, 40).coeffs != knapsack
         assert rhs_general(2, 40).coeffs != knapsack
@@ -347,7 +346,7 @@ def untrimmed_terms(m, order, lead):
 
 def knapsack_product(m, order):
     """The product of (1 - q^k) over k > m by the knapsack, a route the closed forms do not share."""
-    return QSeries(order, _product_coeffs(m + 1, order, order, -1))
+    return QSeries(order, _product_coeffs(m, order, -1))
 
 
 def add_at(out, coeffs, shift, scale=1):
@@ -532,7 +531,10 @@ def durfee_term_by_inversion(d, q_shift, z_shift, q_order):
     lead = (3 * d * d - d) // 2 + q_shift
     term = monomial(lead, d + z_shift, q_order)
     term = term * neg_zq_by_products(d - 1, q_order)
-    inverse = QSeries(q_order, _product_coeffs(1, d, q_order, -1)).invert()
+    q_d = [1] + [0] * q_order  # (q;q)_d, one factor (1 - q^k) at a time
+    for k in range(1, d + 1):
+        q_d[k:] = [a - b for a, b in zip(q_d[k:], q_d)]
+    inverse = QSeries(q_order, q_d).invert()
     return term * ZQSeries(q_order, [inverse.coeffs])
 
 

@@ -1,4 +1,5 @@
 import json
+import time
 from operator import add
 
 import pytest
@@ -8,7 +9,7 @@ import franklin.partitions as partitions
 import franklin.qseries as qseries
 import franklin.verify as verify
 from franklin.cli import run
-from franklin.partitions import DurfeeCategory
+from franklin.partitions import DistinctPartition, DurfeeCategory, base_partition
 from franklin.qseries import rhs_general
 from franklin.verify import (
     check_durfee_decomposition,
@@ -52,11 +53,13 @@ def durfee_terms_off_at_six(q_order):
 class TestGeneralFormula:
     @pytest.mark.parametrize("m", [0, 1, 3])
     def test_passes(self, m):
+        start = time.perf_counter()
         report = check_general_formula(m, 120)
+        wall = time.perf_counter() - start
         assert report.verdict == "Pass"
         assert report.first_mismatch is None
         assert report.params == {"m": m, "order": 120}
-        assert report.elapsed >= 0
+        assert 0 <= report.elapsed <= wall
 
     def test_fault_injection(self, monkeypatch):
         def corrupted(m, order):
@@ -228,6 +231,29 @@ class TestFixedCountLaw:
         assert "law=fixed-count size=5 parity=odd enumerated=0 counted=1" in capsys.readouterr().out
 
 
+class TestPairCountLaw:
+    def test_moved_count_fault_names_size_and_both_counts(self, monkeypatch, capsys):
+        real = involution._audit_one
+
+        def corrupted(size, m, violations):
+            tau_n, sigma_n, *fixed = real(size, m, violations)
+            if size == 9:  # one tau-moved partition counted as sigma-moved
+                tau_n, sigma_n = tau_n - 1, sigma_n + 1
+            return tau_n, sigma_n, *fixed
+
+        tau_n, sigma_n, *_ = real(9, 1, [])
+        monkeypatch.setattr(involution, "_audit_one", corrupted)
+        argv = ["verify", "--suite", "involution", "--m", "1", "--max-size", "14", "--json"]
+        assert run(argv) == 1
+        [report] = json.loads(capsys.readouterr().out)
+        assert report["firstMismatch"] == {
+            "law": "pair-count",
+            "size": 9,
+            "tauMoved": tau_n - 1,
+            "sigmaMoved": sigma_n + 1,
+        }
+
+
 class TestFixedPointFormula:
     @pytest.mark.parametrize("m", [0, 2, 4])
     def test_passes(self, m):
@@ -246,6 +272,48 @@ class TestFixedPointFormula:
         report = check_fixed_point_formula(1, 30)
         assert report.verdict == "Fail"
         assert report.first_mismatch["exponent"] == 11
+
+    def test_point_off_its_weight_fails_only_this_check(self, monkeypatch, capsys):
+        # the first family-B point, (2m + 2,), is listed as (2m + 3,) with its old weight
+        monkeypatch.setattr(
+            involution, "_fixed_points", _family_b_top_plus_one(involution._fixed_points)
+        )
+        assert run(["verify", "--suite", "general", "--json"]) == 1
+        reports = json.loads(capsys.readouterr().out)
+        failed = [r for r in reports if r["verdict"] == "Fail"]
+        assert [r["identity"] for r in failed] == ["fixed-point-formula"] * 5
+        assert [r["firstMismatch"] for r in failed] == [
+            {"law": "point-weight", "partition": str(2 * m + 3)} for m in range(5)
+        ]
+
+    @staticmethod
+    def replaced(monkeypatch, points):
+        """The fixed-point stream with each point in `points` replaced by its list, weights kept."""
+        real = involution._fixed_points
+
+        def corrupted(m, max_size):
+            for p, w in real(m, max_size):
+                for q in points.get(p.parts, [p.parts]):
+                    yield DistinctPartition(q), w
+
+        monkeypatch.setattr(involution, "_fixed_points", corrupted)
+
+    def test_moved_point_fails_the_guard_law(self, monkeypatch):
+        # (7, 3) has the weight of (6, 4) at m = 1, but the walk finds a move for it
+        self.replaced(monkeypatch, {(6, 4): [(7, 3)]})
+        report = check_fixed_point_formula(1, 20)
+        assert report.first_mismatch == {"law": "point-guard", "partition": "7,3"}
+
+    def test_repeated_point_fails_the_order_law(self, monkeypatch):
+        self.replaced(monkeypatch, {(5, 4): [(5, 4), (5, 4)]})
+        report = check_fixed_point_formula(1, 20)
+        assert report.first_mismatch == {"law": "point-order", "partition": "5,4"}
+
+    def test_points_out_of_lex_order_fail_the_order_law(self, monkeypatch):
+        # at m = 2 both are fixed points of size 11 with two parts
+        self.replaced(monkeypatch, {(6, 5): [(7, 4)], (7, 4): [(6, 5)]})
+        report = check_fixed_point_formula(2, 20)
+        assert report.first_mismatch == {"law": "point-order", "partition": "6,5"}
 
 
 class TestSylvester:
@@ -432,6 +500,21 @@ def _column_two_off(real):
     return corrupted
 
 
+def _family_b_top_plus_one(real):
+    """Fixed points whose family-B points (mu_1 = m + 1) have their top part one too high.
+
+    Each point keeps its weight, so the weight tally alone cannot see the fault.
+    """
+
+    def corrupted(m, max_size):
+        for p, w in real(m, max_size):
+            if p.n and p.parts[0] - base_partition(p.n, m).parts[0] == m + 1:
+                p = DistinctPartition((p.parts[0] + 1, *p.parts[1:]))
+            yield p, w
+
+    return corrupted
+
+
 def _drops_last_of(real, at):
     """An enumerator whose call with these leading arguments loses its last item."""
 
@@ -539,6 +622,11 @@ KERNEL_FAULTS = {
         [(involution, "_box_lex", lambda real: _drops_last_of(real, ((4, 3), 1, 1)))],
         ["general"],
         {"fixed-point-formula": None},
+    ),
+    "_fixed_points family-B top": (
+        [(involution, "_fixed_points", _family_b_top_plus_one)],
+        ["general"],
+        {"fixed-point-formula": "point-weight"},
     ),
     "_parts_below": (
         [(partitions, "_parts_below", lambda real: _drops_last_of(real, (9,)))],
