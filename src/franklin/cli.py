@@ -143,7 +143,7 @@ def _cmd_expand(args, out: TextIO) -> int:
 
 
 def _cmd_staircase(args, out: TextIO) -> int:
-    p = parse_partition(args.partition)
+    p = args.partition
     sc = staircase(p, args.m)
     lines = [
         f"partition: {_display_partition(p)}",
@@ -160,7 +160,7 @@ def _cmd_staircase(args, out: TextIO) -> int:
 
 
 def _cmd_involve(args, out: TextIO) -> int:
-    p = parse_partition(args.partition)
+    p = args.partition
     result = involute(p, args.m)
     lines = [f"case: {result.case.value}", f"image: {_display_partition(result.image)}"]
     if args.trace and p.n:
@@ -259,10 +259,9 @@ def _verify_suites(args) -> tuple[str, ...]:
 
 
 def _cmd_verify(args, out: TextIO) -> int:
-    suites = _verify_suites(args)
     ms = _DEFAULT_MS if args.m is None else (args.m,)
     reports: list[VerificationReport] = []
-    for suite in suites:
+    for suite in args.suites:
         for r in _SUITES[suite][1](ms, args.order, args.max_size):
             reports.append(r)
             if not args.json:
@@ -299,8 +298,11 @@ def run(argv: list[str] | None = None) -> int:
     args = argparse.Namespace(command="franklin", out=None)  # read below if parsing fails
     try:
         args = _build_parser().parse_args(argv)
+        # what the flags alone refuse is refused before --out is opened, which would empty it
         if args.command == "verify":
-            _verify_suites(args)  # refuse before --out is opened, which would empty it
+            args.suites = _verify_suites(args)
+        elif "partition" in args:
+            args.partition = parse_partition(args.partition)
         if args.out is None:
             target = nullcontext(sys.stdout)
         else:

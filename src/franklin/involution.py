@@ -313,14 +313,17 @@ def orbit_audit(m: int, max_size: int, sizes: Iterable[int] | None = None) -> Au
     the other move's domain and reverses), the staircase/top-row transfer
     laws, weight antisymmetry (size preserved, part count changed by one),
     and agreement of the fixed-point criterion with the applied case.
-    The partition-count law compares each size's enumerated total with
-    Euler's staircase count `_distinct_counts`, the route behind the
-    `partitions` column of `cancellation_stats`; the pair-count law
-    requires as many tau moves as sigma moves at each size, since each
-    move maps one side onto the other; and the fixed-count law compares
-    the fixed points found, by the parity of their part count, with
-    `_fixed_point_tallies`, the route behind its `fixed_positive` and
-    `fixed_negative` columns.  Mismatches are reported after that size's
+    Three count laws then hold each size's tally against that size's
+    `cancellation_stats` row, the row `stats` prints, which no enumeration
+    builds.  The partition-count law compares the enumerated total with
+    `partitions`, Euler's sum of q^{nm + n(n+1)/2} / (q)_n over n
+    (`_distinct_counts`).  The pair-count law requires as many tau moves
+    as sigma moves, since each move maps one side onto the other.  The
+    fixed-count law compares the fixed points found with an even and an
+    odd part count with `fixed_positive` and `fixed_negative`
+    (`_fixed_point_tallies`): the n-part fixed points are counted by
+    q^{(3n^2-n)/2 + nm} ([n+m, m]_q + q^{n+m} [n+m-1, m]_q) and all carry
+    the sign (-1)^n.  Mismatches are reported after that size's
     per-partition violations: partition-count, pair-count, then even, then
     odd.
     Each size is one `_audit_one` pass over the enumerator's tuples.
@@ -335,21 +338,21 @@ def orbit_audit(m: int, max_size: int, sizes: Iterable[int] | None = None) -> Au
         raise ValueError("sizes must be a nonempty set of distinct sizes")
     if size_list[0] < 0 or size_list[-1] > max_size:
         raise ValueError(f"sizes must lie in 0..{max_size}")
-    counts = _distinct_counts(m, max_size)
-    tallies = _fixed_point_tallies(m, max_size)
+    stats = cancellation_stats(m, max_size)
     violations: list[tuple[str, tuple[int | str, ...]]] = []
     rows = []
     for size in size_list:
         rows.append(_audit_one(size, m, violations))
         tau_n, sigma_n, even, odd, _ = rows[-1]
-        found = sum(rows[-1])
-        if found != counts[size]:
-            violations.append(("partition-count", (size, found, counts[size])))
+        found, want = sum(rows[-1]), stats[size]
+        if found != want.partitions:
+            violations.append(("partition-count", (size, found, want.partitions)))
         if tau_n != sigma_n:
             violations.append(("pair-count", (size, tau_n, sigma_n)))
-        for parity, fixed_n, tally in zip(("even", "odd"), (even, odd), tallies):
-            if fixed_n != tally[size]:
-                violations.append(("fixed-count", (size, parity, fixed_n, tally[size])))
+        tallies = (("even", even, want.fixed_positive), ("odd", odd, want.fixed_negative))
+        for parity, fixed_n, tally in tallies:
+            if fixed_n != tally:
+                violations.append(("fixed-count", (size, parity, fixed_n, tally)))
     tau_n, sigma_n, even, odd, both = map(sum, zip(*rows))
     paired, fixed = tau_n + sigma_n + both, even + odd
     return AuditReport(
@@ -365,17 +368,14 @@ def orbit_audit(m: int, max_size: int, sizes: Iterable[int] | None = None) -> Au
 
 
 def cancellation_stats(m: int, max_size: int) -> list[SizeStats]:
-    """Per-size cancellation statistics up to max_size.
+    """Per-size cancellation statistics up to max_size, the rows `stats` prints.
 
-    No partition is enumerated; each column is stepped from a closed form.
-    Partition totals come from `_distinct_counts`, Euler's sum of
-    q^{nm + n(n+1)/2} / (q)_n over n.  Fixed-point tallies come from
-    `_fixed_point_tallies`: the fixed points with n parts are counted
-    by q^{(3n^2-n)/2 + nm} ([n+m, m]_q + q^{n+m} [n+m-1, m]_q) and all
-    carry the sign (-1)^n, so even n fill fixed_positive and odd n
-    fixed_negative.  The product coefficient is the signed excess
-    fixed_positive - fixed_negative.  Each row is a named tuple built
-    positionally from these columns.
+    No partition is enumerated: partitions, fixed_positive and
+    fixed_negative are stepped from the closed forms that `orbit_audit`'s
+    count laws check by enumeration, and its docstring names them.  fixed
+    is their sum, residual the smaller, and the product coefficient the
+    signed excess fixed_positive - fixed_negative.  Each row is a named
+    tuple built positionally from these columns.
     """
     _nonnegative(m=m, max_size=max_size)
     counts = _distinct_counts(m, max_size)

@@ -10,10 +10,10 @@
 * sylvester: the product of (1 + z q**n) vs the Durfee-square sum.
 * durfee-decomposition: enumeration of distinct-part partitions graded
   by Durfee class vs each class's term, the summands of sylvester's side.
-* involution-audit: every involution law on every partition in range;
-  each size's enumerated total vs Euler's count and its fixed points by
-  part-count parity vs their closed-form tallies (the `stats` routes),
-  and its tau moves vs its sigma moves.
+* involution-audit: every involution law on every partition in range,
+  and each size's tallies vs the row `stats` prints for that size
+  (`orbit_audit` names the laws and the route behind each column); then
+  the totals the report gives vs the summed rows and each other.
 
 The first side of both product checks is the `_product_coeffs` knapsack,
 which shares no kernel with the others.  Euler's sum and the closed forms
@@ -33,10 +33,9 @@ import time
 from collections import defaultdict
 from typing import Callable, NamedTuple
 
-from .involution import _guards, enumerate_fixed_points, orbit_audit
+from .involution import _guards, cancellation_stats, enumerate_fixed_points, orbit_audit
 from .partitions import DurfeeCategory, _distinct_tuples, _durfee, format_partition, weight
 from .qseries import (
-    QSeries,
     ZQSeries,
     _durfee_terms,
     _nonnegative,
@@ -72,8 +71,10 @@ class VerificationReport(NamedTuple):
         return line
 
 
-def _qseries_mismatch(a: QSeries, b: QSeries, lhs: str, rhs: str) -> dict | None:
-    for k, (x, y) in enumerate(zip(a.coeffs, b.coeffs)):
+def _qseries_mismatch(a: list[int], b: list[int], lhs: str, rhs: str) -> dict | None:
+    """The first unequal coefficient of two series given as lists, or None."""
+    # strict: a list cut short or run long fails the check instead of shortening it
+    for k, (x, y) in enumerate(zip(a, b, strict=True)):
         if x != y:
             return {"exponent": k, "lhs": x, "rhs": y, "lhsRoute": lhs, "rhsRoute": rhs}
     return None
@@ -111,20 +112,15 @@ def _run(identity: str, params: dict, routes: Callable[[], dict | None]) -> Veri
     )
 
 
-def _knapsack_product(m: int, order: int) -> QSeries:
-    """Product of (1 - q**k) over m < k <= order, truncated at order, by the knapsack."""
-    return QSeries(order, _product_coeffs(m, order, -1))
-
-
 def check_general_formula(m: int, order: int) -> VerificationReport:
     """Product over parts > m: knapsack vs closed form vs Euler's sum."""
     _nonnegative(m=m, order=order)
 
     def routes() -> dict | None:
-        product = _knapsack_product(m, order)
+        product = _product_coeffs(m, order, -1)
         return _qseries_mismatch(
-            product, rhs_general(m, order), "product", "closed-form"
-        ) or _qseries_mismatch(product, euler_product(m, order), "product", "euler-sum")
+            product, rhs_general(m, order).coeffs, "product", "closed-form"
+        ) or _qseries_mismatch(product, euler_product(m, order).coeffs, "product", "euler-sum")
 
     return _run("general-product-formula", {"m": m, "order": order}, routes)
 
@@ -142,8 +138,8 @@ def check_fixed_point_formula(m: int, order: int) -> VerificationReport:
     _nonnegative(m=m, order=order)
 
     def routes() -> dict | None:
-        closed = rhs_fixed_points(m, order)
-        found = _qseries_mismatch(closed, _knapsack_product(m, order), "fixed-point-sum", "product")
+        closed = rhs_fixed_points(m, order).coeffs
+        found = _qseries_mismatch(closed, _product_coeffs(m, order, -1), "fixed-point-sum", "product")
         if found:
             return found
         tally = [0] * (order + 1)
@@ -161,7 +157,7 @@ def check_fixed_point_formula(m: int, order: int) -> VerificationReport:
                 return {"law": law, "partition": format_partition(p)}
             tally[w.exponent] += w.sign
             last = key
-        return _qseries_mismatch(closed, QSeries(order, tally), "fixed-point-sum", "enumeration")
+        return _qseries_mismatch(closed, tally, "fixed-point-sum", "enumeration")
 
     return _run("fixed-point-formula", {"m": m, "order": order}, routes)
 
@@ -211,16 +207,24 @@ def check_durfee_decomposition(order: int) -> VerificationReport:
     return _run("durfee-decomposition", params, routes)
 
 
-# the audit's per-size count laws and their item's fields
+# the audit's per-size count laws and the audit-total law, and their item's fields
 _COUNT_LAW_FIELDS = {
     "partition-count": ("size", "enumerated", "counted"),
     "pair-count": ("size", "tauMoved", "sigmaMoved"),
     "fixed-count": ("size", "parity", "enumerated", "counted"),
+    "audit-total": ("total", "reported", "counted"),
 }
 
 
 def check_involution_laws(m: int, max_size: int) -> VerificationReport:
-    """Every involution law on each partition of size <= max_size (orbit_audit)."""
+    """Every involution law on each partition of size <= max_size (orbit_audit), then its totals.
+
+    When the audit finds no violation, the audit-total law holds each total
+    it reports against a count that does not read its sums: totalPartitions
+    and fixedCount against the summed `cancellation_stats` columns,
+    pairedCount against totalPartitions - fixedCount, and tauMoved against
+    sigmaMoved.
+    """
     _nonnegative(m=m, max_size=max_size)
     params = {"m": m, "maxSize": max_size}
 
@@ -233,9 +237,21 @@ def check_involution_laws(m: int, max_size: int) -> VerificationReport:
             tauMoved=audit.tau_moved,
             sigmaMoved=audit.sigma_moved,
         )
-        if not audit.violations:
+        stats = cancellation_stats(m, max_size)
+        counted = {
+            "totalPartitions": sum(row.partitions for row in stats),
+            "fixedCount": sum(row.fixed for row in stats),
+            "pairedCount": audit.total_partitions - audit.fixed_count,
+            "tauMoved": audit.sigma_moved,
+        }
+        broken = audit.violations or [
+            ("audit-total", (total, params[total], count))
+            for total, count in counted.items()
+            if params[total] != count
+        ]
+        if not broken:
             return None
-        law, item = audit.violations[0]
+        law, item = broken[0]
         if law in _COUNT_LAW_FIELDS:
             return {"law": law, **dict(zip(_COUNT_LAW_FIELDS[law], item))}
         return {"law": law, "partition": ",".join(map(str, item))}

@@ -9,7 +9,14 @@ import franklin
 # "Class.attr" names a class attribute, read through the class
 REMOVED = {
     "franklin.qseries": [
+        "pochhammer_q",
         "fixed_point_polynomial",
+        "QSeries.zero",
+        "QSeries.monomial",
+        "QSeries.shift",
+        "QSeries.is_zero",
+        "QSeries.__sub__",
+        "QSeries.__neg__",
         "QSeries.one",
         "QSeries.coeff",
         "QSeries._check",
@@ -17,6 +24,10 @@ REMOVED = {
         "QSeries.__mul__",
         "QSeries.__rmul__",
         "QSeries.__hash__",
+        "ZQSeries.monomial",
+        "ZQSeries.z_slice",
+        "ZQSeries.eval_z_at_monomial",
+        "ZQSeries.grid",
         "ZQSeries.coeff",
         "ZQSeries._items",
         "ZQSeries.__add__",
@@ -24,7 +35,9 @@ REMOVED = {
         "ZQSeries.__str__",
         "ZQSeries.first_difference",
     ],
-    "franklin.partitions": ["mu_decompose", "NotInStaircaseForm", "DistinctPartition.min_part"],
+    "franklin.partitions": [
+        "BoxPartition", "mu_decompose", "NotInStaircaseForm", "DistinctPartition.min_part"
+    ],
     "franklin.involution": ["is_fixed_criterion", "combine_audit_reports"],
     "franklin.staircase": ["top_overlap"],
 }

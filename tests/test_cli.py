@@ -845,13 +845,12 @@ class TestUsageErrors:
         assert out_of(capsys) == ("", "error: the following arguments are required: --order\n")
 
     REFUSALS = _refusals()
+    REFUSAL_IDS = [
+        " ".join(["franklin", *(a if len(a) < 99 else f"<{len(a)} digits>" for a in argv)])
+        for argv, _ in REFUSALS
+    ]
 
-    @pytest.mark.parametrize(
-        "argv,named",
-        REFUSALS,
-        ids=[" ".join(["franklin", *(a if len(a) < 99 else f"<{len(a)} digits>" for a in argv)])
-             for argv, _ in REFUSALS],
-    )
+    @pytest.mark.parametrize("argv,named", REFUSALS, ids=REFUSAL_IDS)
     def test_every_refusal_is_one_error_line(self, capsys, argv, named):
         assert run(argv) == 2
         out, err = out_of(capsys)
@@ -861,3 +860,14 @@ class TestUsageErrors:
         # named whole: '--m' must not pass on a line that names only '--max-size'
         assert re.search(rf"(?<![\w-]){re.escape(named)}(?![\w-])", err), err
 
+    @pytest.mark.parametrize(
+        "argv",
+        # the rows that refuse --out itself have no file to keep
+        [pytest.param(argv, id=i) for (argv, named), i in zip(REFUSALS, REFUSAL_IDS) if named != "--out"],
+    )
+    def test_every_refusal_leaves_out_untouched(self, capsys, tmp_path, argv):
+        target = tmp_path / "kept.txt"
+        target.write_bytes(b"old\n")
+        assert run(argv + ["--out", str(target)]) == 2
+        assert out_of(capsys)[0] == ""
+        assert target.read_bytes() == b"old\n"

@@ -254,6 +254,39 @@ class TestPairCountLaw:
         }
 
 
+class TestAuditTotalLaw:
+    @pytest.mark.parametrize(
+        "field,total,shift",
+        [
+            ("total_partitions", "totalPartitions", -1),
+            ("fixed_count", "fixedCount", -1),
+            ("paired_count", "pairedCount", -1),
+            ("tau_moved", "tauMoved", -1),
+            ("sigma_moved", "tauMoved", 1),  # tauMoved is held against sigmaMoved
+        ],
+    )
+    def test_one_total_off_fails_only_the_audit(self, monkeypatch, capsys, field, total, shift):
+        # shift: the count the law holds the named total against, less the total reported
+        real = verify.orbit_audit
+
+        def corrupted(m, max_size):
+            report = real(m, max_size)
+            return report._replace(**{field: getattr(report, field) + 1})
+
+        monkeypatch.setattr(verify, "orbit_audit", corrupted)
+        argv = ["verify", "--suite", "all", "--m", "1", "--order", "20", "--max-size", "16"]
+        assert run(argv + ["--json"]) == 1
+        failed = [r for r in json.loads(capsys.readouterr().out) if r["verdict"] == "Fail"]
+        assert [r["identity"] for r in failed] == ["involution-audit"]
+        reported = failed[0]["params"][total]
+        assert failed[0]["firstMismatch"] == {
+            "law": "audit-total",
+            "total": total,
+            "reported": reported,
+            "counted": reported + shift,
+        }
+
+
 class TestFixedPointFormula:
     @pytest.mark.parametrize("m", [0, 2, 4])
     def test_passes(self, m):
@@ -261,14 +294,14 @@ class TestFixedPointFormula:
         assert report.verdict == "Pass"
 
     def test_fault_injection(self, monkeypatch):
-        real = verify._knapsack_product
+        real = verify._product_coeffs
 
-        def corrupted(m, order):
-            series = real(m, order)
-            series.coeffs[11] -= 2
-            return series
+        def corrupted(m, order, sign):
+            c = real(m, order, sign)
+            c[11] -= 2
+            return c
 
-        monkeypatch.setattr(verify, "_knapsack_product", corrupted)
+        monkeypatch.setattr(verify, "_product_coeffs", corrupted)
         report = check_fixed_point_formula(1, 30)
         assert report.verdict == "Fail"
         assert report.first_mismatch["exponent"] == 11
