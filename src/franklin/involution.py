@@ -38,6 +38,9 @@ class InvolutionCase(enum.Enum):
     FIXED = "Fixed"
 
 
+TAU_MOVED, SIGMA_MOVED, FIXED = InvolutionCase
+
+
 class InvolutionResult(NamedTuple):
     image: DistinctPartition
     case: InvolutionCase
@@ -104,11 +107,16 @@ def _sigma_tuple(parts: tuple[int, ...], lands: list[int], s: int) -> tuple[int,
     return tuple(new)
 
 
-def _guards(parts: tuple[int, ...], m: int) -> tuple[bool, bool, list[int], int, int]:
-    """Evaluate both move guards; returns (tau_ok, sigma_ok, lands, s_m, overlap)."""
+def _move(parts: tuple[int, ...], m: int) -> tuple[InvolutionCase | None, tuple[int, ...], int, int]:
+    """(case, image, s_m, overlap) of nonempty parts by one walk; case None if both guards hold."""
     t = parts[-1]
     lands, s, overlap = _walk(parts, m)
-    return (t <= s and t < m + len(parts), t - overlap > s, lands, s, overlap)
+    tau_ok = t <= s and t < m + len(parts)
+    if tau_ok is (t - overlap > s):  # both guards hold, or neither
+        return (None if tau_ok else FIXED), parts, s, overlap
+    if tau_ok:
+        return TAU_MOVED, _tau_tuple(parts, m, lands), s, overlap
+    return SIGMA_MOVED, _sigma_tuple(parts, lands, s), s, overlap
 
 
 def _restricted(p: DistinctPartition, m: int, move: str, case: InvolutionCase) -> DistinctPartition:
@@ -133,18 +141,12 @@ def sigma(p: DistinctPartition, m: int) -> DistinctPartition:
 def involute(p: DistinctPartition, m: int) -> InvolutionResult:
     """Apply the involution once; the empty partition is fixed.  tau and sigma restrict it."""
     if p.n == 0 and m >= 0:
-        return InvolutionResult(p, InvolutionCase.FIXED)
+        return InvolutionResult(p, FIXED)
     _require_valid(p, m)
-    tau_ok, sigma_ok, lands, s, _ = _guards(p.parts, m)
-    if tau_ok and sigma_ok:
+    case, image, _, _ = _move(p.parts, m)
+    if case is None:
         raise AssertionError(f"move guards are not exclusive on {p.parts}, m={m}")
-    if tau_ok:
-        image = DistinctPartition(_tau_tuple(p.parts, m, lands))
-        return InvolutionResult(image, InvolutionCase.TAU_MOVED)
-    if sigma_ok:
-        image = DistinctPartition(_sigma_tuple(p.parts, lands, s))
-        return InvolutionResult(image, InvolutionCase.SIGMA_MOVED)
-    return InvolutionResult(p, InvolutionCase.FIXED)
+    return InvolutionResult(p if case is FIXED else DistinctPartition(image), case)
 
 
 def _fixed_criterion(parts: tuple[int, ...], m: int) -> bool:
@@ -236,7 +238,7 @@ def _audit_one(
 ) -> tuple[int, int, int, int, int]:
     """Check every involution law on each partition of one size, in one loop.
 
-    Walks each nonempty partition once and each moved one's image once more.
+    Applies `involute`'s kernel `_move` to each nonempty partition and each moved one's image.
     Violations are appended in enumeration order.  Returns the size's tally
     (tau-moved, sigma-moved, fixed with an even part count, fixed with an
     odd part count, both guards holding).  The helpers are read as module
@@ -252,10 +254,10 @@ def _audit_one(
             continue
         t = parts[-1]
         full = m + n  # the longest staircase n rows allow
-        tau_ok, sigma_ok, lands, s, overlap = _guards(parts, m)
+        case, img, s, overlap = _move(parts, m)
         if not (m < s <= full):
             violations.append(("staircase-bounds", parts))
-        if tau_ok and sigma_ok:
+        if case is None:
             violations.append(("guards-overlap", parts))
             both += 1
             continue
@@ -264,7 +266,7 @@ def _audit_one(
         if s == full and t >= full and t - overlap != parts[0] - full:
             violations.append(("taxicab", parts))
         crit = _fixed_criterion(parts, m)
-        if not (tau_ok or sigma_ok):
+        if case is FIXED:
             if not crit:
                 violations.append(("fixed-criterion", parts))
             if t < full or s != full:
@@ -276,31 +278,29 @@ def _audit_one(
             continue
         if crit:
             violations.append(("fixed-criterion", parts))
-        if tau_ok:
+        if case is TAU_MOVED:
             tau_moved += 1
-            img = _tau_tuple(parts, m, lands)
             if len(img) != n - 1 or sum(img) != size or not _is_valid_distinct(img, m):
                 violations.append(("tau-image", parts))
                 continue
-            i_tau, i_sigma, i_lands, i_s, _ = _guards(img, m)
+            i_case, back, i_s, _ = _move(img, m)
             if i_s != t:
                 violations.append(("tau-staircase-transfer", parts))
-            if i_tau or not i_sigma:
+            if i_case is not SIGMA_MOVED:
                 violations.append(("tau-image-guard", parts))
-            elif _sigma_tuple(img, i_lands, i_s) != parts:
+            elif back != parts:
                 violations.append(("sigma-tau-roundtrip", parts))
             continue
         sigma_moved += 1
-        img = _sigma_tuple(parts, lands, s)
         if len(img) != n + 1 or sum(img) != size or not _is_valid_distinct(img, m):
             violations.append(("sigma-image", parts))
             continue
         if img[-1] != s:
             violations.append(("sigma-top-transfer", parts))
-        i_tau, i_sigma, i_lands, _, _ = _guards(img, m)
-        if not i_tau or i_sigma:
+        i_case, back, _, _ = _move(img, m)
+        if i_case is not TAU_MOVED:
             violations.append(("sigma-image-guard", parts))
-        elif _tau_tuple(img, m, i_lands) != parts:
+        elif back != parts:
             violations.append(("tau-sigma-roundtrip", parts))
     return tau_moved, sigma_moved, even, odd, both
 

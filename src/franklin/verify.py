@@ -33,7 +33,7 @@ import time
 from collections import defaultdict
 from typing import Callable, NamedTuple
 
-from .involution import _guards, cancellation_stats, enumerate_fixed_points, orbit_audit
+from .involution import FIXED, _move, cancellation_stats, enumerate_fixed_points, orbit_audit
 from .partitions import DurfeeCategory, _distinct_tuples, _durfee, format_partition, weight
 from .qseries import (
     ZQSeries,
@@ -130,10 +130,10 @@ def check_fixed_point_formula(m: int, order: int) -> VerificationReport:
 
     Each enumerated point, as `fixed-points` lists it, must keep three
     laws, and the first point that breaks one is the first mismatch:
-    point-weight, its weight is `weight(p)`; point-guard, neither move's
-    guard holds on it, by the staircase walk rather than the box formula
-    (the empty point is fixed by definition); point-order, its key (part
-    count, size, parts) rises strictly, the documented order without repeats.
+    point-weight, its weight is `weight(p)`; point-guard, `_move` (what
+    `involute` runs) fixes it by the walk, not the box formula (the empty
+    point is fixed by definition); point-order, its key (part count, size,
+    parts) rises strictly, the documented order without repeats.
     """
     _nonnegative(m=m, order=order)
 
@@ -149,7 +149,7 @@ def check_fixed_point_formula(m: int, order: int) -> VerificationReport:
             key = (len(parts), w.exponent, parts)  # w.exponent is the size once point-weight holds
             law = (
                 "point-weight" if w != weight(p)
-                else "point-guard" if parts and any(_guards(parts, m)[:2])
+                else "point-guard" if parts and _move(parts, m)[0] is not FIXED
                 else "point-order" if key <= last
                 else None
             )

@@ -17,7 +17,7 @@ from franklin.involution import (
     SizeStats,
     _box_lex,
     _fixed_criterion,
-    _guards,
+    _move,
     cancellation_stats,
     enumerate_fixed_points,
     involute,
@@ -33,7 +33,7 @@ from franklin.partitions import (
     weight,
 )
 from franklin.qseries import _distinct_counts, _fixed_point_tallies, _product_coeffs
-from franklin.staircase import staircase
+from franklin.staircase import _walk, staircase
 
 
 @st.composite
@@ -362,6 +362,13 @@ class TestOrbitAudit:
             merged = sum_shards([orbit_audit(m, 20, sizes=sizes) for sizes in shards])
             assert merged == orbit_audit(m, 20)
 
+    @pytest.mark.parametrize("m", range(5, 11))
+    def test_clean_audit_past_each_residual_onset(self, m):
+        # size 60 passes 27 + 3(m - 5), the first size where fixed points of both signs meet
+        report = orbit_audit(m, 60)
+        assert report.violations == []
+        assert report.tau_moved == report.sigma_moved
+
     def test_sizes_above_max_size_rejected(self):
         with pytest.raises(ValueError):
             orbit_audit(0, 5, sizes=[40])
@@ -386,7 +393,7 @@ class TestGuards:
                 for p in enumerate_distinct(total, m):
                     if not p.n:
                         continue
-                    _, _, lands, s, overlap = _guards(p.parts, m)
+                    lands, s, overlap = _walk(p.parts, m)
                     cells = staircase(p, m).cells
                     assert s == len(cells), p.parts
                     assert overlap == sum(1 for c in cells if c.row == p.n), p.parts
@@ -411,15 +418,13 @@ class TestMovesAgainstCells:
         moved = Counter()
         for size in range(1, 41):
             for parts in (p.parts for p in enumerate_distinct(size, m)):
-                tau_ok, sigma_ok, lands, s, _ = _guards(parts, m)
-                if sigma_ok:
-                    image = involution._sigma_tuple(parts, lands, s)
+                case, image, _, _ = _move(parts, m)
+                if case is InvolutionCase.SIGMA_MOVED:
                     assert image == _staircase_laid_on_top(parts, m), parts
-                elif tau_ok:
-                    image = involution._tau_tuple(parts, m, lands)
+                elif case is InvolutionCase.TAU_MOVED:
                     assert _staircase_laid_on_top(image, m) == parts, parts
-                moved[tau_ok, sigma_ok] += 1
-        assert moved[True, False] == moved[False, True] > 0
+                moved[case] += 1
+        assert moved[InvolutionCase.TAU_MOVED] == moved[InvolutionCase.SIGMA_MOVED] > 0
 
 
 # One corruption of one audit helper per law that _audit_one names: each
@@ -429,37 +434,37 @@ def _flip_fixed(real):
 
 
 def _staircase_too_long(real):
-    def guards(parts, m):
-        tau_ok, sigma_ok, lands, s, overlap = real(parts, m)
-        return tau_ok, sigma_ok, lands, s + m + len(parts), overlap
+    def moved(parts, m):
+        case, image, s, overlap = real(parts, m)
+        return case, image, s + m + len(parts), overlap
 
-    return guards
+    return moved
 
 
 def _both_guards(real):
-    def guards(parts, m):
-        _, _, lands, s, overlap = real(parts, m)
-        return True, True, lands, s, overlap
+    def moved(parts, m):
+        _, _, s, overlap = real(parts, m)
+        return None, parts, s, overlap
 
-    return guards
+    return moved
 
 
 def _top_overlap_plus_one(real):
-    def guards(parts, m):
-        tau_ok, sigma_ok, lands, s, overlap = real(parts, m)
+    def moved(parts, m):
+        case, image, s, overlap = real(parts, m)
         if overlap:  # the walk reached the top row
             overlap += 1
-        return tau_ok, sigma_ok, lands, s, overlap
+        return case, image, s, overlap
 
-    return guards
+    return moved
 
 
 def _no_guards(real):
-    def guards(parts, m):
-        _, _, lands, s, overlap = real(parts, m)
-        return False, False, lands, s, overlap
+    def moved(parts, m):
+        _, _, s, overlap = real(parts, m)
+        return InvolutionCase.FIXED, parts, s, overlap
 
-    return guards
+    return moved
 
 
 def _tau_extra_part(real):
@@ -467,19 +472,26 @@ def _tau_extra_part(real):
 
 
 def _staircase_plus_one(real):
-    def guards(parts, m):
-        tau_ok, sigma_ok, lands, s, overlap = real(parts, m)
-        return tau_ok, sigma_ok, lands, s + 1, overlap
+    def moved(parts, m):
+        case, image, s, overlap = real(parts, m)
+        return case, image, s + 1, overlap
 
-    return guards
+    return moved
 
 
-def _sigma_never(real):
-    def guards(parts, m):
-        tau_ok, _, lands, s, overlap = real(parts, m)
-        return tau_ok, False, lands, s, overlap
+def _unmoved(case):
+    """The kernel with each move of the given case reported as a fixed point."""
 
-    return guards
+    def fault(real):
+        def moved(parts, m):
+            found, image, s, overlap = real(parts, m)
+            if found is case:
+                return InvolutionCase.FIXED, parts, s, overlap
+            return found, image, s, overlap
+
+        return moved
+
+    return fault
 
 
 def _sigma_top_cell_to_bottom(real):
@@ -494,14 +506,6 @@ def _sigma_drops_top(real):
     return lambda parts, lands, s: real(parts, lands, s)[:-1]
 
 
-def _tau_never(real):
-    def guards(parts, m):
-        _, sigma_ok, lands, s, overlap = real(parts, m)
-        return False, sigma_ok, lands, s, overlap
-
-    return guards
-
-
 def _tau_bottom_plus_one(real):
     def moved(parts, m, lands):
         image = real(parts, m, lands)
@@ -512,17 +516,17 @@ def _tau_bottom_plus_one(real):
 
 AUDIT_FAULTS = {
     "fixed-criterion": ("_fixed_criterion", _flip_fixed),
-    "staircase-bounds": ("_guards", _staircase_too_long),
-    "guards-overlap": ("_guards", _both_guards),
-    "taxicab": ("_guards", _top_overlap_plus_one),
-    "fixed-shape": ("_guards", _no_guards),
+    "staircase-bounds": ("_move", _staircase_too_long),
+    "guards-overlap": ("_move", _both_guards),
+    "taxicab": ("_move", _top_overlap_plus_one),
+    "fixed-shape": ("_move", _no_guards),
     "tau-image": ("_tau_tuple", _tau_extra_part),
-    "tau-staircase-transfer": ("_guards", _staircase_plus_one),
-    "tau-image-guard": ("_guards", _sigma_never),
+    "tau-staircase-transfer": ("_move", _staircase_plus_one),
+    "tau-image-guard": ("_move", _unmoved(InvolutionCase.SIGMA_MOVED)),
     "sigma-tau-roundtrip": ("_sigma_tuple", _sigma_top_cell_to_bottom),
     "sigma-image": ("_sigma_tuple", _sigma_drops_top),
     "sigma-top-transfer": ("_sigma_tuple", _sigma_top_cell_to_bottom),
-    "sigma-image-guard": ("_guards", _tau_never),
+    "sigma-image-guard": ("_move", _unmoved(InvolutionCase.TAU_MOVED)),
     "tau-sigma-roundtrip": ("_tau_tuple", _tau_bottom_plus_one),
 }
 

@@ -517,6 +517,18 @@ class TestSylvester:
         one_plus_z = QSeries(order, [1] + [0] * m + [-1])
         assert convolve(one_plus_z, substitute_z(lhs, -1, m + 1)) == euler_product(m, order)
 
+    @pytest.mark.parametrize("order", [0, 1, 30, 120])
+    def test_durfee_side_at_minus_q_to_the_m_is_the_product(self, order):
+        # prod_{n>=1} (1 + z q^n) at z = -q^m is prod_{k>m} (1 - q^k), read off the Durfee side
+        _, rhs = sylvester_sides(order)
+        for m in range(11):
+            found = [0] * (order + 1)
+            for k, column in enumerate(rhs.columns):
+                for j, c in enumerate(column):
+                    if j + k * m <= order:
+                        found[j + k * m] += (-1) ** k * c
+            assert found == _product_coeffs(m, order, -1), m
+
 
 def neg_zq_by_products(n, q_order):
     """(-zq)_n multiplied out one (1 + z q^i) at a time with ZQSeries.__mul__."""

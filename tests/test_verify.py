@@ -616,6 +616,17 @@ def _flipped_on_pairs(real):
     return corrupted
 
 
+def _three_part_sigma_fixed(real):
+    # the decision every route reads: a wrapper on `involute` alone passes verify
+    def corrupted(parts, m):
+        case, image, s, overlap = real(parts, m)
+        if case is involution.InvolutionCase.SIGMA_MOVED and len(parts) == 3:
+            return involution.InvolutionCase.FIXED, parts, s, overlap
+        return case, image, s, overlap
+
+    return corrupted
+
+
 _SUITE_ARGS = {
     "general": ["--m", "1", "--order", "20"],
     "sylvester": ["--order", "14"],
@@ -706,6 +717,11 @@ KERNEL_FAULTS = {
         ["involution"],
         {"involution-audit": "fixed-criterion"},
     ),
+    "_move 3-part sigma reported fixed": (
+        [(involution, "_move", _three_part_sigma_fixed)],
+        ["involution", "general"],
+        {"involution-audit": "fixed-criterion"},
+    ),
 }
 
 
@@ -732,3 +748,10 @@ class TestKernelFaultMatrix:
             assert code == (1 if fails else 0)
             failed |= fails
         assert failed == failing
+
+    def test_decision_fault_is_what_involve_prints(self, monkeypatch, capsys):
+        assert run(["involve", "--partition", "11,10,8", "--m", "1"]) == 0
+        assert capsys.readouterr().out.startswith("case: SigmaMoved\n")
+        monkeypatch.setattr(involution, "_move", _three_part_sigma_fixed(involution._move))
+        assert run(["involve", "--partition", "11,10,8", "--m", "1"]) == 0
+        assert capsys.readouterr().out == "case: Fixed\nimage: 11,10,8\n"
