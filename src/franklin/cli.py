@@ -14,9 +14,10 @@ import json
 import os
 import sys
 from contextlib import nullcontext
-from typing import Callable, Iterable, Iterator, TextIO
+from itertools import chain
+from typing import Iterator, TextIO
 
-from .involution import InvolutionCase, cancellation_stats, enumerate_fixed_points, involute
+from .involution import InvolutionCase, _fixed_point_blocks, cancellation_stats, involute
 from .partitions import (
     DistinctPartition,
     SignedMonomial,
@@ -173,18 +174,17 @@ def _cmd_involve(args, out: TextIO) -> int:
     return 0
 
 
-def _json_payload(out: TextIO, m: int, max_size: int, key: str, rows: Iterable[str]) -> None:
+def _json_payload(out: TextIO, m: int, max_size: int, key: str, rows: Iterator[str]) -> None:
     """Write ``json.dumps({"m": .., "maxSize": .., key: [..]}, indent=2)`` and a newline.
 
-    `rows` are the list's objects at depth two, each written as it comes: several
-    times faster than ``json.dumps``, which drops to pure Python under ``indent``.
-    Every caller has at least one row (size 0), so the list is never ``[]``.
+    Each of `rows` is one of the list's objects at depth two after its ``",\\n"``
+    separator, written as it comes: several times faster than ``json.dumps``, which
+    drops to pure Python under ``indent``.  The first row's comma is dropped; every
+    caller has at least one row (size 0), so the list is never ``[]``.
     """
-    out.write(f'{{\n  "m": {m},\n  "maxSize": {max_size},\n  "{key}": [')
-    sep = "\n"
-    for row in rows:
-        out.write(sep + row)
-        sep = ",\n"
+    first = next(rows)
+    out.write(f'{{\n  "m": {m},\n  "maxSize": {max_size},\n  "{key}": [{first[1:]}')
+    out.writelines(rows)
     out.write("\n  ]\n}\n")
 
 
@@ -194,48 +194,38 @@ def _text_template(n: int, w: SignedMonomial) -> str:
 
 
 def _json_template(n: int, w: SignedMonomial) -> str:
-    """The JSON row as ``json.dumps(.., indent=2)`` writes it at depth two, %d for each part."""
+    """The JSON row as ``json.dumps(.., indent=2)`` writes it at depth two, %d for each part.
+
+    The row starts with the ``",\\n"`` that separates it from the one before.
+    """
     parts = "[\n        " + ",\n        ".join(["%d"] * n) + "\n      ]" if n else "[]"
     return (
-        f'    {{\n      "parts": {parts},\n'
+        f',\n    {{\n      "parts": {parts},\n'
         f'      "size": {w.exponent},\n      "sign": {w.sign}\n    }}'
     )
 
 
-# a SizeStats row as JSON at depth two and as text, %d for each field in order;
-# partitions and productCoefficient may exceed 64 bits: decimal strings
+# a SizeStats row as JSON at depth two, after its separator, and as text, %d for each
+# field in order; partitions and productCoefficient may exceed 64 bits: decimal strings
 _STATS_JSON_ROW = (
-    '    {\n      "size": %d,\n      "partitions": "%d",\n      "fixed": %d,\n'
+    ',\n    {\n      "size": %d,\n      "partitions": "%d",\n      "fixed": %d,\n'
     '      "fixedPositive": %d,\n      "fixedNegative": %d,\n      "residual": %d,\n'
     '      "productCoefficient": "%d"\n    }'
 )
 _STATS_TEXT_ROW = "%d %d %d %d %d %d %d\n"
 
 
-def _rows(
-    points: Iterable[tuple[DistinctPartition, SignedMonomial]],
-    template: Callable[[int, SignedMonomial], str],
-) -> Iterator[str]:
-    """Each point as ``template(n, w) % parts``: one C-level format per row.
-
-    The template is rebuilt when the part count or the weight's value changes,
-    not its identity: a stream may reuse one weight object for several n.
-    """
-    n = sign = size = -1
-    for p, w in points:
-        parts = p.parts
-        if len(parts) != n or w.exponent != size or w.sign != sign:
-            n, sign, size = len(parts), w.sign, w.exponent
-            row = template(n, w)
-        yield row % parts
-
-
 def _cmd_fixed_points(args, out: TextIO) -> int:
-    points = enumerate_fixed_points(args.m, args.max_size)
+    # one template per box of points sharing n and the weight: one C-level format per row
+    template = _json_template if args.json else _text_template
+    rows = chain.from_iterable(
+        map(template(n, w).__mod__, points)
+        for n, w, points in _fixed_point_blocks(args.m, args.max_size)
+    )
     if args.json:
-        _json_payload(out, args.m, args.max_size, "fixedPoints", _rows(points, _json_template))
+        _json_payload(out, args.m, args.max_size, "fixedPoints", rows)
     else:
-        out.writelines(_rows(points, _text_template))
+        out.writelines(rows)
     return 0
 
 

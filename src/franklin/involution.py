@@ -190,12 +190,18 @@ def _box_lex(base: tuple[int, ...], width: int, total: int) -> Iterator[tuple[in
         parts[i] += 1
 
 
-def _fixed_points(m: int, max_size: int) -> Iterator[tuple[DistinctPartition, SignedMonomial]]:
-    """The fixed points with their weights, in enumerate_fixed_points' order.
+def _fixed_point_blocks(
+    m: int, max_size: int
+) -> Iterator[tuple[int, SignedMonomial, Iterator[tuple[int, ...]]]]:
+    """The fixed points in boxes (n, weight, points), in enumerate_fixed_points' order.
 
-    With base = base_partition(n, m), family A is base + mu for mu in the
-    n x m box; family B, mu = (m + 1, 1 + nu) for nu in the (n - 1) x m box,
-    is the top part base[0] + m + 1 followed by base[1:] + 1 + nu.
+    All points of a box have n parts and the weight (-1)^n q^{sum(base) + r},
+    with base = base_partition(n, m).  Family A is base + mu for mu in the
+    n x m box summing to r; family B, mu = (m + 1, 1 + nu) for nu in the
+    (n - 1) x m box, is the top part base[0] + m + 1 followed by
+    base[1:] + 1 + nu.  For n > 0 each (n, r) gives a family-A box and then
+    a family-B box of the same weight, either of which may be empty; the
+    first box is the empty partition alone.
     """
     n = 0
     while (base_size := sum(base := base_partition(n, m).parts)) <= max_size:
@@ -203,11 +209,9 @@ def _fixed_points(m: int, max_size: int) -> Iterator[tuple[DistinctPartition, Si
         top, below = least_b[:1], least_b[1:]
         for r in range(min(max_size - base_size, n * (m + 1)) + 1):
             weight = SignedMonomial(-1 if n % 2 else 1, base_size + r)
-            for parts in _box_lex(base, m, r):
-                yield DistinctPartition._trusted(parts), weight
+            yield n, weight, _box_lex(base, m, r)
             if n:
-                for parts in _box_lex(below, m, r - m - n):
-                    yield DistinctPartition._trusted(top + parts), weight
+                yield n, weight, map(top.__add__, _box_lex(below, m, r - m - n))
         n += 1
 
 
@@ -221,7 +225,11 @@ def enumerate_fixed_points(
     raises at the call.
     """
     _nonnegative(m=m, max_size=max_size)
-    return _fixed_points(m, max_size)
+    return (
+        (DistinctPartition._trusted(parts), weight)
+        for _, weight, points in _fixed_point_blocks(m, max_size)
+        for parts in points
+    )
 
 
 def _is_valid_distinct(parts: tuple[int, ...], m: int) -> bool:

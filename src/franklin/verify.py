@@ -4,9 +4,9 @@
   knapsack vs the closed Gaussian-binomial sum vs Euler's staircase sum
   (`euler_product`, the route `expand` prints).
 * fixed-point-formula: the fixed-point generating function vs the
-  product vs enumeration of the involution's fixed points, where each
-  enumerated point must have its own weight, hold neither move's guard
-  and come after the one before it, as `fixed-points` lists them.
+  product vs enumeration of the involution's fixed points, in the boxes
+  that `fixed-points` prints, where each point must carry its box's
+  weight, hold neither move's guard and come after the one before it.
 * sylvester: the product of (1 + z q**n) vs the Durfee-square sum.
 * durfee-decomposition: enumeration of distinct-part partitions graded
   by Durfee class vs each class's term, the summands of sylvester's side.
@@ -33,8 +33,8 @@ import time
 from collections import defaultdict
 from typing import Callable, NamedTuple
 
-from .involution import FIXED, _move, cancellation_stats, enumerate_fixed_points, orbit_audit
-from .partitions import DurfeeCategory, _distinct_tuples, _durfee, format_partition, weight
+from .involution import FIXED, _fixed_point_blocks, _move, cancellation_stats, orbit_audit
+from .partitions import DurfeeCategory, _distinct_tuples, _durfee
 from .qseries import (
     ZQSeries,
     _durfee_terms,
@@ -128,12 +128,14 @@ def check_general_formula(m: int, order: int) -> VerificationReport:
 def check_fixed_point_formula(m: int, order: int) -> VerificationReport:
     """Fixed-point generating function vs the product vs direct enumeration.
 
-    Each enumerated point, as `fixed-points` lists it, must keep three
-    laws, and the first point that breaks one is the first mismatch:
-    point-weight, its weight is `weight(p)`; point-guard, `_move` (what
-    `involute` runs) fixes it by the walk, not the box formula (the empty
-    point is fixed by definition); point-order, its key (part count, size,
-    parts) rises strictly, the documented order without repeats.
+    The enumeration reads the boxes that `fixed-points` prints, each a part
+    count n, a weight (sign, size) and its points.  Each point must keep
+    three laws, each read from its own parts, and the first point that
+    breaks one is the first mismatch: point-weight, it has n parts summing
+    to size and sign is (-1)^n; point-guard, `_move` (what `involute` runs)
+    fixes it by the walk, not the box formula (the empty point is fixed by
+    definition); point-order, its key (n, size, parts) rises strictly, the
+    documented order without repeats.
     """
     _nonnegative(m=m, order=order)
 
@@ -144,19 +146,19 @@ def check_fixed_point_formula(m: int, order: int) -> VerificationReport:
             return found
         tally = [0] * (order + 1)
         last: tuple = ()
-        for p, w in enumerate_fixed_points(m, order):
-            parts = p.parts
-            key = (len(parts), w.exponent, parts)  # w.exponent is the size once point-weight holds
-            law = (
-                "point-weight" if w != weight(p)
-                else "point-guard" if parts and _move(parts, m)[0] is not FIXED
-                else "point-order" if key <= last
-                else None
-            )
-            if law:
-                return {"law": law, "partition": format_partition(p)}
-            tally[w.exponent] += w.sign
-            last = key
+        for n, (sign, size), points in _fixed_point_blocks(m, order):
+            for parts in points:
+                key = (n, size, parts)
+                law = (
+                    "point-weight" if len(parts) != n or sum(parts) != size or sign != (-1) ** n
+                    else "point-guard" if parts and _move(parts, m)[0] is not FIXED
+                    else "point-order" if key <= last
+                    else None
+                )
+                if law:
+                    return {"law": law, "partition": ",".join(map(str, parts))}
+                tally[size] += sign
+                last = key
         return _qseries_mismatch(closed, tally, "fixed-point-sum", "enumeration")
 
     return _run("fixed-point-formula", {"m": m, "order": order}, routes)

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -262,24 +263,60 @@ class TestFixedPointsCmd:
         assert out.splitlines(keepends=True) == want.splitlines(keepends=True)
 
     def test_rows_follow_values_not_objects(self, monkeypatch, capsys):
-        # one weight object across three part counts, then equal weights as distinct objects
+        # hand-made boxes: one weight object shared by boxes of three part counts, empty
+        # boxes first and between nonempty ones, then equal weights as distinct objects
         shared = SignedMonomial(1, 10)
-        stream = [
-            (DistinctPartition((10,)), shared),
-            (DistinctPartition((6, 4)), shared),
-            (DistinctPartition((5, 3, 2)), shared),
-            (DistinctPartition((5, 4, 1)), SignedMonomial(-1, 10)),
-            (DistinctPartition((7, 2, 1)), SignedMonomial(-1, 10)),
-            (DistinctPartition((6, 4, 2)), SignedMonomial(-1, 12)),
-            (DistinctPartition(), SignedMonomial(1, 0)),
-            (DistinctPartition((9, 3)), SignedMonomial(1, 12)),
-            (DistinctPartition((8, 4)), SignedMonomial(1, 12)),
+        boxes = [
+            (2, SignedMonomial(1, 7), []),
+            (1, shared, [(10,)]),
+            (2, shared, [(6, 4)]),
+            (2, shared, []),
+            (3, shared, [(5, 3, 2)]),
+            (3, SignedMonomial(-1, 10), [(5, 4, 1)]),
+            (3, SignedMonomial(-1, 10), [(7, 2, 1)]),
+            (3, SignedMonomial(-1, 12), [(6, 4, 2)]),
+            (0, SignedMonomial(1, 0), [()]),
+            (2, SignedMonomial(1, 12), [(9, 3), (8, 4)]),
         ]
-        monkeypatch.setattr(cli, "enumerate_fixed_points", lambda m, max_size: iter(stream))
+        stream = [(DistinctPartition(parts), w) for _, w, points in boxes for parts in points]
+        monkeypatch.setattr(
+            cli, "_fixed_point_blocks", lambda m, max_size: ((n, w, iter(p)) for n, w, p in boxes)
+        )
         run(["fixed-points", "--m", "0", "--max-size", "12"])
         assert out_of(capsys) == (fixed_points_text(stream), "")
         run(["fixed-points", "--m", "0", "--max-size", "12", "--json"])
         assert out_of(capsys) == (fixed_points_json(0, 12, stream), "")
+
+    @pytest.mark.parametrize("fmt, marker", [([], "\n"), (["--json"], '"sign"')])
+    def test_writes_in_bounded_memory(self, monkeypatch, fmt, marker):
+        # rows go out one at a time: joining the largest box (900 points) would hold
+        # about 110 kB as text and 360 kB as JSON
+        class Discard:
+            """Counts the rows it is sent by a marker each row holds once, keeps nothing."""
+
+            rows = 0
+
+            def write(self, text):
+                self.rows += text.count(marker)
+                return len(text)
+
+            def writelines(self, lines):
+                for text in lines:
+                    self.write(text)
+
+        argv = ["fixed-points", "--m", "10", "--max-size", "200", *fmt]
+        monkeypatch.setattr(sys, "stdout", Discard())
+        assert run(argv) == 0  # warms CPython's free lists and the parser cache
+        monkeypatch.setattr(sys, "stdout", sink := Discard())
+        tracemalloc.start()
+        try:
+            code = run(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert sink.rows == 50550
+        assert peak < 2**16
 
     @pytest.mark.parametrize("fmt", [[], ["--json"]])
     def test_out_file_holds_the_stdout_bytes(self, tmp_path, capsys, fmt):
@@ -636,7 +673,7 @@ class TestUsageErrors:
         "argv,kernel",
         [
             (["expand", "--order", "5"], "euler_product"),
-            (["fixed-points", "--max-size", "5"], "enumerate_fixed_points"),
+            (["fixed-points", "--max-size", "5"], "_fixed_point_blocks"),
             (["stats", "--max-size", "5", "--json"], "cancellation_stats"),
             (["verify", "--suite", "sylvester"], "check_sylvester"),
         ],

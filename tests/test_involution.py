@@ -17,6 +17,7 @@ from franklin.involution import (
     SizeStats,
     _box_lex,
     _fixed_criterion,
+    _fixed_point_blocks,
     _move,
     cancellation_stats,
     enumerate_fixed_points,
@@ -27,6 +28,7 @@ from franklin.involution import (
 )
 from franklin.partitions import (
     DistinctPartition,
+    SignedMonomial,
     base_partition,
     count_distinct_signed,
     enumerate_distinct,
@@ -252,6 +254,19 @@ class TestEnumerateFixedPoints:
         assert count == 50550
         assert peak < 2**20
 
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    def test_boxes_share_part_count_and_weight(self, m):
+        # the empty partition first, alone; then a family-A and a family-B box per (n, size)
+        boxes = [(n, w, list(points)) for n, w, points in _fixed_point_blocks(m, 40)]
+        assert boxes[0] == (0, SignedMonomial(1, 0), [()])
+        for n, w, points in boxes:
+            assert w.sign == (-1) ** n
+            assert all(len(parts) == n and sum(parts) == w.exponent for parts in points)
+        pairs = [(n, w) for n, w, _ in boxes[1:]]
+        assert pairs[::2] == pairs[1::2]
+        flat = [(DistinctPartition(parts), w) for _, w, points in boxes for parts in points]
+        assert flat == list(enumerate_fixed_points(m, 40))
+
 
 class TestBoxLex:
     @pytest.mark.parametrize("rows", range(6))
@@ -337,8 +352,9 @@ class TestOrbitAudit:
         """One walk per nonempty partition, one more for the image of each moved one.
 
         The benchmark's oracle test pins this two-walk structure
-        (bench/test_oracles.py:300 asserts 1.5 < walks_per_partition <= 2.0),
-        so a one-walk audit has to land together with that bound's refresh.
+        (bench/test_oracles.py::test_traced_enumerator_yields_the_counted_partitions
+        asserts 1.5 < walks_per_partition <= 2.0), so a one-walk audit has to
+        land together with that bound's refresh.
         """
         report = orbit_audit(2, 24)
         assert report.violations == []

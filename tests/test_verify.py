@@ -4,12 +4,13 @@ from operator import add
 
 import pytest
 
+import franklin.cli as cli
 import franklin.involution as involution
 import franklin.partitions as partitions
 import franklin.qseries as qseries
 import franklin.verify as verify
 from franklin.cli import run
-from franklin.partitions import DistinctPartition, DurfeeCategory, base_partition
+from franklin.partitions import DurfeeCategory, SignedMonomial, base_partition
 from franklin.qseries import rhs_general
 from franklin.verify import (
     check_durfee_decomposition,
@@ -307,9 +308,9 @@ class TestFixedPointFormula:
         assert report.first_mismatch["exponent"] == 11
 
     def test_point_off_its_weight_fails_only_this_check(self, monkeypatch, capsys):
-        # the first family-B point, (2m + 2,), is listed as (2m + 3,) with its old weight
+        # the first family-B point, (2m + 2,), is listed as (2m + 3,) in its old box
         monkeypatch.setattr(
-            involution, "_fixed_points", _family_b_top_plus_one(involution._fixed_points)
+            verify, "_fixed_point_blocks", _family_b_top_plus_one(verify._fixed_point_blocks)
         )
         assert run(["verify", "--suite", "general", "--json"]) == 1
         reports = json.loads(capsys.readouterr().out)
@@ -321,21 +322,31 @@ class TestFixedPointFormula:
 
     @staticmethod
     def replaced(monkeypatch, points):
-        """The fixed-point stream with each point in `points` replaced by its list, weights kept."""
-        real = involution._fixed_points
-
-        def corrupted(m, max_size):
-            for p, w in real(m, max_size):
-                for q in points.get(p.parts, [p.parts]):
-                    yield DistinctPartition(q), w
-
-        monkeypatch.setattr(involution, "_fixed_points", corrupted)
+        fault = _points_replaced(points)
+        monkeypatch.setattr(verify, "_fixed_point_blocks", fault(verify._fixed_point_blocks))
 
     def test_moved_point_fails_the_guard_law(self, monkeypatch):
         # (7, 3) has the weight of (6, 4) at m = 1, but the walk finds a move for it
         self.replaced(monkeypatch, {(6, 4): [(7, 3)]})
         report = check_fixed_point_formula(1, 20)
         assert report.first_mismatch == {"law": "point-guard", "partition": "7,3"}
+
+    def test_point_with_another_part_count_fails_the_weight_law(self, monkeypatch):
+        # (5, 3, 2) has the size of (6, 4) at m = 1, but three parts in a two-part box
+        self.replaced(monkeypatch, {(6, 4): [(5, 3, 2)]})
+        report = check_fixed_point_formula(1, 20)
+        assert report.first_mismatch == {"law": "point-weight", "partition": "5,3,2"}
+
+    def test_box_of_the_other_sign_fails_the_weight_law(self, monkeypatch):
+        real = verify._fixed_point_blocks
+
+        def flipped(m, max_size):
+            for n, w, box in real(m, max_size):
+                yield n, SignedMonomial(-w.sign, w.exponent) if n == 2 else w, box
+
+        monkeypatch.setattr(verify, "_fixed_point_blocks", flipped)
+        report = check_fixed_point_formula(1, 20)
+        assert report.first_mismatch == {"law": "point-weight", "partition": "4,3"}
 
     def test_repeated_point_fails_the_order_law(self, monkeypatch):
         self.replaced(monkeypatch, {(5, 4): [(5, 4), (5, 4)]})
@@ -534,18 +545,34 @@ def _column_two_off(real):
 
 
 def _family_b_top_plus_one(real):
-    """Fixed points whose family-B points (mu_1 = m + 1) have their top part one too high.
+    """Fixed-point boxes whose family-B points (mu_1 = m + 1) have their top part one too high.
 
-    Each point keeps its weight, so the weight tally alone cannot see the fault.
+    Each point stays in its box, with the box's part count and weight, so the
+    weight tally alone cannot see the fault.
     """
 
+    def bumped(box, top):
+        for parts in box:
+            yield (top + 1, *parts[1:]) if parts[0] == top else parts
+
     def corrupted(m, max_size):
-        for p, w in real(m, max_size):
-            if p.n and p.parts[0] - base_partition(p.n, m).parts[0] == m + 1:
-                p = DistinctPartition((p.parts[0] + 1, *p.parts[1:]))
-            yield p, w
+        for n, w, box in real(m, max_size):
+            yield n, w, bumped(box, base_partition(n, m).parts[0] + m + 1) if n else box
 
     return corrupted
+
+
+def _points_replaced(points):
+    """A fault on the fixed-point boxes: each point in `points` replaced by its list, boxes kept."""
+
+    def fault(real):
+        def corrupted(m, max_size):
+            for n, w, box in real(m, max_size):
+                yield n, w, (q for parts in box for q in points.get(parts, [parts]))
+
+        return corrupted
+
+    return fault
 
 
 def _drops_last_of(real, at):
@@ -634,6 +661,12 @@ _SUITE_ARGS = {
     "involution": ["--m", "1", "--max-size", "16"],
 }
 
+
+def _box_fault(fault):
+    """Patches that put `fault` on the fixed-point boxes in every module that reads them."""
+    return [(module, "_fixed_point_blocks", fault) for module in (involution, verify, cli)]
+
+
 # kernel: (patches as (module, name, fault of the real kernel), suites the kernel feeds,
 # each failing identity with the audit law that fails first, if any)
 KERNEL_FAULTS = {
@@ -667,10 +700,22 @@ KERNEL_FAULTS = {
         ["general"],
         {"fixed-point-formula": None},
     ),
-    "_fixed_points family-B top": (
-        [(involution, "_fixed_points", _family_b_top_plus_one)],
+    # one fault per law of fixed-point-formula
+    "_fixed_point_blocks family-B top": (
+        _box_fault(_family_b_top_plus_one),
         ["general"],
         {"fixed-point-formula": "point-weight"},
+    ),
+    "_fixed_point_blocks moved point": (
+        # (7, 3) has the weight of (6, 4) at m = 1, but the walk finds a move for it
+        _box_fault(_points_replaced({(6, 4): [(7, 3)]})),
+        ["general"],
+        {"fixed-point-formula": "point-guard"},
+    ),
+    "_fixed_point_blocks repeated point": (
+        _box_fault(_points_replaced({(5, 4): [(5, 4)] * 2})),
+        ["general"],
+        {"fixed-point-formula": "point-order"},
     ),
     "_parts_below": (
         [(partitions, "_parts_below", lambda real: _drops_last_of(real, (9,)))],
