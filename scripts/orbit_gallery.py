@@ -9,9 +9,9 @@ places.
 
 import argparse
 
-from franklin.cli import _display_partition, _integer
+from franklin.cli import _integer
 from franklin.involution import InvolutionCase, involute
-from franklin.partitions import enumerate_distinct
+from franklin.partitions import _parts_text, enumerate_distinct
 from franklin.staircase import render_ferrers
 
 
@@ -29,10 +29,10 @@ def main() -> None:
         result = involute(p, args.m)
         seen.add(result.image.parts)
         if result.case is InvolutionCase.FIXED:
-            print(f"{_display_partition(p)}  (fixed)")
+            print(f"{_parts_text(p.parts)}  (fixed)")
         else:
             arrow = "tau" if result.case is InvolutionCase.TAU_MOVED else "sigma"
-            print(f"{_display_partition(p)}  <-{arrow}->  {_display_partition(result.image)}")
+            print(f"{_parts_text(p.parts)}  <-{arrow}->  {_parts_text(result.image.parts)}")
         if args.render and p.n:
             print(render_ferrers(p, args.m))
             print()

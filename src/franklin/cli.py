@@ -18,14 +18,7 @@ from itertools import chain
 from typing import Iterator, TextIO
 
 from .involution import InvolutionCase, _fixed_point_blocks, cancellation_stats, involute
-from .partitions import (
-    DistinctPartition,
-    SignedMonomial,
-    _parse_integer,
-    _shown,
-    format_partition,
-    parse_partition,
-)
+from .partitions import SignedMonomial, _parse_integer, _parts_text, _shown, parse_partition
 from .qseries import euler_product, format_series, rhs_fixed_points, rhs_general
 from .staircase import render_ferrers, staircase
 from .verify import (
@@ -59,10 +52,6 @@ _SUITES = {
         check_involution_laws(m, 30 if max_size is None else max_size) for m in ms
     )),
 }
-
-
-def _display_partition(p: DistinctPartition) -> str:
-    return format_partition(p) if p.n else "()"
 
 
 def _integer(text: str) -> int:
@@ -147,7 +136,7 @@ def _cmd_staircase(args, out: TextIO) -> int:
     p = args.partition
     sc = staircase(p, args.m)
     lines = [
-        f"partition: {_display_partition(p)}",
+        f"partition: {_parts_text(p.parts)}",
         f"s_m = {sc.length}",
         f"stairs = {sc.stair_count}",
         f"landings = {len(sc.landing_rows)}",
@@ -163,7 +152,7 @@ def _cmd_staircase(args, out: TextIO) -> int:
 def _cmd_involve(args, out: TextIO) -> int:
     p = args.partition
     result = involute(p, args.m)
-    lines = [f"case: {result.case.value}", f"image: {_display_partition(result.image)}"]
+    lines = [f"case: {result.case.value}", f"image: {_parts_text(result.image.parts)}"]
     if args.trace and p.n:
         lines.append("input (staircase marked):")
         lines.append(render_ferrers(p, args.m))
@@ -190,7 +179,7 @@ def _json_payload(out: TextIO, m: int, max_size: int, key: str, rows: Iterator[s
 
 def _text_template(n: int, w: SignedMonomial) -> str:
     """The text row of an n-part fixed point of weight w, with %d for each part."""
-    return f"{w} {','.join(['%d'] * n) or '()'}\n"
+    return f"{w} {_parts_text(['%d'] * n)}\n"
 
 
 def _json_template(n: int, w: SignedMonomial) -> str:

@@ -226,7 +226,7 @@ def enumerate_fixed_points(
     """
     _nonnegative(m=m, max_size=max_size)
     return (
-        (DistinctPartition._trusted(parts), weight)
+        (DistinctPartition(parts), weight)
         for _, weight, points in _fixed_point_blocks(m, max_size)
         for parts in points
     )

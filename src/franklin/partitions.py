@@ -34,13 +34,6 @@ class DistinctPartition:
             prev = p
         self.parts = parts
 
-    @classmethod
-    def _trusted(cls, parts: tuple[int, ...]) -> DistinctPartition:
-        """Wrap parts that are positive and strictly decreasing by construction, unchecked."""
-        new = object.__new__(cls)
-        new.parts = parts
-        return new
-
     @property
     def n(self) -> int:
         """Number of parts."""
@@ -147,6 +140,11 @@ def parse_partition(text: str) -> DistinctPartition:
 def format_partition(p: DistinctPartition) -> str:
     """Inverse of parse_partition; the empty partition renders as ''."""
     return ",".join(map(str, p.parts))
+
+
+def _parts_text(parts: Iterable) -> str:
+    """Every printed partition: comma-separated parts, largest first, or ``()`` when empty."""
+    return ",".join(map(str, parts)) or "()"
 
 
 def weight(p: DistinctPartition) -> SignedMonomial:

@@ -277,7 +277,7 @@ def _shifted(columns: list[list[int]], lead: int, z_shift: int, q_order: int) ->
 
 def pochhammer_neg_zq(n: int, q_order: int) -> ZQSeries:
     """(-zq)_n = product of (1 + z q**i) for 1 <= i <= n, truncated."""
-    _nonnegative(n=n)
+    _nonnegative(n=n, q_order=q_order)
     series = ZQSeries.one(q_order)
     for i in range(1, min(n, q_order) + 1):
         _times_one_plus_zq(series.columns, i)
@@ -364,6 +364,7 @@ def sylvester_sides(q_order: int) -> tuple[ZQSeries, ZQSeries]:
     n >= 1 of z^n q^{(3n^2-n)/2} (1 + z q^{2n}) (-zq)_{n-1} / (q)_n, the
     terms of `_durfee_terms`.
     """
+    _nonnegative(q_order=q_order)
     lhs = pochhammer_neg_zq(q_order, q_order)
     rhs = ZQSeries.one(q_order)
     for _, one, two in _durfee_terms(q_order):

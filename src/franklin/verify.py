@@ -34,7 +34,7 @@ from collections import defaultdict
 from typing import Callable, NamedTuple
 
 from .involution import FIXED, _fixed_point_blocks, _move, cancellation_stats, orbit_audit
-from .partitions import DurfeeCategory, _distinct_tuples, _durfee
+from .partitions import DurfeeCategory, _distinct_tuples, _durfee, _parts_text
 from .qseries import (
     ZQSeries,
     _durfee_terms,
@@ -156,7 +156,7 @@ def check_fixed_point_formula(m: int, order: int) -> VerificationReport:
                     else None
                 )
                 if law:
-                    return {"law": law, "partition": ",".join(map(str, parts))}
+                    return {"law": law, "partition": _parts_text(parts)}
                 tally[size] += sign
                 last = key
         return _qseries_mismatch(closed, tally, "fixed-point-sum", "enumeration")
@@ -256,6 +256,6 @@ def check_involution_laws(m: int, max_size: int) -> VerificationReport:
         law, item = broken[0]
         if law in _COUNT_LAW_FIELDS:
             return {"law": law, **dict(zip(_COUNT_LAW_FIELDS[law], item))}
-        return {"law": law, "partition": ",".join(map(str, item))}
+        return {"law": law, "partition": _parts_text(item)}
 
     return _run("involution-audit", params, routes)

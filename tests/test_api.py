@@ -103,8 +103,8 @@ def test_tracer_installs_on_every_target_and_uninstall_restores_it():
 P3 = franklin.DistinctPartition((3,))
 
 # one row per public check of "these integers must be nonnegative": each call
-# takes one negative argument and must raise at the call, before any item of
-# a returned iterator is drawn
+# must raise at the call, before any item of a returned iterator is drawn, and
+# name every negative argument of its own
 NEGATIVE_ARGUMENT = {
     "QSeries": (lambda: franklin.QSeries(-1), "order"),
     "ZQSeries": (lambda: franklin.ZQSeries(-1), "q_order"),
@@ -112,6 +112,8 @@ NEGATIVE_ARGUMENT = {
     "rhs_general": (lambda: franklin.rhs_general(0, -1), "order"),
     "rhs_fixed_points": (lambda: franklin.rhs_fixed_points(-1, 5), "m"),
     "pochhammer_neg_zq": (lambda: franklin.pochhammer_neg_zq(-1, 5), "n"),
+    "pochhammer_neg_zq-both": (lambda: franklin.pochhammer_neg_zq(-1, -1), "n and q_order"),
+    "sylvester_sides": (lambda: franklin.sylvester_sides(-1), "q_order"),
     "max_distinct_parts": (lambda: franklin.max_distinct_parts(-1), "size"),
     "involute": (lambda: franklin.involute(P3, -1), "m"),
     "involute-empty": (lambda: franklin.involute(franklin.DistinctPartition(), -1), "m"),
@@ -126,6 +128,15 @@ NEGATIVE_ARGUMENT = {
     "count_distinct_signed": (lambda: franklin.count_distinct_signed(-1, 5), "m"),
     "base_partition": (lambda: franklin.base_partition(-1, 0), "n"),
     "staircase": (lambda: franklin.staircase(P3, -1), "m"),
+    "classify_cells": (lambda: franklin.classify_cells(P3, -1), "m"),
+    "render_ferrers": (lambda: franklin.render_ferrers(P3, -1), "m"),
+    "tau": (lambda: franklin.tau(P3, -1), "m"),
+    "sigma": (lambda: franklin.sigma(P3, -1), "m"),
+    "check_general_formula": (lambda: franklin.check_general_formula(-1, 5), "m"),
+    "check_fixed_point_formula": (lambda: franklin.check_fixed_point_formula(0, -1), "order"),
+    "check_sylvester": (lambda: franklin.check_sylvester(-1), "q_order"),
+    "check_durfee_decomposition": (lambda: franklin.check_durfee_decomposition(-1), "order"),
+    "check_involution_laws": (lambda: franklin.check_involution_laws(0, -1), "max_size"),
 }
 
 

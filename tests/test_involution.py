@@ -241,6 +241,14 @@ class TestEnumerateFixedPoints:
         with pytest.raises(ValueError, match="max_size must be nonnegative"):
             enumerate_fixed_points(3, -1)
 
+    def test_malformed_point_is_refused(self, monkeypatch):
+        # each point is built by DistinctPartition's checks, as involute's images are
+        box = (2, SignedMonomial(1, 6), iter([(3, 3)]))
+        monkeypatch.setattr(involution, "_fixed_point_blocks", lambda m, max_size: iter([box]))
+        points = enumerate_fixed_points(0, 6)
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            next(points)
+
     def test_drains_in_bounded_memory(self):
         # the first drain leaves tuples in CPython's free lists, which tracemalloc
         # would charge to the stream; warm them so only the stream's own memory counts

@@ -337,16 +337,18 @@ class TestFixedPointFormula:
         report = check_fixed_point_formula(1, 20)
         assert report.first_mismatch == {"law": "point-weight", "partition": "5,3,2"}
 
-    def test_box_of_the_other_sign_fails_the_weight_law(self, monkeypatch):
+    # the first point of the flipped boxes is reported; the empty partition as ()
+    @pytest.mark.parametrize("flip_n,partition", [(2, "4,3"), (0, "()")])
+    def test_box_of_the_other_sign_fails_the_weight_law(self, monkeypatch, flip_n, partition):
         real = verify._fixed_point_blocks
 
         def flipped(m, max_size):
             for n, w, box in real(m, max_size):
-                yield n, SignedMonomial(-w.sign, w.exponent) if n == 2 else w, box
+                yield n, SignedMonomial(-w.sign, w.exponent) if n == flip_n else w, box
 
         monkeypatch.setattr(verify, "_fixed_point_blocks", flipped)
         report = check_fixed_point_formula(1, 20)
-        assert report.first_mismatch == {"law": "point-weight", "partition": "4,3"}
+        assert report.first_mismatch == {"law": "point-weight", "partition": partition}
 
     def test_repeated_point_fails_the_order_law(self, monkeypatch):
         self.replaced(monkeypatch, {(5, 4): [(5, 4), (5, 4)]})
@@ -493,6 +495,18 @@ class TestReportShape:
         assert line.startswith("[FAIL] sylvester order=6")
         assert "first mismatch" in line
         assert not failing.passed
+
+    def test_empty_partition_is_written_as_parens(self, monkeypatch, capsys):
+        real = involution._fixed_criterion  # a fault that rejects the empty partition
+        monkeypatch.setattr(involution, "_fixed_criterion", lambda p, m: bool(p) and real(p, m))
+        argv = ["verify", "--suite", "involution", "--m", "0", "--max-size", "3"]
+        assert run([*argv, "--json"]) == 1
+        [report] = json.loads(capsys.readouterr().out)
+        assert report["firstMismatch"] == {"law": "fixed-criterion", "partition": "()"}
+        assert run(argv) == 1
+        line, total = capsys.readouterr().out.splitlines()
+        assert line.endswith(" first mismatch: law=fixed-criterion partition=()")
+        assert total == "0/1 checks passed"
 
 
 
