@@ -49,7 +49,7 @@ _SUITES = {
         check_durfee_decomposition(26 if order is None else order)
     ]),
     "involution": (("m", "max_size"), lambda ms, _, max_size: (
-        check_involution_laws(m, 30 if max_size is None else max_size) for m in ms
+        check_involution_laws(m, 34 if max_size is None else max_size) for m in ms
     )),
 }
 

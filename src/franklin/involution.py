@@ -11,6 +11,12 @@ and top row (t = smallest part):
   * sigma removes the staircase and lays it down as a new top row of
     length s_m(p), so t(sigma(p)) = s_m(p).
 
+Both are slices of the parts p_0 > ... > p_{n-1} = t.  With k = t - m - 1,
+tau fills rows 2..k+1 up to the row before them: (p_k + t, p_0, ...,
+p_{k-1}, p_{k+1}, ..., p_{n-2}).  With j = s_m - m, sigma cuts rows 1..j-1
+down to the row after them and row j to p_0 - s_m: (p_1, ..., p_{j-1},
+p_0 - s_m, p_j, ..., p_{n-1}, s_m).
+
 The involution applies tau when t <= s_m and t < m + n, sigma when
 t - (staircase cells in the top row) > s_m, and otherwise fixes the
 partition.  Fixed points are exactly base_partition(n, m) + mu for a box
@@ -79,44 +85,29 @@ class SizeStats(NamedTuple):
     product_coefficient: int
 
 
-def _tau_tuple(parts: tuple[int, ...], m: int, lands: list[int]) -> tuple[int, ...]:
-    """Apply tau to raw parts; caller guarantees the tau guard.
-
-    The guard's t = parts[-1] <= s_m = len(lands) + m means the walk covered
-    rows 1..t-m, so rows 2..t-m each get their landings plus one cell, and row 1 the rest.
-    """
-    new = list(parts[:-1])
-    placed = 0
-    i = 1
-    for taken in lands[: parts[-1] - m - 1]:
-        new[i] += taken + 1
-        placed += taken
-        i += 1
-    new[0] += m - placed + 1
-    return tuple(new)
+def _tau_tuple(parts: tuple[int, ...], m: int) -> tuple[int, ...]:
+    """tau on raw parts as a slice (module docstring); caller guarantees the tau guard."""
+    t = parts[-1]
+    k = t - m - 1
+    return (parts[k] + t,) + parts[:k] + parts[k + 1 : -1]
 
 
-def _sigma_tuple(parts: tuple[int, ...], lands: list[int], s: int) -> tuple[int, ...]:
-    """Apply sigma to raw parts; caller guarantees the sigma guard."""
-    new = list(parts)
-    i = 0
-    for taken in lands:
-        new[i] -= taken + 1
-        i += 1
-    new.append(s)
-    return tuple(new)
+def _sigma_tuple(parts: tuple[int, ...], m: int, s: int) -> tuple[int, ...]:
+    """sigma on raw parts as a slice (module docstring); caller guarantees the sigma guard."""
+    j = s - m
+    return parts[1:j] + (parts[0] - s,) + parts[j:] + (s,)
 
 
 def _move(parts: tuple[int, ...], m: int) -> tuple[InvolutionCase | None, tuple[int, ...], int, int]:
     """(case, image, s_m, overlap) of nonempty parts by one walk; case None if both guards hold."""
     t = parts[-1]
-    lands, s, overlap = _walk(parts, m)
+    s, overlap = _walk(parts, m)
     tau_ok = t <= s and t < m + len(parts)
     if tau_ok is (t - overlap > s):  # both guards hold, or neither
         return (None if tau_ok else FIXED), parts, s, overlap
     if tau_ok:
-        return TAU_MOVED, _tau_tuple(parts, m, lands), s, overlap
-    return SIGMA_MOVED, _sigma_tuple(parts, lands, s), s, overlap
+        return TAU_MOVED, _tau_tuple(parts, m), s, overlap
+    return SIGMA_MOVED, _sigma_tuple(parts, m, s), s, overlap
 
 
 def _restricted(p: DistinctPartition, m: int, move: str, case: InvolutionCase) -> DistinctPartition:

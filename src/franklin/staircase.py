@@ -16,10 +16,14 @@ partition with n distinct parts > m:
 Column-top stairs are never part of the staircase: the walk ends when it
 reaches them, which is what keeps the staircase length within m + n.
 
-One walk, `_walk`, gives all that the involution's moves read: the
-landings taken in each walked row, the length s_m (stairs taken plus the m
-landings, which are always all taken), and the top overlap, the number of
-staircase cells in the top row.
+The walk is read in closed form.  With 0-based parts p_0 > ... > p_{n-1} = t,
+the gaps of rows 1..j hold p_0 - p_j - j landings, and the walk goes on to
+row j + 1 exactly when they are at most m.  So `_walk` finds the first
+j >= 1 with p_j + j < p_0 - m, or n if there is none: the walk covers rows
+1..j and s_m = j + m (its j stairs and the m landings, which are always all
+taken).  The top overlap, the number of staircase cells in the top row, is
+0 if j < n and t + s_m - p_0 otherwise.  Only `staircase` and
+`render_ferrers` read the landings taken in each walked row (`_lands`).
 """
 
 from __future__ import annotations
@@ -74,29 +78,33 @@ def _require_valid(p: DistinctPartition, m: int) -> None:
         raise PartTooSmall(f"all parts must exceed m={m}, got {p.parts}")
 
 
-def _walk(parts: tuple[int, ...], m: int) -> tuple[list[int], int, int]:
-    """Boundary walk over a nonempty tuple of parts > m.
+def _walk(parts: tuple[int, ...], m: int) -> tuple[int, int]:
+    """(s_m, overlap) of a nonempty tuple of parts > m, by the closed form above.
 
-    Returns (lands, s_m, overlap).  lands[i] counts the landings taken in
-    row i+1, for each walked row; every walked row also gives its end
-    stair, so row i+1 holds 1 + lands[i] staircase cells.  All m landings
-    are always taken, so s_m = len(lands) + m.  overlap counts the cells
-    in the top row n: 0 unless the walk reaches it.
+    j = 0 never stops the walk, as parts[0] < parts[0] - m fails for m >= 0.
     """
-    lands: list[int] = []
-    want = m
-    rows = iter(parts)
-    below = next(rows)
-    for above in rows:
-        avail = below - above - 1
-        if want < avail:
-            lands.append(want)
-            return lands, len(lands) + m, 0
-        lands.append(avail)
-        want -= avail
-        below = above
+    bound = parts[0] - m
+    j = 0
+    for part in parts:
+        if part + j < bound:
+            return j + m, 0
+        j += 1
+    s = j + m
+    return s, parts[-1] + s - parts[0]
+
+
+def _lands(parts: tuple[int, ...], m: int) -> list[int]:
+    """Landings taken in each walked row: whole gaps, then the rest of the m in the last row.
+
+    Every walked row also gives its end stair, so row i+1 holds 1 + lands[i]
+    staircase cells and s_m = len(lands) + m.
+    """
+    lands, want = [], m
+    for i in range(_walk(parts, m)[0] - m - 1):
+        lands.append(parts[i] - parts[i + 1] - 1)
+        want -= lands[-1]
     lands.append(want)
-    return lands, len(parts) + m, 1 + want
+    return lands
 
 
 def classify_cells(p: DistinctPartition, m: int) -> list[list[CellClass]]:
@@ -124,7 +132,7 @@ def classify_cells(p: DistinctPartition, m: int) -> list[list[CellClass]]:
 def staircase(p: DistinctPartition, m: int) -> Staircase:
     """The m-landing staircase of p; requires all parts > m."""
     _require_valid(p, m)
-    lands, length, _ = _walk(p.parts, m)
+    lands = _lands(p.parts, m)
     cells: list[Cell] = []
     landing_rows: list[int] = []
     for i, taken in enumerate(lands):
@@ -138,7 +146,7 @@ def staircase(p: DistinctPartition, m: int) -> Staircase:
         cells=tuple(cells),
         landing_rows=tuple(landing_rows),
         stair_count=len(lands),
-        length=length,
+        length=len(lands) + m,
     )
 
 
@@ -155,7 +163,7 @@ def render_ferrers(p: DistinctPartition, m: int) -> str:
     1 + lands[i] cells: the landings taken next to its end stair, and the stair.
     """
     _require_valid(p, m)
-    lands = _walk(p.parts, m)[0]
+    lands = _lands(p.parts, m)
     parts = p.parts
     n = len(parts)
     lines = []

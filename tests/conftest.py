@@ -3,7 +3,8 @@ import sys
 import pytest
 
 import franklin  # noqa: F401  (loads every submodule that binds `_walk`)
-from franklin.staircase import CellClass, classify_cells, staircase
+from franklin.partitions import DistinctPartition
+from franklin.staircase import CellClass, classify_cells
 
 _SYMBOL = {
     CellClass.ROW_END_STAIR: "S",
@@ -13,14 +14,53 @@ _SYMBOL = {
 }
 
 
+def boundary_walk(p, m):
+    """The m-landing staircase walked one boundary cell at a time: (cells, landing rows).
+
+    Follows the definition in `franklin.staircase`'s docstring over the grid
+    of `classify_cells`, and reads none of the walk's closed forms.  It starts
+    at the stair (1, part_1).  From each cell it steps left if the cell to the
+    left has no cell above it, and otherwise up onto the next row's end stair.
+    It takes every row-end stair and each landing while fewer than m are
+    taken.  It ends before a landing met with m taken, at a column-top stair,
+    or at the left edge of the top row.
+    """
+    grid = classify_cells(p, m)
+    cells, landing_rows = [], []
+    row, col = 1, p.parts[0]
+    while True:
+        cls = grid[row - 1][col - 1]
+        if cls is CellClass.COLUMN_TOP_STAIR or (cls is CellClass.LANDING and len(landing_rows) == m):
+            break
+        cells.append((row, col))
+        if cls is CellClass.LANDING:
+            landing_rows.append(row)
+        if row < p.n and len(grid[row]) >= col - 1:  # a cell above the one to the left
+            row += 1
+        elif col == 1:
+            break
+        col -= 1
+    return tuple(cells), tuple(landing_rows)
+
+
+def staircase_laid_on_top(parts, m):
+    """Sigma read off the diagram: each cell of `boundary_walk`'s staircase leaves
+    its row, then all of them form a new top row.  A reference for both moves."""
+    cells, _ = boundary_walk(DistinctPartition(parts), m)
+    rows = list(parts)
+    for row, _ in cells:
+        rows[row - 1] -= 1
+    return (*rows, len(cells))
+
+
 def cell_by_cell_diagram(p, m):
     """render_ferrers' diagram built one cell at a time, top row first.
 
-    Symbols come from `classify_cells` and brackets from `staircase(p, m).cells`,
-    so it checks the run-length kernel's drawing against code that the kernel
+    Symbols come from `classify_cells` and brackets from `boundary_walk`, so it
+    checks the run-length kernel's drawing against code that the kernel
     never runs.  CI imports it for a wider sweep than the tests make.
     """
-    marked = set(staircase(p, m).cells)
+    marked = set(boundary_walk(p, m)[0])
     grid = classify_cells(p, m)
     return "\n".join(
         "".join(
@@ -35,6 +75,18 @@ def cell_by_cell_diagram(p, m):
 def reference_diagram():
     """render_ferrers' diagram as a function of (p, m), built cell by cell."""
     return cell_by_cell_diagram
+
+
+@pytest.fixture
+def reference_walk():
+    """The staircase as a function of (p, m), walked cell by cell: (cells, landing rows)."""
+    return boundary_walk
+
+
+@pytest.fixture
+def laid_on_top():
+    """Sigma as a function of (parts, m), read off the cell-by-cell staircase."""
+    return staircase_laid_on_top
 
 
 @pytest.fixture

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import franklin.cli as cli
+import franklin.partitions as partitions
 from franklin.cli import run
 from franklin.involution import cancellation_stats, enumerate_fixed_points, involute
 from franklin.partitions import (
@@ -442,6 +443,14 @@ class TestVerifyCmd:
         assert all(0 < r["elapsedSeconds"] <= wall for r in payload)
         assert sum(r["elapsedSeconds"] for r in payload) <= wall
 
+    def test_involution_default_reaches_the_enumerators_deep_levels(self, capsys):
+        # a level with more than _TAIL left to fill enumerates without the memo; the
+        # first size where such a level can leave exactly its own part is 2 * (_TAIL + 1)
+        assert run(["verify", "--suite", "involution", "--json"]) == 0
+        payload = json.loads(out_of(capsys)[0])
+        assert len(payload) == 5
+        assert all(r["params"]["maxSize"] >= 2 * (partitions._TAIL + 1) for r in payload)
+
     def test_involution_audit_counts_moves(self, capsys):
         assert run(["verify", "--suite", "involution", "--max-size", "20", "--json"]) == 0
         for r in json.loads(out_of(capsys)[0]):
@@ -453,8 +462,8 @@ class TestVerifyCmd:
 
         real = involution._tau_tuple
 
-        def corrupted(parts, m, lands):
-            image = real(parts, m, lands)
+        def corrupted(parts, m):
+            image = real(parts, m)
             return (image[0] + 1,) + image[1:]
 
         monkeypatch.setattr(involution, "_tau_tuple", corrupted)

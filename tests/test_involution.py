@@ -35,7 +35,7 @@ from franklin.partitions import (
     weight,
 )
 from franklin.qseries import _distinct_counts, _fixed_point_tallies, _product_coeffs
-from franklin.staircase import _walk, staircase
+from franklin.staircase import staircase
 
 
 @st.composite
@@ -410,43 +410,18 @@ class TestOrbitAudit:
             orbit_audit(0, 5, sizes=[])
 
 
-class TestGuards:
-    def test_walk_statistics_match_the_staircase_cells(self):
-        for m in range(5):
-            for total in range(25):
-                for p in enumerate_distinct(total, m):
-                    if not p.n:
-                        continue
-                    lands, s, overlap = _walk(p.parts, m)
-                    cells = staircase(p, m).cells
-                    assert s == len(cells), p.parts
-                    assert overlap == sum(1 for c in cells if c.row == p.n), p.parts
-                    per_row = [sum(1 for c in cells if c.row == i + 1) for i in range(len(lands))]
-                    assert lands == [k - 1 for k in per_row], p.parts
-                    assert sum(per_row) == len(cells), p.parts
-
-
-def _staircase_laid_on_top(parts, m):
-    """Sigma read off the diagram: each staircase cell leaves its row, then all of them
-    form a new top row.  A reference for both moves that calls neither."""
-    stairs = staircase(DistinctPartition(parts), m)
-    rows = list(parts)
-    for cell in stairs.cells:
-        rows[cell.row - 1] -= 1
-    return (*rows, stairs.length)
-
-
 class TestMovesAgainstCells:
-    @pytest.mark.parametrize("m", range(5))
-    def test_moves_match_the_staircase_cells(self, m):
+    @pytest.mark.parametrize("m", range(7))
+    def test_moves_match_the_staircase_cells(self, laid_on_top, m):
+        # laid_on_top reads the cell-by-cell walk, so it calls neither move nor `_walk`
         moved = Counter()
         for size in range(1, 41):
             for parts in (p.parts for p in enumerate_distinct(size, m)):
                 case, image, _, _ = _move(parts, m)
                 if case is InvolutionCase.SIGMA_MOVED:
-                    assert image == _staircase_laid_on_top(parts, m), parts
+                    assert image == laid_on_top(parts, m), parts
                 elif case is InvolutionCase.TAU_MOVED:
-                    assert _staircase_laid_on_top(image, m) == parts, parts
+                    assert laid_on_top(image, m) == parts, parts
                 moved[case] += 1
         assert moved[InvolutionCase.TAU_MOVED] == moved[InvolutionCase.SIGMA_MOVED] > 0
 
@@ -492,7 +467,7 @@ def _no_guards(real):
 
 
 def _tau_extra_part(real):
-    return lambda parts, m, lands: real(parts, m, lands) + (0,)
+    return lambda parts, m: real(parts, m) + (0,)
 
 
 def _staircase_plus_one(real):
@@ -519,20 +494,20 @@ def _unmoved(case):
 
 
 def _sigma_top_cell_to_bottom(real):
-    def moved(parts, lands, s):
-        image = real(parts, lands, s)
+    def moved(parts, m, s):
+        image = real(parts, m, s)
         return (image[0] + 1,) + image[1:-1] + (image[-1] - 1,)
 
     return moved
 
 
 def _sigma_drops_top(real):
-    return lambda parts, lands, s: real(parts, lands, s)[:-1]
+    return lambda parts, m, s: real(parts, m, s)[:-1]
 
 
 def _tau_bottom_plus_one(real):
-    def moved(parts, m, lands):
-        image = real(parts, m, lands)
+    def moved(parts, m):
+        image = real(parts, m)
         return (image[0] + 1,) + image[1:]
 
     return moved
@@ -595,8 +570,8 @@ class TestPartitionCountLaw:
     def test_count_fault_follows_that_sizes_partition_laws(self, monkeypatch):
         real_tau = involution._tau_tuple
 
-        def corrupted(parts, m, lands):
-            image = real_tau(parts, m, lands)
+        def corrupted(parts, m):
+            image = real_tau(parts, m)
             return (image[0] + 1,) + image[1:]
 
         monkeypatch.setattr(involution, "_tau_tuple", corrupted)

@@ -462,6 +462,14 @@ class TestColumnSizing:
                 assert size <= min(n * m, order - lead(n, m)) + 1, (order, n, size)
 
 
+class TestMaxDistinctParts:
+    def test_largest_k_whose_staircase_fits(self):
+        # k distinct parts need at least 1 + 2 + ... + k = k(k+1)/2
+        for size in range(501):
+            k = max_distinct_parts(size)
+            assert k * (k + 1) // 2 <= size < (k + 1) * (k + 2) // 2, size
+
+
 class TestDistinctCountsSizing:
     @pytest.mark.parametrize("m", range(13))
     def test_step_n_sees_exactly_the_room(self, monkeypatch, m):

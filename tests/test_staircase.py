@@ -140,21 +140,40 @@ class TestStaircase:
         assert (sc.length == m + p.n) == includes_top_stair
 
 
+class TestAgainstTheCellWalk:
+    """The closed forms against `boundary_walk`, which walks the definition cell by cell."""
+
+    @pytest.mark.parametrize("m", range(7))
+    def test_every_partition_up_to_size_40(self, reference_walk, m):
+        for total in range(1, 41):
+            for p in enumerate_distinct(total, m):
+                cells, landing_rows = reference_walk(p, m)
+                overlap = sum(1 for row, _ in cells if row == p.n)
+                assert _walk(p.parts, m) == (len(cells), overlap), p.parts
+                sc = staircase(p, m)
+                assert (sc.cells, sc.landing_rows) == (cells, landing_rows), p.parts
+
+    def test_worked_example(self, reference_walk):
+        cells, landing_rows = reference_walk(DistinctPartition((14, 11, 9, 8, 6)), 3)
+        assert cells == ((1, 14), (1, 13), (1, 12), (2, 11), (2, 10), (3, 9), (4, 8))
+        assert landing_rows == (1, 1, 2)
+
+
 class TestTopOverlap:
     def test_examples(self):
-        assert _walk((9, 7, 6, 5), 1)[2] == 1
-        assert _walk((11, 10, 8, 5), 1)[2] == 0
+        assert _walk((9, 7, 6, 5), 1)[1] == 1
+        assert _walk((11, 10, 8, 5), 1)[1] == 0
 
     @pytest.mark.parametrize("n,m", [(1, 0), (2, 2), (4, 1), (5, 3)])
     def test_base_partition(self, n, m):
-        assert _walk(base_partition(n, m).parts, m)[2] == m + 1
+        assert _walk(base_partition(n, m).parts, m)[1] == m + 1
 
     @given(partition_with_m())
     @settings(max_examples=80, deadline=None)
     def test_counts_top_row_cells(self, pm):
         p, m = pm
         sc = staircase(p, m)
-        assert _walk(p.parts, m)[2] == sum(1 for c in sc.cells if c.row == p.n)
+        assert _walk(p.parts, m)[1] == sum(1 for c in sc.cells if c.row == p.n)
 
 
 class TestRender:

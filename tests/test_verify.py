@@ -1,3 +1,4 @@
+import inspect
 import json
 import time
 from operator import add
@@ -599,6 +600,24 @@ def _drops_last_of(real, at):
     return corrupted
 
 
+def _source_edit(old, new):
+    """A fault that recompiles the kernel from its source with the one `old` made `new`.
+
+    The edited function reads a copy of its module's globals, so only the
+    patch that installs it changes what the program calls.
+    """
+
+    def fault(real):
+        source = inspect.getsource(real)
+        assert source.count(old) == 1
+        module = inspect.getmodule(real)
+        scope = {}
+        exec(compile(source.replace(old, new), module.__file__, "exec"), dict(vars(module)), scope)
+        return scope[real.__name__]
+
+    return fault
+
+
 def _category_swapped_at_two(real):
     def corrupted(parts):
         d, category = real(parts)
@@ -629,8 +648,8 @@ def _zq_step_shifted(real):
 
 def _overlap_plus_one(real):
     def corrupted(parts, m):
-        lands, s, overlap = real(parts, m)
-        return lands, s, overlap + 1 if overlap else 0
+        s, overlap = real(parts, m)
+        return s, overlap + 1 if overlap else 0
 
     return corrupted
 
@@ -673,6 +692,7 @@ _SUITE_ARGS = {
     "sylvester": ["--order", "14"],
     "durfee": ["--order", "14"],
     "involution": ["--m", "1", "--max-size", "16"],
+    "all": [],  # every suite at its defaults
 }
 
 
@@ -735,6 +755,13 @@ KERNEL_FAULTS = {
         [(partitions, "_parts_below", lambda real: _drops_last_of(real, (9,)))],
         ["durfee", "involution"],
         {"durfee-decomposition": None, "involution-audit": "partition-count"},
+    ),
+    # a deep level (more than _TAIL left to fill) that leaves exactly its own part repeats
+    # it, first at size 2 * (_TAIL + 1) = 34 (17 + 17): the involution suite's default
+    "_parts_below deep level": (
+        [(partitions, "_parts_below", _source_edit("part = left, left if left <", "part = left, left if left <="))],
+        ["all"],
+        {"involution-audit": "sigma-image-guard"},
     ),
     "_durfee": (
         [(verify, "_durfee", _category_swapped_at_two)],
