@@ -66,12 +66,14 @@ def _integer(text: str) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    commands: dict[str, argparse.ArgumentParser]  # the top-level parser's, by command name
+
     def error(self, message: str):  # no usage block: run prints the one line; subparsers inherit
         raise ValueError(message)
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> _Parser:
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", help="write output to a file instead of stdout")
     m = argparse.ArgumentParser(add_help=False)
@@ -118,6 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=_integer, help="override the default truncation order")
     p.add_argument("--max-size", type=_integer, help="involution audit size bound")
     p.add_argument("--json", action="store_true")
+    parser.commands = sub.choices
     return parser
 
 
@@ -274,9 +277,16 @@ _HANDLERS = {
 
 
 def run(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     args = argparse.Namespace(command="franklin", out=None)  # read below if parsing fails
     try:
-        args = _build_parser().parse_args(argv)
+        parser = _build_parser()
+        command = parser.commands.get(argv[0]) if argv else None
+        if command is None:  # help, or the refusal of a missing or unknown command
+            args = parser.parse_args(argv)
+        else:  # the command's own parser, as the top-level one would hand it the rest
+            args = command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
         # what the flags alone refuse is refused before --out is opened, which would empty it
         if args.command == "verify":
             args.suites = _verify_suites(args)

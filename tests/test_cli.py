@@ -608,21 +608,24 @@ class TestVerifyCmd:
         assert "[FAIL]" in out
 
 
+# a valid argv per command, the command word left out
+VALID = {
+    "expand": ["--order", "5"],
+    "staircase": ["--partition", "3"],
+    "involve": ["--partition", "3"],
+    "fixed-points": ["--max-size", "5"],
+    "stats": ["--max-size", "5"],
+    "verify": ["--suite", "sylvester"],
+}
+
+
 def _refusals():
     """(argv, the flag or token its error line names): every flag of every command."""
-    # a valid argv per command; each row adds one bad flag to it or drops one
-    valid = {
-        "expand": ["--order", "5"],
-        "staircase": ["--partition", "3"],
-        "involve": ["--partition", "3"],
-        "fixed-points": ["--max-size", "5"],
-        "stats": ["--max-size", "5"],
-        "verify": ["--suite", "sylvester"],
-    }
+    # each row adds one bad flag to a VALID argv or drops one
     [commands] = [a for a in cli._build_parser()._actions if a.dest == "command"]
     rows = [([], "command"), (["bogus"], "'bogus'")]
     for name, parser in commands.choices.items():
-        base = [name, *valid[name]]
+        base = [name, *VALID[name]]
         rows.append((base + ["--bogus"], "--bogus"))
         for action in parser._actions:
             flag = action.option_strings[-1]
@@ -917,3 +920,76 @@ class TestUsageErrors:
         assert run(argv + ["--out", str(target)]) == 2
         assert out_of(capsys)[0] == ""
         assert target.read_bytes() == b"old\n"
+
+
+class TestDispatch:
+    """A command word goes straight to its own parser; anything else to the top-level one."""
+
+    class Reached(Exception):
+        pass
+
+    def refuse_top_level(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise self.Reached
+
+        parser = cli._build_parser()
+        monkeypatch.setattr(parser, "parse_args", refuse)
+        monkeypatch.setattr(parser, "parse_known_args", refuse)
+
+    @pytest.mark.parametrize("name", VALID)
+    def test_a_command_skips_the_top_level_parser(self, capsys, monkeypatch, name):
+        argv = [name, *VALID[name]]
+        want = run(argv), out_of(capsys)
+        self.refuse_top_level(monkeypatch)
+        assert (run(argv), out_of(capsys)) == want
+        assert want[0] == 0
+
+    @pytest.mark.parametrize("argv", [[], ["bogus"]])
+    def test_no_command_or_an_unknown_one_reaches_the_top_level_parser(self, monkeypatch, argv):
+        self.refuse_top_level(monkeypatch)
+        with pytest.raises(self.Reached):
+            run(argv)
+
+    @staticmethod
+    def printed(capsys, argv):
+        try:
+            code = run(argv)
+        except SystemExit as exc:  # argparse's help
+            code = exc.code
+        return code, out_of(capsys)
+
+    # where a command's own parser could part from the top-level one: "--" after the
+    # command word, which argparse's releases treat differently, combined short flags,
+    # help after a flag, a stray positional (the golden corpus holds the stable cases)
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["staircase", "--partition", "3", "--"],
+            ["staircase", "--", "--partition", "3"],
+            ["staircase", "--partition", "3", "--", "x"],
+            ["expand", "--order", "5", "--", "--raw"],
+            ["staircase", "-hx"],
+            ["staircase", "--partition", "-3"],
+            ["expand", "--order", "5", "-h"],
+            ["expand", "--order", "5", "x"],
+            ["--", "staircase", "--partition", "3"],
+        ],
+    )
+    def test_a_command_word_prints_what_the_top_level_parser_prints(
+        self, capsys, monkeypatch, argv
+    ):
+        got = self.printed(capsys, argv)
+        monkeypatch.setattr(cli._build_parser(), "commands", {})  # every argv to the top level
+        assert self.printed(capsys, argv) == got
+
+    def test_run_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["franklin"])
+        assert run() == 2
+        assert out_of(capsys) == ("", "error: the following arguments are required: command\n")
+        argv = ["franklin", "staircase", "--partition", "5,3,1", "--render"]
+        assert run(argv[1:]) == 0
+        want = out_of(capsys)
+        monkeypatch.setattr(sys, "argv", argv)
+        self.refuse_top_level(monkeypatch)  # sys.argv's command word is dispatched too
+        assert run() == 0
+        assert out_of(capsys) == want
