@@ -19,13 +19,18 @@ p_0 - s_m, p_j, ..., p_{n-1}, s_m).
 
 The involution applies tau when t <= s_m and t < m + n, sigma when
 t - (staircase cells in the top row) > s_m, and otherwise fixes the
-partition.  Fixed points are exactly base_partition(n, m) + mu for a box
-partition mu with mu_1 <= m, or mu_1 = m + 1 with mu_n >= 1.
+partition.  With lo = n + m, the n-part fixed points are the n-subsets of
+lo..2*lo that do not hold both ends.  As boxes over base_partition(n, m),
+whose parts are lo..2*lo - 1, they are base + mu for a weakly decreasing
+mu with n rows and either mu_1 <= m (family A: the top end 2*lo is
+missing) or mu_1 = m + 1 and mu_n >= 1 (family B: the top end is held and
+the bottom end lo is not).  The empty partition is fixed.
 """
 
 from __future__ import annotations
 
 import enum
+from itertools import chain
 from operator import add, sub
 from typing import Iterable, Iterator, NamedTuple
 
@@ -56,11 +61,11 @@ class AuditReport(NamedTuple):
     """Outcome of exhaustively checking the involution laws on a size range.
 
     Each violation is (law, parts) for the partition that broke the law,
-    except the three count laws: partition-count's second item is (size,
-    enumerated total, counted total), pair-count's is (size, tau-moved,
-    sigma-moved), and fixed-count's is (size, "even" or "odd", fixed points
-    enumerated with that part-count parity, their closed-form tally).  The
-    totals are the sums of the per-size tallies that these laws checked.
+    except the three count laws, whose item maps the fields `verify`
+    prints to their values: partition-count's {size, enumerated, counted},
+    pair-count's {size, tauMoved, sigmaMoved} and fixed-count's {size,
+    parity, enumerated, counted}, with parity "even" or "odd".  The totals
+    are the sums of the per-size tallies that these laws checked.
     """
 
     m: int
@@ -70,7 +75,7 @@ class AuditReport(NamedTuple):
     fixed_count: int
     tau_moved: int
     sigma_moved: int
-    violations: list[tuple[str, tuple[int | str, ...]]]
+    violations: list[tuple[str, tuple[int, ...] | dict[str, int | str]]]
 
 
 class SizeStats(NamedTuple):
@@ -141,15 +146,9 @@ def involute(p: DistinctPartition, m: int) -> InvolutionResult:
 
 
 def _fixed_criterion(parts: tuple[int, ...], m: int) -> bool:
-    """Fixed-point test on parts > m via the box decomposition, without applying a move."""
-    n = len(parts)
-    if n == 0:
-        return True
-    if parts[-1] < n + m:  # box decomposition would go negative
-        return False
-    mu1 = parts[0] - (2 * n - 1) - m
-    mun = parts[-1] - n - m
-    return mu1 <= m or (mu1 == m + 1 and mun >= 1)
+    """Fixed-point test on distinct parts > m, the interval form (module docstring); no move."""
+    lo = len(parts) + m
+    return not parts or (lo <= parts[-1] and parts[0] <= 2 * lo and parts[0] - parts[-1] < lo)
 
 
 def _box_lex(base: tuple[int, ...], width: int, total: int) -> Iterator[tuple[int, ...]]:
@@ -186,13 +185,14 @@ def _fixed_point_blocks(
 ) -> Iterator[tuple[int, SignedMonomial, Iterator[tuple[int, ...]]]]:
     """The fixed points in boxes (n, weight, points), in enumerate_fixed_points' order.
 
-    All points of a box have n parts and the weight (-1)^n q^{sum(base) + r},
-    with base = base_partition(n, m).  Family A is base + mu for mu in the
-    n x m box summing to r; family B, mu = (m + 1, 1 + nu) for nu in the
-    (n - 1) x m box, is the top part base[0] + m + 1 followed by
-    base[1:] + 1 + nu.  For n > 0 each (n, r) gives a family-A box and then
-    a family-B box of the same weight, either of which may be empty; the
-    first box is the empty partition alone.
+    Each (n, r) gives one box: the points with n parts and the weight
+    (-1)^n q^{sum(base) + r}, base = base_partition(n, m), possibly none.
+    Within n the sizes rise, and the first box is the empty partition alone.
+    A box holds its family-A points, base + mu for mu in the n x m box
+    summing to r, and then its family-B points: mu = (m + 1, 1 + nu) for nu
+    in the (n - 1) x m box, the top part base[0] + m + 1 followed by
+    base[1:] + 1 + nu.  Every family-A point has a lower top part, so the
+    box is in lexicographic order.
     """
     n = 0
     while (base_size := sum(base := base_partition(n, m).parts)) <= max_size:
@@ -200,9 +200,8 @@ def _fixed_point_blocks(
         top, below = least_b[:1], least_b[1:]
         for r in range(min(max_size - base_size, n * (m + 1)) + 1):
             weight = SignedMonomial(-1 if n % 2 else 1, base_size + r)
-            yield n, weight, _box_lex(base, m, r)
-            if n:
-                yield n, weight, map(top.__add__, _box_lex(below, m, r - m - n))
+            family_b = map(top.__add__, _box_lex(below, m, r - m - n)) if n else ()
+            yield n, weight, chain(_box_lex(base, m, r), family_b)
         n += 1
 
 
@@ -233,7 +232,7 @@ def _is_valid_distinct(parts: tuple[int, ...], m: int) -> bool:
 
 
 def _audit_one(
-    size: int, m: int, violations: list[tuple[str, tuple[int | str, ...]]]
+    size: int, m: int, violations: list[tuple[str, tuple[int, ...] | dict[str, int | str]]]
 ) -> tuple[int, int, int, int, int]:
     """Check every involution law on each partition of one size, in one loop.
 
@@ -338,20 +337,23 @@ def orbit_audit(m: int, max_size: int, sizes: Iterable[int] | None = None) -> Au
     if size_list[0] < 0 or size_list[-1] > max_size:
         raise ValueError(f"sizes must lie in 0..{max_size}")
     stats = cancellation_stats(m, max_size)
-    violations: list[tuple[str, tuple[int | str, ...]]] = []
+    violations: list[tuple[str, tuple[int, ...] | dict[str, int | str]]] = []
     rows = []
     for size in size_list:
         rows.append(_audit_one(size, m, violations))
         tau_n, sigma_n, even, odd, _ = rows[-1]
         found, want = sum(rows[-1]), stats[size]
         if found != want.partitions:
-            violations.append(("partition-count", (size, found, want.partitions)))
+            fields = {"size": size, "enumerated": found, "counted": want.partitions}
+            violations.append(("partition-count", fields))
         if tau_n != sigma_n:
-            violations.append(("pair-count", (size, tau_n, sigma_n)))
+            fields = {"size": size, "tauMoved": tau_n, "sigmaMoved": sigma_n}
+            violations.append(("pair-count", fields))
         tallies = (("even", even, want.fixed_positive), ("odd", odd, want.fixed_negative))
         for parity, fixed_n, tally in tallies:
             if fixed_n != tally:
-                violations.append(("fixed-count", (size, parity, fixed_n, tally)))
+                fields = {"size": size, "parity": parity, "enumerated": fixed_n, "counted": tally}
+                violations.append(("fixed-count", fields))
     tau_n, sigma_n, even, odd, both = map(sum, zip(*rows))
     paired, fixed = tau_n + sigma_n + both, even + odd
     return AuditReport(

@@ -209,15 +209,6 @@ def check_durfee_decomposition(order: int) -> VerificationReport:
     return _run("durfee-decomposition", params, routes)
 
 
-# the audit's per-size count laws and the audit-total law, and their item's fields
-_COUNT_LAW_FIELDS = {
-    "partition-count": ("size", "enumerated", "counted"),
-    "pair-count": ("size", "tauMoved", "sigmaMoved"),
-    "fixed-count": ("size", "parity", "enumerated", "counted"),
-    "audit-total": ("total", "reported", "counted"),
-}
-
-
 def check_involution_laws(m: int, max_size: int) -> VerificationReport:
     """Every involution law on each partition of size <= max_size (orbit_audit), then its totals.
 
@@ -247,15 +238,15 @@ def check_involution_laws(m: int, max_size: int) -> VerificationReport:
             "tauMoved": audit.sigma_moved,
         }
         broken = audit.violations or [
-            ("audit-total", (total, params[total], count))
+            ("audit-total", {"total": total, "reported": params[total], "counted": count})
             for total, count in counted.items()
             if params[total] != count
         ]
         if not broken:
             return None
         law, item = broken[0]
-        if law in _COUNT_LAW_FIELDS:
-            return {"law": law, **dict(zip(_COUNT_LAW_FIELDS[law], item))}
+        if isinstance(item, dict):  # a count law names its own fields
+            return {"law": law, **item}
         return {"law": law, "partition": _parts_text(item)}
 
     return _run("involution-audit", params, routes)

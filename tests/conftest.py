@@ -53,6 +53,22 @@ def staircase_laid_on_top(parts, m):
     return (*rows, len(cells))
 
 
+def box_form_fixed(parts, m):
+    """The fixed-point test as boxes over base_partition(n, m), parts n + m .. 2n - 1 + m.
+
+    The parts are base + mu with mu_1 <= m, or mu_1 = m + 1 and mu_n >= 1
+    (`franklin.involution`'s docstring).  A reference for the interval form
+    that `_fixed_criterion` reads.
+    """
+    n = len(parts)
+    if n == 0:
+        return True
+    if parts[-1] < n + m:  # mu_n would be negative
+        return False
+    mu1 = parts[0] - (2 * n - 1) - m
+    return mu1 <= m or (mu1 == m + 1 and parts[-1] > n + m)
+
+
 def cell_by_cell_diagram(p, m):
     """render_ferrers' diagram built one cell at a time, top row first.
 
@@ -75,6 +91,12 @@ def cell_by_cell_diagram(p, m):
 def reference_diagram():
     """render_ferrers' diagram as a function of (p, m), built cell by cell."""
     return cell_by_cell_diagram
+
+
+@pytest.fixture
+def box_form():
+    """The fixed-point test as a function of (parts, m), read from the box form."""
+    return box_form_fixed
 
 
 @pytest.fixture

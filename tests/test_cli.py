@@ -451,6 +451,18 @@ class TestVerifyCmd:
         assert len(payload) == 5
         assert all(r["params"]["maxSize"] >= 2 * (partitions._TAIL + 1) for r in payload)
 
+    def test_order_defaults_sit_on_the_kernels_stop_boundaries(self, capsys):
+        # a stop test off by one in the fixed-point boxes or the Durfee terms drops only
+        # the box or term whose size is the order: a base size, a pentagonal lead
+        assert run(["verify", "--suite", "general", "--m", "0", "--json"]) == 0
+        reports = json.loads(out_of(capsys)[0])
+        [fixed] = [r["params"]["order"] for r in reports if r["identity"] == "fixed-point-formula"]
+        assert run(["verify", "--suite", "sylvester", "--json"]) == 0
+        [sylvester] = [r["params"]["order"] for r in json.loads(out_of(capsys)[0])]
+        assert (fixed, sylvester) == (117, 35)
+        assert fixed in {partitions.base_partition(n, 0).size for n in range(fixed)}
+        assert sylvester in {(3 * d * d - d) // 2 for d in range(1, sylvester)}
+
     def test_involution_audit_counts_moves(self, capsys):
         assert run(["verify", "--suite", "involution", "--max-size", "20", "--json"]) == 0
         for r in json.loads(out_of(capsys)[0]):

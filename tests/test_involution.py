@@ -29,6 +29,7 @@ from franklin.involution import (
 from franklin.partitions import (
     DistinctPartition,
     SignedMonomial,
+    _distinct_tuples,
     base_partition,
     count_distinct_signed,
     enumerate_distinct,
@@ -168,6 +169,14 @@ class TestFixedCriterion:
     def test_empty(self):
         assert _fixed_criterion((), 2)
 
+    def test_interval_box_and_walk_forms_agree(self, box_form):
+        # the interval test, the box form it replaced, and the move kernel's decision
+        for m in range(7):
+            for size in range(41):
+                for parts in _distinct_tuples(size, m):
+                    by_walk = not parts or _move(parts, m)[0] is InvolutionCase.FIXED
+                    assert _fixed_criterion(parts, m) == box_form(parts, m) == by_walk, (parts, m)
+
     def test_agrees_with_involute_small(self):
         for total in range(32):
             for m in range(4):
@@ -264,14 +273,14 @@ class TestEnumerateFixedPoints:
 
     @pytest.mark.parametrize("m", [0, 1, 3])
     def test_boxes_share_part_count_and_weight(self, m):
-        # the empty partition first, alone; then a family-A and a family-B box per (n, size)
+        # the empty partition first, alone; then one box per (n, size), sizes rising within n
         boxes = [(n, w, list(points)) for n, w, points in _fixed_point_blocks(m, 40)]
         assert boxes[0] == (0, SignedMonomial(1, 0), [()])
         for n, w, points in boxes:
             assert w.sign == (-1) ** n
             assert all(len(parts) == n and sum(parts) == w.exponent for parts in points)
-        pairs = [(n, w) for n, w, _ in boxes[1:]]
-        assert pairs[::2] == pairs[1::2]
+        keys = [(n, w.exponent) for n, w, _ in boxes]
+        assert keys == sorted(set(keys))
         flat = [(DistinctPartition(parts), w) for _, w, points in boxes for parts in points]
         assert flat == list(enumerate_fixed_points(m, 40))
 
@@ -563,8 +572,8 @@ class TestPartitionCountLaw:
         report = orbit_audit(1, 14)
         real = _distinct_counts(1, 14)
         assert report.violations == [
-            ("partition-count", (7, real[7], real[7] + 1)),
-            ("partition-count", (11, real[11], real[11] + 1)),
+            ("partition-count", {"size": size, "enumerated": real[size], "counted": real[size] + 1})
+            for size in (7, 11)
         ]
 
     def test_count_fault_follows_that_sizes_partition_laws(self, monkeypatch):
@@ -577,7 +586,7 @@ class TestPartitionCountLaw:
         monkeypatch.setattr(involution, "_tau_tuple", corrupted)
         monkeypatch.setattr(involution, "_distinct_counts", counts_off_at(3))
         violations = orbit_audit(0, 5).violations
-        sizes = [item[0] if law == "partition-count" else sum(item) for law, item in violations]
+        sizes = [item["size"] if law == "partition-count" else sum(item) for law, item in violations]
         at = [law for law, _ in violations].index("partition-count")
         assert sizes == sorted(sizes)
         assert sizes[at - 1] == sizes[at] == 3 < sizes[at + 1]
@@ -598,7 +607,8 @@ class TestPartitionCountLaw:
         monkeypatch.setattr(involution, "_distinct_tuples", drops_last)
         report = orbit_audit(m, 16)
         expected = _distinct_counts(m, 16)[9 + m]
-        assert ("partition-count", (9 + m, expected - 1, expected)) in report.violations
+        fields = {"size": 9 + m, "enumerated": expected - 1, "counted": expected}
+        assert ("partition-count", fields) in report.violations
 
 
 class TestFixedCountLaw:
@@ -614,7 +624,8 @@ class TestFixedCountLaw:
     def test_tally_fault_names_size_and_parity(self, monkeypatch):
         # the one fixed point of size 5 at m = 0 is (3, 2), two parts
         monkeypatch.setattr(involution, "_fixed_point_tallies", self.odd_tally_off_at(5))
-        assert orbit_audit(0, 8).violations == [("fixed-count", (5, "odd", 0, 1))]
+        fields = {"size": 5, "parity": "odd", "enumerated": 0, "counted": 1}
+        assert orbit_audit(0, 8).violations == [("fixed-count", fields)]
         assert orbit_audit(0, 8, sizes=[4, 6]).violations == []
 
     def test_counted_after_that_sizes_partition_count(self, monkeypatch):
@@ -623,7 +634,7 @@ class TestFixedCountLaw:
         violations = orbit_audit(1, 9).violations
         real = _distinct_counts(1, 9)[7]
         assert [law for law, _ in violations] == ["partition-count", "fixed-count"]
-        assert violations[0] == ("partition-count", (7, real, real + 1))
+        assert violations[0] == ("partition-count", {"size": 7, "enumerated": real, "counted": real + 1})
 
 
 def moved_counts_shifted_at(size):
@@ -645,7 +656,8 @@ class TestPairCountLaw:
         clean = orbit_audit(1, 14)
         monkeypatch.setattr(involution, "_audit_one", moved_counts_shifted_at(9))
         report = orbit_audit(1, 14)
-        assert report.violations == [("pair-count", (9, tau_n - 1, sigma_n + 1))]
+        fields = {"size": 9, "tauMoved": tau_n - 1, "sigmaMoved": sigma_n + 1}
+        assert report.violations == [("pair-count", fields)]
         moved = report.tau_moved + 1, report.sigma_moved - 1
         assert moved == (clean.tau_moved, clean.sigma_moved)
         assert report[:5] == clean[:5]  # m, size range, total, paired and fixed counts

@@ -431,8 +431,8 @@ class TestSylvester:
         assert report.first_mismatch == {"error": "q orders differ: 8 vs 9"}
         assert run(["verify", "--suite", "sylvester"]) == 1
         out, err = capsys.readouterr()
-        assert "[FAIL] sylvester order=32 " in out and out.endswith("0/1 checks passed\n")
-        assert "first mismatch: error=q orders differ: 32 vs 33\n" in out and err == ""
+        assert "[FAIL] sylvester order=35 " in out and out.endswith("0/1 checks passed\n")
+        assert "first mismatch: error=q orders differ: 35 vs 36\n" in out and err == ""
 
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError, match="^q_order must be nonnegative$"):
@@ -762,6 +762,21 @@ KERNEL_FAULTS = {
         [(partitions, "_parts_below", _source_edit("part = left, left if left <", "part = left, left if left <="))],
         ["all"],
         {"involution-audit": "sigma-image-guard"},
+    ),
+    # a stop test that drops the box or term whose size equals the order: the general
+    # suite's default 117 is base_partition(9, 0)'s size, sylvester's 35 the fifth Durfee lead
+    "_fixed_point_blocks stop": (
+        _box_fault(_source_edit(").parts)) <= max_size:", ").parts)) < max_size:")),
+        ["all"],
+        {"fixed-point-formula": None},
+    ),
+    "_durfee_terms stop": (
+        [
+            (module, "_durfee_terms", _source_edit("// 2) <= q_order:", "// 2) < q_order:"))
+            for module in (qseries, verify)
+        ],
+        ["all"],
+        {"sylvester": None},
     ),
     "_durfee": (
         [(verify, "_durfee", _category_swapped_at_two)],
