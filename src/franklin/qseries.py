@@ -161,17 +161,19 @@ def _product_coeffs(m: int, order: int, sign: int) -> list[int]:
     The factors m < k <= order go in largest first.  Once every factor
     j > k is in, c is zero strictly between q**0 and q**(k+1), so the
     knapsack update c[i] += sign*c[i-k] for factor k sets c[k] = sign,
-    leaves c[k+1..2k] alone and touches only c[2k+1:]: about order**2/4
-    element updates in all, not order**2/2, and O(1) for every k > order/2.
-    The update must still read only old values, since it reads c[k+1:] and
-    writes c[2k+1:], which overlap; the slice assignment builds the whole
-    right side before writing any of it.
+    leaves c[k+1..2k] alone and touches only c[2k+1:], reading the window
+    c[k+1 : order-k+1] of the same length: about order**2/4 element updates
+    in all, not order**2/2, and O(1) for every k >= order/2, which has no
+    update.  The update must still read only old values, since the window
+    and c[2k+1:] overlap; the slice assignment builds the whole right side
+    before writing any of it.
     """
     op = add if sign > 0 else sub
     c = [1] + [0] * order
     for k in range(order, m, -1):
         c[k] = sign
-        c[2 * k + 1 :] = map(op, c[2 * k + 1 :], c[k + 1 :])
+        if 2 * k < order:
+            c[2 * k + 1 :] = map(op, c[2 * k + 1 :], c[k + 1 : order - k + 1])
     return c
 
 

@@ -265,8 +265,10 @@ class TestFixedPointsCmd:
 
     def test_rows_follow_values_not_objects(self, monkeypatch, capsys):
         # hand-made boxes: one weight object shared by boxes of three part counts, empty
-        # boxes first and between nonempty ones, then equal weights as distinct objects
+        # boxes first and between nonempty ones, then equal weights as distinct objects,
+        # then the block edges: a box of exactly _CHUNK points, an empty box, _CHUNK + 1
         shared = SignedMonomial(1, 10)
+        chunk = cli._CHUNK
         boxes = [
             (2, SignedMonomial(1, 7), []),
             (1, shared, [(10,)]),
@@ -278,6 +280,9 @@ class TestFixedPointsCmd:
             (3, SignedMonomial(-1, 12), [(6, 4, 2)]),
             (0, SignedMonomial(1, 0), [()]),
             (2, SignedMonomial(1, 12), [(9, 3), (8, 4)]),
+            (2, SignedMonomial(1, 1000), [(1000 - j, j) for j in range(1, chunk + 1)]),
+            (2, SignedMonomial(1, 1001), []),
+            (3, SignedMonomial(-1, 1005), [(995 - j, 5 + j, 5) for j in range(1, chunk + 2)]),
         ]
         stream = [(DistinctPartition(parts), w) for _, w, points in boxes for parts in points]
         monkeypatch.setattr(
@@ -290,8 +295,8 @@ class TestFixedPointsCmd:
 
     @pytest.mark.parametrize("fmt, marker", [([], "\n"), (["--json"], '"sign"')])
     def test_writes_in_bounded_memory(self, monkeypatch, fmt, marker):
-        # rows go out one at a time: joining the largest box (900 points) would hold
-        # about 110 kB as text and 360 kB as JSON
+        # rows go out in blocks of at most _CHUNK: joining the largest box (900 points)
+        # would hold about 110 kB as text and 360 kB as JSON
         class Discard:
             """Counts the rows it is sent by a marker each row holds once, keeps nothing."""
 

@@ -709,6 +709,12 @@ KERNEL_FAULTS = {
         ["general"],
         {"general-product-formula": None, "fixed-point-formula": None},
     ),
+    # a knapsack window one entry short: each update writes one entry fewer, cutting c
+    "_product_coeffs window": (
+        [(verify, "_product_coeffs", _source_edit(": order - k + 1]", ": order - k]"))],
+        ["general"],
+        {"general-product-formula": None, "fixed-point-formula": None},
+    ),
     "_distinct_counts +1": (
         [(module, "_distinct_counts", _counts_off(1)) for module in (qseries, involution)],
         ["general", "involution"],
