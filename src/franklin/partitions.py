@@ -152,21 +152,23 @@ def weight(p: DistinctPartition) -> SignedMonomial:
     return SignedMonomial(-1 if p.n % 2 else 1, p.size)
 
 
-def _durfee(parts: tuple[int, ...]) -> tuple[int, DurfeeCategory]:
-    """Durfee dimension and category of raw parts, largest first."""
+def _durfee(parts: tuple[int, ...]) -> tuple[int, bool]:
+    """Durfee dimension of raw parts, largest first, and whether its category is Two.
+
+    d counts the parts while part > d, that is while part_i >= i.
+    """
     d = 0
-    for i, part in enumerate(parts, start=1):
-        if part >= i:
-            d = i
-        else:
+    for part in parts:
+        if part <= d:
             break
-    two = len(parts) > d and parts[d] == d
-    return d, DurfeeCategory.TWO if two else DurfeeCategory.ONE
+        d += 1
+    return d, len(parts) > d and parts[d] == d
 
 
 def durfee(p: DistinctPartition) -> DurfeeInfo:
     """Durfee square dimension d = max{i : part_i >= i} and its category."""
-    return DurfeeInfo(*_durfee(p.parts))
+    d, two = _durfee(p.parts)
+    return DurfeeInfo(d, DurfeeCategory.TWO if two else DurfeeCategory.ONE)
 
 
 _TAIL = 16

@@ -266,9 +266,19 @@ def _add_shifted(out: list[int], c: Sequence[int], shift: int, op) -> None:
 
 
 def _times_one_plus_zq(columns: list[list[int]], i: int) -> None:
-    """Multiply z-columns by (1 + z q^i) in place, highest power of z first."""
+    """Multiply z-columns by (1 + z q^i) in place, highest power of z first.
+
+    Steps only each column's support: column k-1 vanishes below
+    q^{k(k-1)/2}, as k-1 distinct parts sum to at least that (the ZQSeries
+    invariant), so the step for column k reads column k-1 from there and
+    adds it from q^{i + k(k-1)/2}; a column whose start passes the
+    truncation is left alone.
+    """
+    end = len(columns[0])
     for k in range(len(columns) - 1, 0, -1):
-        _add_shifted(columns[k], columns[k - 1], i, add)
+        start = i + k * (k - 1) // 2
+        if start < end:
+            columns[k][start:] = map(add, columns[k][start:], columns[k - 1][start - i : end - i])
 
 
 def _shifted(columns: list[list[int]], lead: int, z_shift: int, q_order: int) -> ZQSeries:

@@ -30,7 +30,7 @@ tripped by a faulty kernel) is a Fail whose first mismatch is
 from __future__ import annotations
 
 import time
-from collections import defaultdict
+from collections import Counter, defaultdict
 from typing import Callable, NamedTuple
 
 from .involution import FIXED, _fixed_point_blocks, _move, cancellation_stats, orbit_audit
@@ -182,7 +182,10 @@ def check_durfee_decomposition(order: int) -> VerificationReport:
     Durfee dimension, category), and compares against the expansions of
     the category-One and category-Two terms, for every (dimension,
     category) up to the largest dimension that the enumeration or the
-    terms reach, which the report gives as maxDimension.
+    terms reach, which the report gives as maxDimension.  The grading is
+    by plain integers: one Counter per size tallies its partitions by
+    (`_durfee`'s (dimension, is-Two) pair, part count), no enum is hashed,
+    and each class's ZQSeries is built once and filled from those tallies.
     """
     _nonnegative(order=order)
     params = {"order": order}
@@ -190,18 +193,20 @@ def check_durfee_decomposition(order: int) -> VerificationReport:
     def routes() -> dict | None:
         counted = defaultdict(lambda: ZQSeries(order))
         for size in range(order + 1):
-            for parts in _distinct_tuples(size, 0):
-                counted[_durfee(parts)].columns[len(parts)][size] += 1
+            of_size = list(_distinct_tuples(size, 0))
+            for (graded, n), count in Counter(zip(map(_durfee, of_size), map(len, of_size))).items():
+                counted[graded].columns[n][size] = count
         # dimension 0 is the empty partition alone, category One
-        terms = {(0, DurfeeCategory.ONE): ZQSeries.one(order)}
+        terms = {(0, False): ZQSeries.one(order)}
         for d, one, two in _durfee_terms(order):
-            terms[d, DurfeeCategory.ONE] = one
-            terms[d, DurfeeCategory.TWO] = two
+            terms[d, False] = one
+            terms[d, True] = two
         top = params["maxDimension"] = max(d for d, _ in counted.keys() | terms.keys())
         for d in range(top + 1):
             for category in DurfeeCategory:
-                term = terms.get((d, category), ZQSeries(order))
-                found = _zq_mismatch(counted[d, category], term, "enumeration", "term-expansion")
+                graded = d, category is DurfeeCategory.TWO
+                term = terms.get(graded, ZQSeries(order))
+                found = _zq_mismatch(counted[graded], term, "enumeration", "term-expansion")
                 if found:
                     return {"dimension": d, "category": category.value, **found}
         return None

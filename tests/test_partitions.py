@@ -160,14 +160,24 @@ class TestDurfee:
         assert info.dimension == dim
         assert info.category == cat
 
-    @given(distinct_parts())
-    def test_against_definition(self, parts):
+    @staticmethod
+    def assert_definition(parts):
         info = durfee(DistinctPartition(parts))
         candidates = [i for i in range(1, len(parts) + 1) if parts[i - 1] >= i]
         assert info.dimension == (max(candidates) if candidates else 0)
         d = info.dimension
         expect_two = len(parts) > d and parts[d] == d
         assert (info.category == DurfeeCategory.TWO) == expect_two
+
+    @given(distinct_parts())
+    def test_against_definition(self, parts):
+        self.assert_definition(parts)
+
+    def test_against_definition_up_to_the_benchmarks_order(self):
+        # every distinct partition the durfee suite grades at order 40
+        for size in range(41):
+            for p in enumerate_distinct(size):
+                self.assert_definition(p.parts)
 
 
 class TestEnumerate:

@@ -11,7 +11,7 @@ import franklin.partitions as partitions
 import franklin.qseries as qseries
 import franklin.verify as verify
 from franklin.cli import run
-from franklin.partitions import DurfeeCategory, SignedMonomial, base_partition
+from franklin.partitions import SignedMonomial, base_partition
 from franklin.qseries import rhs_general
 from franklin.verify import (
     check_durfee_decomposition,
@@ -619,11 +619,10 @@ def _source_edit(old, new):
 
 
 def _category_swapped_at_two(real):
+    # `_durfee` grades Two as True: the fault flips it at dimension 2
     def corrupted(parts):
-        d, category = real(parts)
-        if d == 2:
-            category = DurfeeCategory.TWO if category is DurfeeCategory.ONE else DurfeeCategory.ONE
-        return d, category
+        d, two = real(parts)
+        return d, two != (d == 2)
 
     return corrupted
 
@@ -798,6 +797,12 @@ KERNEL_FAULTS = {
         [(qseries, "_times_one_plus_zq", _zq_step_off)],
         ["sylvester", "durfee"],
         {"sylvester": None},
+    ),
+    # a window that starts one entry late: each column loses the step's lowest term
+    "_times_one_plus_zq window": (
+        [(qseries, "_times_one_plus_zq", _source_edit("k * (k - 1) // 2", "k * (k - 1) // 2 + 1"))],
+        ["all"],
+        {"sylvester": None, "durfee-decomposition": None},
     ),
     "_times_one_plus_zq shift": (
         [(qseries, "_times_one_plus_zq", _zq_step_shifted)],
