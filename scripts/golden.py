@@ -6,8 +6,9 @@
 
 ``tests/golden/commands.txt`` holds one argv per line as a JSON array: the
 benchmark's four workloads at seeds 1 and 5, every refusal row of
-``tests/test_cli.py``, ``verify --suite all`` as text and as JSON, the
-argvs that print help or refuse the command word, and argvs where a
+``tests/test_cli.py``, each ``verify`` suite with an integer flag it does
+not read, ``verify --suite all`` as text and as JSON, a text ``stats``
+table, the argvs that print help or refuse the command word, and argvs where a
 command's own parser could part from the top-level one (abbreviated flags,
 ``=`` forms, repeated flags, near-miss command words).  Line i of
 ``tests/golden/digests.txt`` is the sha256 of line i's exit code, stdout and

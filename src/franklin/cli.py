@@ -21,40 +21,7 @@ from .involution import InvolutionCase, _fixed_point_blocks, cancellation_stats,
 from .partitions import SignedMonomial, _parse_integer, _parts_text, _shown, parse_partition
 from .qseries import euler_product, format_series, rhs_fixed_points, rhs_general
 from .staircase import render_ferrers, staircase
-from .verify import (
-    VerificationReport,
-    check_durfee_decomposition,
-    check_fixed_point_formula,
-    check_general_formula,
-    check_involution_laws,
-    check_sylvester,
-)
-
-_DEFAULT_MS = (0, 1, 2, 3, 4)
-# verify's integer flags, argparse dest -> flag, for its does-not-apply refusal
-_INTEGER_FLAGS = {"m": "--m", "order": "--order", "max_size": "--max-size"}
-# verify's suites, in the order --suite all runs them: the flags each reads, and its
-# checks from (ms, order, max_size), where an unset flag is None and the row applies
-# its default.  Rows look up check_* as they run, so a replacement set here is called.
-# Two defaults sit on a kernel's stop boundary, where a stop test off by one fails:
-# 117 = sum(base_partition(9, 0)), the last part count the fixed-point boxes reach at
-# m = 0, and 35 = (3 * 5**2 - 5) // 2, the lead of the fifth Durfee term.
-_SUITES = {
-    "general": (("m", "order"), lambda ms, order, _: (
-        check(m, default if order is None else order)
-        for m in ms
-        for check, default in ((check_general_formula, 240), (check_fixed_point_formula, 117))
-    )),
-    "sylvester": (("order",), lambda _, order, __: [
-        check_sylvester(35 if order is None else order)
-    ]),
-    "durfee": (("order",), lambda _, order, __: [
-        check_durfee_decomposition(26 if order is None else order)
-    ]),
-    "involution": (("m", "max_size"), lambda ms, _, max_size: (
-        check_involution_laws(m, 34 if max_size is None else max_size) for m in ms
-    )),
-}
+from .verify import _SUITES, VerificationReport
 
 
 def _integer(text: str) -> int:
@@ -246,19 +213,20 @@ def _cmd_stats(args, out: TextIO) -> int:
 
 
 def _verify_suites(args) -> tuple[str, ...]:
-    """The suites --suite names; refuses an integer flag that none of them reads."""
+    """The suites --suite names; refuses an integer flag that none of them reads, trying
+    the flags in the order the suite table first names them: m, order, max_size."""
     suites = tuple(_SUITES) if args.suite == "all" else (args.suite,)
-    for dest, flag in _INTEGER_FLAGS.items():
+    for dest in dict.fromkeys(chain.from_iterable(flags for flags, _ in _SUITES.values())):
         if getattr(args, dest) is not None and all(dest not in _SUITES[s][0] for s in suites):
-            raise ValueError(f"{flag} does not apply to --suite {args.suite}")
+            raise ValueError(f"--{dest.replace('_', '-')} does not apply to --suite {args.suite}")
     return suites
 
 
 def _cmd_verify(args, out: TextIO) -> int:
-    ms = _DEFAULT_MS if args.m is None else (args.m,)
     reports: list[VerificationReport] = []
     for suite in args.suites:
-        for r in _SUITES[suite][1](ms, args.order, args.max_size):
+        flags, checks = _SUITES[suite]
+        for r in checks(*(getattr(args, dest) for dest in flags)):
             reports.append(r)
             if not args.json:
                 print(r.summary(), file=out, flush=True)

@@ -1,19 +1,26 @@
 """Identity checkers: each compares routes that are different algorithms.
 
-* general-product-formula: the product over parts > m three ways: the
-  knapsack vs the closed Gaussian-binomial sum vs Euler's staircase sum
-  (`euler_product`, the route `expand` prints).
-* fixed-point-formula: the fixed-point generating function vs the
-  product vs enumeration of the involution's fixed points, in the boxes
-  that `fixed-points` prints, where each point must carry its box's
-  weight, hold neither move's guard and come after the one before it.
-* sylvester: the product of (1 + z q**n) vs the Durfee-square sum.
-* durfee-decomposition: enumeration of distinct-part partitions graded
-  by Durfee class vs each class's term, the summands of sylvester's side.
-* involution-audit: every involution law on every partition in range,
-  and each size's tallies vs the row `stats` prints for that size
-  (`orbit_audit` names the laws and the route behind each column); then
-  the totals the report gives vs the summed rows and each other.
+Each identity names the suite of `verify --suite` that runs it; `_SUITES`
+holds each suite's flags, defaults and m sweep, in `--suite all`'s order.
+
+* general-product-formula: in suite general, the product over parts > m
+  three ways: the knapsack vs the closed Gaussian-binomial sum vs Euler's
+  staircase sum (`euler_product`, the route `expand` prints).
+* fixed-point-formula: in suite general, the fixed-point generating
+  function vs the product vs enumeration of the involution's fixed
+  points, in the boxes that `fixed-points` prints, where each point must
+  carry its box's weight, hold neither move's guard and come after the
+  one before it.
+* sylvester: in suite sylvester, the product of (1 + z q**n) vs the
+  Durfee-square sum.
+* durfee-decomposition: in suite durfee, enumeration of distinct-part
+  partitions graded by Durfee class vs each class's term, the summands of
+  sylvester's side.
+* involution-audit: in suite involution, every involution law on every
+  partition in range, and each size's tallies vs the row `stats` prints
+  for that size (`orbit_audit` names the laws and the route behind each
+  column); then the totals the report gives vs the summed rows and each
+  other.
 
 The first side of both product checks is the `_product_coeffs` knapsack,
 which shares no kernel with the others.  Euler's sum and the closed forms
@@ -255,3 +262,27 @@ def check_involution_laws(m: int, max_size: int) -> VerificationReport:
         return {"law": law, "partition": _parts_text(item)}
 
     return _run("involution-audit", params, routes)
+
+
+# The suites, in the order `--suite all` runs them: the integer flags each reads, as
+# argparse dests, and its checks, given those flags' values in that order with None
+# for an unset flag, where the row applies its default (an unset m sweeps 0..4).  Rows
+# look up check_* as they run, so a replacement set on this module is the one called.
+# Two defaults sit on a kernel's stop boundary, where a stop test off by one fails:
+# 117 = sum(base_partition(9, 0)), the last part count the fixed-point boxes reach at
+# m = 0, and 35 = (3 * 5**2 - 5) // 2, the lead of the fifth Durfee term.
+_SUITES = {
+    "general": (("m", "order"), lambda m, order: (
+        check(m, default if order is None else order)
+        for m in ((0, 1, 2, 3, 4) if m is None else (m,))
+        for check, default in ((check_general_formula, 240), (check_fixed_point_formula, 117))
+    )),
+    "sylvester": (("order",), lambda order: [check_sylvester(35 if order is None else order)]),
+    "durfee": (("order",), lambda order: [
+        check_durfee_decomposition(26 if order is None else order)
+    ]),
+    "involution": (("m", "max_size"), lambda m, max_size: (
+        check_involution_laws(m, 34 if max_size is None else max_size)
+        for m in ((0, 1, 2, 3, 4) if m is None else (m,))
+    )),
+}

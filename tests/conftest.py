@@ -43,6 +43,31 @@ def boundary_walk(p, m):
     return tuple(cells), tuple(landing_rows)
 
 
+def franklin_map(parts):
+    """Franklin's involution on distinct parts, largest first: (case, image).
+
+    Written from its definition (F. Franklin, C. R. 92 (1881); G. E.
+    Andrews, *The Theory of Partitions* (1976), §1.3), with no franklin
+    kernel.  The slope is the run of consecutive parts from the largest,
+    of length s, and t is the smallest part.  If t <= s, the smallest part
+    goes onto the slope, one cell on each of the t largest parts
+    ("TauMoved"); otherwise the slope comes off, one cell from each of its
+    parts, and becomes a new smallest part s ("SigmaMoved").  The two
+    exceptions are fixed ("Fixed"): the slope is every part and t is n or
+    n + 1, n the number of parts, the partitions of the pentagonal numbers
+    n(3n - 1)/2 and n(3n + 1)/2.
+    """
+    n, t = len(parts), parts[-1]
+    s = 1
+    while s < n and parts[s] == parts[0] - s:
+        s += 1
+    if s == n and t in (n, n + 1):
+        return "Fixed", parts
+    if t <= s:
+        return "TauMoved", tuple(part + 1 for part in parts[:t]) + parts[t:-1]
+    return "SigmaMoved", tuple(part - 1 for part in parts[:s]) + parts[s:] + (s,)
+
+
 def staircase_laid_on_top(parts, m):
     """Sigma read off the diagram: each cell of `boundary_walk`'s staircase leaves
     its row, then all of them form a new top row.  A reference for both moves."""
@@ -103,6 +128,12 @@ def box_form():
 def reference_walk():
     """The staircase as a function of (p, m), walked cell by cell: (cells, landing rows)."""
     return boundary_walk
+
+
+@pytest.fixture
+def franklins_map():
+    """Franklin's involution as a function of parts, written from its definition."""
+    return franklin_map
 
 
 @pytest.fixture

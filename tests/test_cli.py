@@ -11,6 +11,7 @@ import pytest
 
 import franklin.cli as cli
 import franklin.partitions as partitions
+import franklin.verify as verify
 from franklin.cli import run
 from franklin.involution import cancellation_stats, enumerate_fixed_points, involute
 from franklin.partitions import (
@@ -510,7 +511,7 @@ class TestVerifyCmd:
 
         for check in ("check_general_formula", "check_fixed_point_formula", "check_sylvester",
                       "check_durfee_decomposition", "check_involution_laws"):
-            monkeypatch.setattr(cli, check, never)
+            monkeypatch.setattr(verify, check, never)
 
     @pytest.mark.parametrize(
         "suite,flag",
@@ -556,18 +557,19 @@ class TestVerifyCmd:
         [commands] = [a for a in cli._build_parser()._actions if a.dest == "command"]
         [suite] = [a for a in commands.choices["verify"]._actions if a.dest == "suite"]
         assert suite.choices == ("all", "general", "sylvester", "durfee", "involution")
-        assert tuple(cli._SUITES) == suite.choices[1:]
-        for flags, _ in cli._SUITES.values():
-            assert set(flags) <= set(cli._INTEGER_FLAGS)
+        assert tuple(verify._SUITES) == suite.choices[1:]
+        integer_flags = {a.dest for a in commands.choices["verify"]._actions if a.type is cli._integer}
+        for flags, _ in verify._SUITES.values():
+            assert set(flags) <= integer_flags
 
     def test_text_lines_are_written_as_each_check_finishes(self, capsys, monkeypatch):
-        real, seen = cli.check_involution_laws, []
+        real, seen = verify.check_involution_laws, []
 
         def audit(m, max_size):
             seen.append(capsys.readouterr().out)
             return real(m, max_size)
 
-        monkeypatch.setattr(cli, "check_involution_laws", audit)
+        monkeypatch.setattr(verify, "check_involution_laws", audit)
         argv = ["verify", "--m", "0", "--order", "8", "--max-size", "4"]
         assert run(argv) == 0
         assert [line.split()[1] for line in seen[0].splitlines()] == [
@@ -608,8 +610,6 @@ class TestVerifyCmd:
         assert payload[0]["firstMismatch"] is None
 
     def test_failure_exit_code(self, capsys, monkeypatch):
-        import franklin.verify as verify
-
         real = verify.rhs_general
 
         def corrupted(m, order):
@@ -617,7 +617,6 @@ class TestVerifyCmd:
             series.coeffs[3] += 1
             return series
 
-        monkeypatch.setattr(cli, "check_general_formula", lambda m, order: verify.check_general_formula(m, order))
         monkeypatch.setattr(verify, "rhs_general", corrupted)
         code = run(["verify", "--suite", "general", "--m", "0", "--order", "20"])
         out, _ = out_of(capsys)
@@ -713,7 +712,8 @@ class TestUsageErrors:
         def never(*args):
             raise AssertionError(f"{kernel} ran before --out was opened")
 
-        monkeypatch.setattr(cli, kernel, never)
+        # verify's checks run through its suite table; the other kernels are cli's names
+        monkeypatch.setattr(cli if hasattr(cli, kernel) else verify, kernel, never)
         monkeypatch.chdir(tmp_path)
         assert run(argv + ["--out", "missing/x.txt"]) == 2
         assert out_of(capsys) == ("", "error: cannot write missing/x.txt: No such file or directory\n")

@@ -435,6 +435,31 @@ class TestMovesAgainstCells:
         assert moved[InvolutionCase.TAU_MOVED] == moved[InvolutionCase.SIGMA_MOVED] > 0
 
 
+class TestFranklinAtMZero:
+    """At m = 0 the involution is Franklin's, the map `franklins_map` writes from its definition."""
+
+    @staticmethod
+    def unlike(franklins_map):
+        """The nonempty partitions of size <= 40 where involute(p, 0) differs in case or image."""
+        return [
+            p.parts
+            for size in range(1, 41)
+            for p in enumerate_distinct(size, 0)
+            for r in [involute(p, 0)]
+            if (r.case.value, r.image.parts) != franklins_map(p.parts)
+        ]
+
+    def test_case_and_image_on_every_partition_up_to_size_40(self, franklins_map):
+        assert self.unlike(franklins_map) == []
+
+    def test_a_wrong_sigma_slice_shows(self, franklins_map, monkeypatch):
+        def keeps_the_largest(parts, m, s):  # slices from part 0, not 1: distinct, not sigma
+            return parts[: s - m] + (parts[0] - s,) + parts[s - m :] + (s,)
+
+        monkeypatch.setattr(involution, "_sigma_tuple", keeps_the_largest)
+        assert self.unlike(franklins_map)
+
+
 # One corruption of one audit helper per law that _audit_one names: each
 # wraps the real helper and bends its result so that the law must fire.
 def _flip_fixed(real):

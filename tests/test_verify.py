@@ -1,5 +1,6 @@
 import inspect
 import json
+import re
 import time
 from operator import add
 
@@ -508,6 +509,32 @@ class TestReportShape:
         line, total = capsys.readouterr().out.splitlines()
         assert line.endswith(" first mismatch: law=fixed-criterion partition=()")
         assert total == "0/1 checks passed"
+
+
+class TestSuiteTable:
+    """`_SUITES` against the module docstring and against `--suite all`."""
+
+    FLAGS = {"m": 0, "order": 8, "max_size": 4}
+
+    def reports(self):
+        """Each suite's reports, run through its row of the table at tiny flags."""
+        return {
+            suite: list(checks(*(self.FLAGS[dest] for dest in flags)))
+            for suite, (flags, checks) in verify._SUITES.items()
+        }
+
+    def test_docstring_names_the_suite_of_each_identity(self):
+        ran = {(r.identity, suite) for suite, reports in self.reports().items() for r in reports}
+        bullets = re.findall(r"^\* ([\w-]+): in suite (\w+),", verify.__doc__, re.M)
+        assert len(bullets) == len(re.findall(r"^\* [\w-]+:", verify.__doc__, re.M))
+        # each identity is one bullet, produced by the one suite that bullet names
+        assert len({identity for identity, _ in bullets}) == len(bullets)
+        assert set(bullets) == ran
+
+    def test_suite_all_runs_the_suites_in_table_order(self, capsys):
+        table = [(r.identity, r.params) for reports in self.reports().values() for r in reports]
+        assert run(["verify", "--m", "0", "--order", "8", "--max-size", "4", "--json"]) == 0
+        assert [(r["identity"], r["params"]) for r in json.loads(capsys.readouterr().out)] == table
 
 
 
