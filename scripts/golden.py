@@ -10,11 +10,15 @@ benchmark's four workloads at seeds 1 and 5, every refusal row of
 not read, ``verify --suite all`` as text and as JSON, a text ``stats``
 table, the argvs that print help or refuse the command word, and argvs where a
 command's own parser could part from the top-level one (abbreviated flags,
-``=`` forms, repeated flags, near-miss command words).  Line i of
+``=`` forms, repeated flags, near-miss command words), and four commands
+that write their output to a file with ``--out``.  Line i of
 ``tests/golden/digests.txt`` is the sha256 of line i's exit code, stdout and
-stderr, run in process through ``franklin.cli.run`` with help wrapped at 80
-columns.  The times in verify's reports are masked.  A change that alters
-output on purpose runs ``--write`` and names the commands that changed.
+stderr, and of any file its ``--out`` wrote, run in process through
+``franklin.cli.run`` with help wrapped at 80 columns, in an empty temporary
+working directory so that a relative ``--out`` path names the same file
+wherever the corpus runs.  The times in verify's reports are masked.  A
+change that alters output on purpose runs ``--write`` and names the
+commands that changed.
 Help and argparse's refusals are argparse's own wording: the digests hold
 on CPython 3.10.13, 3.11.7, 3.12.1 and 3.13.0, and a release that rewords
 them shows here as changed commands.
@@ -30,6 +34,7 @@ import json
 import os
 import re
 import sys
+import tempfile
 from pathlib import Path
 from unittest import mock
 
@@ -48,14 +53,25 @@ def commands() -> list[list[str]]:
 
 
 def digest(argv: list[str]) -> str:
-    """sha256 of the command's (exit code, stdout, stderr), verify's times masked."""
+    """sha256 of the command's (exit code, stdout, stderr, files it wrote), verify's times masked.
+
+    The command runs in an empty working directory; a command that writes no
+    file is digested as (exit code, stdout, stderr) alone.
+    """
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)
         try:
-            code = cli.run(argv)
-        except SystemExit as exc:  # argparse's help
-            code = exc.code
-    printed = [_TIMES.sub("#", text.getvalue()) for text in (out, err)]
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.run(argv)
+                except SystemExit as exc:  # argparse's help
+                    code = exc.code
+            written = [path.read_text(encoding="utf-8") for path in sorted(Path().iterdir())]
+        finally:
+            os.chdir(home)
+    printed = [_TIMES.sub("#", text) for text in (out.getvalue(), err.getvalue(), *written)]
     return hashlib.sha256(json.dumps([code, *printed]).encode()).hexdigest()
 
 

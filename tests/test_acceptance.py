@@ -6,7 +6,6 @@ tolerances are the stated wall-clock budgets.
 """
 
 import time
-from itertools import combinations_with_replacement
 
 import pytest
 
@@ -28,17 +27,7 @@ from franklin.qseries import (
 )
 from franklin.verify import check_durfee_decomposition
 
-
-def _fixed_point_reference(n: int, m: int) -> list[int]:
-    """(-1)^n q^{(3n^2-n)/2 + nm} (box(n, m) + q^{n+m} box(n-1, m)), boxes enumerated."""
-    if n == 0:
-        return [1]
-    base = (3 * n * n - n) // 2 + n * m
-    c = [0] * (base + n * m + n + 1)
-    for rows, shift in ((n, base), (n - 1, base + n + m)):
-        for mu in combinations_with_replacement(range(m + 1), rows):
-            c[shift + sum(mu)] += (-1) ** n
-    return c
+from references import enumerated_fixed_points, fixed_point_reference
 
 
 def _verdict(number: int, ok: bool, description: str) -> None:
@@ -138,12 +127,8 @@ def test_criterion_7_fixed_point_generating_function():
         ok = ok and rhs_fixed_points(m, 120) == QSeries(120, _product_coeffs(m, 120, -1))
     for m in range(7):
         for n in range(11):
-            poly = _fixed_point_reference(n, m)
-            tally = [0] * len(poly)
-            for p, w in enumerate_fixed_points(m, len(poly) - 1):
-                if p.n == n:
-                    tally[w.exponent] += w.sign
-            ok = ok and poly == tally
+            poly = fixed_point_reference(n, m)
+            ok = ok and poly == enumerated_fixed_points(n, m, len(poly) - 1)
     _verdict(
         7, ok, "fixed-point sum equals the product (m<=6, order 120); per-n polynomials"
         " match box enumeration (n<=10)"

@@ -1,6 +1,4 @@
 import importlib
-import importlib.util
-from pathlib import Path
 
 import pytest
 
@@ -42,9 +40,6 @@ REMOVED = {
     "franklin.staircase": ["top_overlap"],
 }
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-
-
 def test_all_names_resolve_once():
     names = franklin.__all__
     assert len(names) == len(set(names))
@@ -75,12 +70,9 @@ def test_qseries_is_not_hashable():
         hash(franklin.QSeries(2, [1]))
 
 
-def test_tracer_installs_on_every_target_and_uninstall_restores_it():
+def test_tracer_installs_on_every_target_and_uninstall_restores_it(tracing):
     # the benchmark's tracer wraps names of this package; one it cannot find
     # fails here, in the tests, and not only in the benchmark's smoke run
-    spec = importlib.util.spec_from_file_location("franklin_bench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
     modules = [importlib.import_module(name) for name in tracing.MODULES]
     owners = []
     for module_name, attr, _, _ in tracing.TARGETS:

@@ -1,4 +1,3 @@
-import importlib.util
 import json
 import re
 import subprocess
@@ -10,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import franklin.cli as cli
+import franklin.involution as involution
 import franklin.partitions as partitions
 import franklin.verify as verify
 from franklin.cli import run
@@ -21,6 +21,9 @@ from franklin.partitions import (
     parse_partition,
 )
 from franklin.qseries import QSeries, _product_coeffs, format_series
+
+from faults import bottom_plus_one, coefficient_plus_one, install
+from references import cell_by_cell_diagram
 
 
 def out_of(capsys):
@@ -120,17 +123,11 @@ class TestInvolveCmd:
         assert "[S]" in out
 
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-
-
 class TestCommandsReachThePublicFunctions:
     """staircase and involve go through the names the benchmark's tracer wraps."""
 
     @pytest.fixture
-    def spans(self):
-        spec = importlib.util.spec_from_file_location("franklin_bench_tracing", TRACING)
-        tracing = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracing)
+    def spans(self, tracing):
         tracer = tracing.Tracer()
         restore = tracing.install(tracer)
         try:
@@ -194,21 +191,21 @@ class TestDiagramBytes:
     """Diagrams on stdout are the cell-by-cell reference, byte for byte."""
 
     @pytest.mark.parametrize("text, m, case", DIAGRAM_CASES)
-    def test_staircase_render(self, capsys, reference_diagram, text, m, case):
+    def test_staircase_render(self, capsys, text, m, case):
         argv = ["staircase", "--partition", text, "--m", str(m)]
         assert run(argv) == 0
         header, _ = out_of(capsys)
         assert run(argv + ["--render"]) == 0
-        assert out_of(capsys) == (header + reference_diagram(parse_partition(text), m) + "\n", "")
+        assert out_of(capsys) == (header + cell_by_cell_diagram(parse_partition(text), m) + "\n", "")
 
     @pytest.mark.parametrize("text, m, case", DIAGRAM_CASES)
-    def test_involve_trace(self, capsys, reference_diagram, text, m, case):
+    def test_involve_trace(self, capsys, text, m, case):
         p = parse_partition(text)
         image = involute(p, m).image
         want = [f"case: {case}", f"image: {format_partition(image)}"]
-        want += ["input (staircase marked):", reference_diagram(p, m)]
+        want += ["input (staircase marked):", cell_by_cell_diagram(p, m)]
         if case != "Fixed":
-            want += ["image (staircase marked):", reference_diagram(image, m)]
+            want += ["image (staircase marked):", cell_by_cell_diagram(image, m)]
         assert run(["involve", "--partition", text, "--m", str(m), "--trace"]) == 0
         assert out_of(capsys) == ("\n".join(want) + "\n", "")
 
@@ -476,15 +473,7 @@ class TestVerifyCmd:
             assert p["tauMoved"] == p["sigmaMoved"] == p["pairedCount"] // 2
 
     def test_involution_fault_fails(self, capsys, monkeypatch):
-        import franklin.involution as involution
-
-        real = involution._tau_tuple
-
-        def corrupted(parts, m):
-            image = real(parts, m)
-            return (image[0] + 1,) + image[1:]
-
-        monkeypatch.setattr(involution, "_tau_tuple", corrupted)
+        install(monkeypatch, [(involution, "_tau_tuple", bottom_plus_one)])
         code = run(["verify", "--suite", "involution", "--m", "0", "--max-size", "10", "--json"])
         assert code == 1
         [report] = json.loads(out_of(capsys)[0])
@@ -610,14 +599,7 @@ class TestVerifyCmd:
         assert payload[0]["firstMismatch"] is None
 
     def test_failure_exit_code(self, capsys, monkeypatch):
-        real = verify.rhs_general
-
-        def corrupted(m, order):
-            series = real(m, order)
-            series.coeffs[3] += 1
-            return series
-
-        monkeypatch.setattr(verify, "rhs_general", corrupted)
+        install(monkeypatch, [(verify, "rhs_general", coefficient_plus_one(3))])
         code = run(["verify", "--suite", "general", "--m", "0", "--order", "20"])
         out, _ = out_of(capsys)
         assert code == 1

@@ -7,9 +7,9 @@ from operator import add
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import franklin.involution as involution
+import franklin.verify as verify
 from franklin.involution import (
     InvolutionCase,
     PreconditionViolated,
@@ -38,13 +38,17 @@ from franklin.partitions import (
 from franklin.qseries import _distinct_counts, _fixed_point_tallies, _product_coeffs
 from franklin.staircase import staircase
 
-
-@st.composite
-def partition_with_m(draw, max_part=24, max_n=7):
-    m = draw(st.integers(0, 4))
-    universe = list(range(m + 1, max_part + 1))
-    chosen = draw(st.sets(st.sampled_from(universe), max_size=max_n))
-    return DistinctPartition(tuple(sorted(chosen, reverse=True))), m
+from faults import (
+    AUDIT_FAULTS,
+    KERNEL_FAULTS,
+    bottom_plus_one,
+    counts_off,
+    drops_last_at,
+    install,
+    tallies_off,
+    tau_counted_as_sigma,
+)
+from references import box_form_fixed, franklin_sweep, move_sweep, partition_with_m
 
 
 class TestSigma:
@@ -169,13 +173,13 @@ class TestFixedCriterion:
     def test_empty(self):
         assert _fixed_criterion((), 2)
 
-    def test_interval_box_and_walk_forms_agree(self, box_form):
+    def test_interval_box_and_walk_forms_agree(self):
         # the interval test, the box form it replaced, and the move kernel's decision
         for m in range(7):
             for size in range(41):
                 for parts in _distinct_tuples(size, m):
                     by_walk = not parts or _move(parts, m)[0] is InvolutionCase.FIXED
-                    assert _fixed_criterion(parts, m) == box_form(parts, m) == by_walk, (parts, m)
+                    assert _fixed_criterion(parts, m) == box_form_fixed(parts, m) == by_walk, (parts, m)
 
     def test_agrees_with_involute_small(self):
         for total in range(32):
@@ -421,147 +425,24 @@ class TestOrbitAudit:
 
 class TestMovesAgainstCells:
     @pytest.mark.parametrize("m", range(7))
-    def test_moves_match_the_staircase_cells(self, laid_on_top, m):
-        # laid_on_top reads the cell-by-cell walk, so it calls neither move nor `_walk`
-        moved = Counter()
-        for size in range(1, 41):
-            for parts in (p.parts for p in enumerate_distinct(size, m)):
-                case, image, _, _ = _move(parts, m)
-                if case is InvolutionCase.SIGMA_MOVED:
-                    assert image == laid_on_top(parts, m), parts
-                elif case is InvolutionCase.TAU_MOVED:
-                    assert laid_on_top(image, m) == parts, parts
-                moved[case] += 1
+    def test_moves_match_the_staircase_cells(self, m):
+        moved, unlike = move_sweep([m], 40)
+        assert unlike == []
         assert moved[InvolutionCase.TAU_MOVED] == moved[InvolutionCase.SIGMA_MOVED] > 0
 
 
 class TestFranklinAtMZero:
-    """At m = 0 the involution is Franklin's, the map `franklins_map` writes from its definition."""
+    """At m = 0 the involution is Franklin's, the map `franklin_map` writes from its definition."""
 
-    @staticmethod
-    def unlike(franklins_map):
-        """The nonempty partitions of size <= 40 where involute(p, 0) differs in case or image."""
-        return [
-            p.parts
-            for size in range(1, 41)
-            for p in enumerate_distinct(size, 0)
-            for r in [involute(p, 0)]
-            if (r.case.value, r.image.parts) != franklins_map(p.parts)
-        ]
+    def test_case_and_image_on_every_partition_up_to_size_40(self):
+        assert franklin_sweep(40)[1] == []
 
-    def test_case_and_image_on_every_partition_up_to_size_40(self, franklins_map):
-        assert self.unlike(franklins_map) == []
-
-    def test_a_wrong_sigma_slice_shows(self, franklins_map, monkeypatch):
+    def test_a_wrong_sigma_slice_shows(self, monkeypatch):
         def keeps_the_largest(parts, m, s):  # slices from part 0, not 1: distinct, not sigma
             return parts[: s - m] + (parts[0] - s,) + parts[s - m :] + (s,)
 
         monkeypatch.setattr(involution, "_sigma_tuple", keeps_the_largest)
-        assert self.unlike(franklins_map)
-
-
-# One corruption of one audit helper per law that _audit_one names: each
-# wraps the real helper and bends its result so that the law must fire.
-def _flip_fixed(real):
-    return lambda parts, m: not real(parts, m)
-
-
-def _staircase_too_long(real):
-    def moved(parts, m):
-        case, image, s, overlap = real(parts, m)
-        return case, image, s + m + len(parts), overlap
-
-    return moved
-
-
-def _both_guards(real):
-    def moved(parts, m):
-        _, _, s, overlap = real(parts, m)
-        return None, parts, s, overlap
-
-    return moved
-
-
-def _top_overlap_plus_one(real):
-    def moved(parts, m):
-        case, image, s, overlap = real(parts, m)
-        if overlap:  # the walk reached the top row
-            overlap += 1
-        return case, image, s, overlap
-
-    return moved
-
-
-def _no_guards(real):
-    def moved(parts, m):
-        _, _, s, overlap = real(parts, m)
-        return InvolutionCase.FIXED, parts, s, overlap
-
-    return moved
-
-
-def _tau_extra_part(real):
-    return lambda parts, m: real(parts, m) + (0,)
-
-
-def _staircase_plus_one(real):
-    def moved(parts, m):
-        case, image, s, overlap = real(parts, m)
-        return case, image, s + 1, overlap
-
-    return moved
-
-
-def _unmoved(case):
-    """The kernel with each move of the given case reported as a fixed point."""
-
-    def fault(real):
-        def moved(parts, m):
-            found, image, s, overlap = real(parts, m)
-            if found is case:
-                return InvolutionCase.FIXED, parts, s, overlap
-            return found, image, s, overlap
-
-        return moved
-
-    return fault
-
-
-def _sigma_top_cell_to_bottom(real):
-    def moved(parts, m, s):
-        image = real(parts, m, s)
-        return (image[0] + 1,) + image[1:-1] + (image[-1] - 1,)
-
-    return moved
-
-
-def _sigma_drops_top(real):
-    return lambda parts, m, s: real(parts, m, s)[:-1]
-
-
-def _tau_bottom_plus_one(real):
-    def moved(parts, m):
-        image = real(parts, m)
-        return (image[0] + 1,) + image[1:]
-
-    return moved
-
-
-AUDIT_FAULTS = {
-    "fixed-criterion": ("_fixed_criterion", _flip_fixed),
-    "staircase-bounds": ("_move", _staircase_too_long),
-    "guards-overlap": ("_move", _both_guards),
-    "taxicab": ("_move", _top_overlap_plus_one),
-    "fixed-shape": ("_move", _no_guards),
-    "tau-image": ("_tau_tuple", _tau_extra_part),
-    "tau-staircase-transfer": ("_move", _staircase_plus_one),
-    "tau-image-guard": ("_move", _unmoved(InvolutionCase.SIGMA_MOVED)),
-    "sigma-tau-roundtrip": ("_sigma_tuple", _sigma_top_cell_to_bottom),
-    "sigma-image": ("_sigma_tuple", _sigma_drops_top),
-    "sigma-top-transfer": ("_sigma_tuple", _sigma_top_cell_to_bottom),
-    "sigma-image-guard": ("_move", _unmoved(InvolutionCase.TAU_MOVED)),
-    "tau-sigma-roundtrip": ("_tau_tuple", _tau_bottom_plus_one),
-}
+        assert franklin_sweep(40)[1]
 
 
 class TestAuditFaults:
@@ -569,31 +450,32 @@ class TestAuditFaults:
         source = inspect.getsource(involution._audit_one)
         assert set(re.findall(r'violations\.append\(\("([a-z-]+)"', source)) == set(AUDIT_FAULTS)
 
+    def test_every_law_a_report_names_has_a_fault(self):
+        # each law, read from the source that names it, is the expected law of a fault row
+        append = r'violations\.append\(\("([a-z-]+)"'
+        sources = [
+            (involution._audit_one, append),
+            (involution.orbit_audit, append),
+            (verify.check_involution_laws, r'\("([a-z-]+)", \{"total"'),
+            (verify.check_fixed_point_formula, r'"([a-z-]+)" if'),
+        ]
+        named = [set(re.findall(pattern, inspect.getsource(f))) for f, pattern in sources]
+        assert [len(laws) for laws in named] == [13, 3, 1, 3]
+        faulted = {law for *_, failing in KERNEL_FAULTS.values() for law in failing.values()}
+        assert set().union(*named) <= faulted | set(AUDIT_FAULTS)
+
     @pytest.mark.parametrize("law", sorted(AUDIT_FAULTS))
     @pytest.mark.parametrize("m", [0, 1, 2])
     def test_fault_is_reported(self, monkeypatch, law, m):
         helper, fault = AUDIT_FAULTS[law]
-        monkeypatch.setattr(involution, helper, fault(getattr(involution, helper)))
+        install(monkeypatch, [(involution, helper, fault)])
         report = orbit_audit(m, 16)
         assert law in {name for name, _ in report.violations}
 
 
-def counts_off_at(*sizes):
-    """`_distinct_counts` with the sign +1 count of each given size one too high."""
-
-    def corrupted(m, order, sign=1):
-        c = _distinct_counts(m, order, sign)
-        for size in sizes:
-            if sign > 0 and size <= order:
-                c[size] += 1
-        return c
-
-    return corrupted
-
-
 class TestPartitionCountLaw:
     def test_count_fault_is_reported_in_size_order(self, monkeypatch):
-        monkeypatch.setattr(involution, "_distinct_counts", counts_off_at(11, 7))
+        install(monkeypatch, [(involution, "_distinct_counts", counts_off(1, 11, 7))])
         report = orbit_audit(1, 14)
         real = _distinct_counts(1, 14)
         assert report.violations == [
@@ -602,14 +484,8 @@ class TestPartitionCountLaw:
         ]
 
     def test_count_fault_follows_that_sizes_partition_laws(self, monkeypatch):
-        real_tau = involution._tau_tuple
-
-        def corrupted(parts, m):
-            image = real_tau(parts, m)
-            return (image[0] + 1,) + image[1:]
-
-        monkeypatch.setattr(involution, "_tau_tuple", corrupted)
-        monkeypatch.setattr(involution, "_distinct_counts", counts_off_at(3))
+        install(monkeypatch, [(involution, "_tau_tuple", bottom_plus_one)])
+        install(monkeypatch, [(involution, "_distinct_counts", counts_off(1, 3))])
         violations = orbit_audit(0, 5).violations
         sizes = [item["size"] if law == "partition-count" else sum(item) for law, item in violations]
         at = [law for law, _ in violations].index("partition-count")
@@ -617,19 +493,13 @@ class TestPartitionCountLaw:
         assert sizes[at - 1] == sizes[at] == 3 < sizes[at + 1]
 
     def test_count_fault_under_sizes(self, monkeypatch):
-        monkeypatch.setattr(involution, "_distinct_counts", counts_off_at(12))
+        install(monkeypatch, [(involution, "_distinct_counts", counts_off(1, 12))])
         assert orbit_audit(2, 20, sizes=[12]).violations[0][0] == "partition-count"
         assert orbit_audit(2, 20, sizes=[11, 13]).violations == []
 
     @pytest.mark.parametrize("m", [0, 1, 3])
     def test_enumerator_dropping_a_partition_is_reported(self, monkeypatch, m):
-        real = involution._distinct_tuples
-
-        def drops_last(total, m):
-            found = list(real(total, m))
-            return iter(found[:-1] if total == 9 + m else found)
-
-        monkeypatch.setattr(involution, "_distinct_tuples", drops_last)
+        install(monkeypatch, [(involution, "_distinct_tuples", drops_last_at(9 + m))])
         report = orbit_audit(m, 16)
         expected = _distinct_counts(m, 16)[9 + m]
         fields = {"size": 9 + m, "enumerated": expected - 1, "counted": expected}
@@ -637,49 +507,27 @@ class TestPartitionCountLaw:
 
 
 class TestFixedCountLaw:
-    @staticmethod
-    def odd_tally_off_at(size):
-        def corrupted(m, order):
-            even, odd = _fixed_point_tallies(m, order)
-            odd[size] += 1
-            return even, odd
-
-        return corrupted
-
     def test_tally_fault_names_size_and_parity(self, monkeypatch):
         # the one fixed point of size 5 at m = 0 is (3, 2), two parts
-        monkeypatch.setattr(involution, "_fixed_point_tallies", self.odd_tally_off_at(5))
+        install(monkeypatch, [(involution, "_fixed_point_tallies", tallies_off(5, "odd"))])
         fields = {"size": 5, "parity": "odd", "enumerated": 0, "counted": 1}
         assert orbit_audit(0, 8).violations == [("fixed-count", fields)]
         assert orbit_audit(0, 8, sizes=[4, 6]).violations == []
 
     def test_counted_after_that_sizes_partition_count(self, monkeypatch):
-        monkeypatch.setattr(involution, "_fixed_point_tallies", self.odd_tally_off_at(7))
-        monkeypatch.setattr(involution, "_distinct_counts", counts_off_at(7))
+        install(monkeypatch, [(involution, "_fixed_point_tallies", tallies_off(7, "odd"))])
+        install(monkeypatch, [(involution, "_distinct_counts", counts_off(1, 7))])
         violations = orbit_audit(1, 9).violations
         real = _distinct_counts(1, 9)[7]
         assert [law for law, _ in violations] == ["partition-count", "fixed-count"]
         assert violations[0] == ("partition-count", {"size": 7, "enumerated": real, "counted": real + 1})
 
 
-def moved_counts_shifted_at(size):
-    """`_audit_one` counting one tau-moved partition of the given size as sigma-moved."""
-    real = involution._audit_one
-
-    def corrupted(at, m, violations):
-        tau_n, sigma_n, even, odd, both = real(at, m, violations)
-        if at == size:
-            tau_n, sigma_n = tau_n - 1, sigma_n + 1
-        return tau_n, sigma_n, even, odd, both
-
-    return corrupted
-
-
 class TestPairCountLaw:
     def test_moved_count_fault_fires_only_the_pair_count_law(self, monkeypatch):
         tau_n, sigma_n, *_ = involution._audit_one(9, 1, [])
         clean = orbit_audit(1, 14)
-        monkeypatch.setattr(involution, "_audit_one", moved_counts_shifted_at(9))
+        install(monkeypatch, [(involution, "_audit_one", tau_counted_as_sigma(9))])
         report = orbit_audit(1, 14)
         fields = {"size": 9, "tauMoved": tau_n - 1, "sigmaMoved": sigma_n + 1}
         assert report.violations == [("pair-count", fields)]
@@ -688,8 +536,8 @@ class TestPairCountLaw:
         assert report[:5] == clean[:5]  # m, size range, total, paired and fixed counts
 
     def test_counted_after_that_sizes_partition_count(self, monkeypatch):
-        monkeypatch.setattr(involution, "_audit_one", moved_counts_shifted_at(7))
-        monkeypatch.setattr(involution, "_distinct_counts", counts_off_at(7))
+        install(monkeypatch, [(involution, "_audit_one", tau_counted_as_sigma(7))])
+        install(monkeypatch, [(involution, "_distinct_counts", counts_off(1, 7))])
         violations = orbit_audit(1, 9).violations
         assert [law for law, _ in violations] == ["partition-count", "pair-count"]
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import franklin.qseries as qseries
-from franklin.involution import enumerate_fixed_points
 from franklin.partitions import count_distinct_signed, enumerate_distinct
 from franklin.qseries import (
     NonUnitConstantTerm,
@@ -29,6 +28,8 @@ from franklin.qseries import (
     sylvester_sides,
 )
 from franklin.verify import check_general_formula
+
+from references import enumerated_fixed_points, fixed_point_reference
 
 ORDER = 24
 
@@ -386,26 +387,6 @@ class TestRhsGeneral:
         # the last terms are cut by the truncation, lead + n*m > order
         assert rhs_general(30, 2000) == knapsack_product(30, 2000)
         assert rhs_fixed_points(20, 2000) == knapsack_product(20, 2000)
-
-
-def fixed_point_reference(n, m):
-    """(-1)^n q^{(3n^2-n)/2 + nm} (box(n, m) + q^{n+m} box(n-1, m)) as a coefficient list."""
-    if n == 0:
-        return [1]
-    base = fixed_lead(n, m)
-    c = [0] * (base + n * m + n + 1)
-    add_at(c, box_poly_oracle(n, m), base, (-1) ** n)
-    add_at(c, box_poly_oracle(n - 1, m), base + n + m, (-1) ** n)
-    return c
-
-
-def enumerated_fixed_points(n, m, order):
-    """Signed count by size of the enumerated fixed points with n parts."""
-    tally = [0] * (order + 1)
-    for p, w in enumerate_fixed_points(m, order):
-        if p.n == n:
-            tally[w.exponent] += w.sign
-    return tally
 
 
 class TestFixedPointClosedForms:

@@ -1,6 +1,5 @@
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from franklin.partitions import DistinctPartition, base_partition, enumerate_distinct
 from franklin.staircase import (
@@ -14,13 +13,7 @@ from franklin.staircase import (
     staircase,
 )
 
-
-@st.composite
-def partition_with_m(draw, max_part=24, max_n=7):
-    m = draw(st.integers(0, 4))
-    universe = list(range(m + 1, max_part + 1))
-    chosen = draw(st.sets(st.sampled_from(universe), min_size=1, max_size=max_n))
-    return DistinctPartition(tuple(sorted(chosen, reverse=True))), m
+from references import boundary_walk, diagram_sweep, partition_with_m, walk_sweep
 
 
 def cells_of_class(grid, wanted):
@@ -67,7 +60,7 @@ class TestClassify:
         with pytest.raises(EmptyPartition):
             classify_cells(DistinctPartition(), 0)
 
-    @given(partition_with_m())
+    @given(partition_with_m(min_n=1))
     @settings(max_examples=80, deadline=None)
     def test_top_row_has_exactly_m_landings(self, pm):
         p, m = pm
@@ -119,7 +112,7 @@ class TestStaircase:
                     sc = staircase(p, m)
                     assert m + 1 <= sc.length <= m + p.n
 
-    @given(partition_with_m())
+    @given(partition_with_m(min_n=1))
     @settings(max_examples=100, deadline=None)
     def test_boundary_contiguity(self, pm):
         p, m = pm
@@ -131,7 +124,7 @@ class TestStaircase:
             up = (b.row, b.col) == (a.row + 1, a.col - 1)
             assert left or up
 
-    @given(partition_with_m())
+    @given(partition_with_m(min_n=1))
     @settings(max_examples=100, deadline=None)
     def test_maximal_iff_top_stair_taken(self, pm):
         p, m = pm
@@ -144,17 +137,11 @@ class TestAgainstTheCellWalk:
     """The closed forms against `boundary_walk`, which walks the definition cell by cell."""
 
     @pytest.mark.parametrize("m", range(7))
-    def test_every_partition_up_to_size_40(self, reference_walk, m):
-        for total in range(1, 41):
-            for p in enumerate_distinct(total, m):
-                cells, landing_rows = reference_walk(p, m)
-                overlap = sum(1 for row, _ in cells if row == p.n)
-                assert _walk(p.parts, m) == (len(cells), overlap), p.parts
-                sc = staircase(p, m)
-                assert (sc.cells, sc.landing_rows) == (cells, landing_rows), p.parts
+    def test_every_partition_up_to_size_40(self, m):
+        assert walk_sweep([m], 40)[1] == []
 
-    def test_worked_example(self, reference_walk):
-        cells, landing_rows = reference_walk(DistinctPartition((14, 11, 9, 8, 6)), 3)
+    def test_worked_example(self):
+        cells, landing_rows = boundary_walk(DistinctPartition((14, 11, 9, 8, 6)), 3)
         assert cells == ((1, 14), (1, 13), (1, 12), (2, 11), (2, 10), (3, 9), (4, 8))
         assert landing_rows == (1, 1, 2)
 
@@ -168,7 +155,7 @@ class TestTopOverlap:
     def test_base_partition(self, n, m):
         assert _walk(base_partition(n, m).parts, m)[1] == m + 1
 
-    @given(partition_with_m())
+    @given(partition_with_m(min_n=1))
     @settings(max_examples=80, deadline=None)
     def test_counts_top_row_cells(self, pm):
         p, m = pm
@@ -207,7 +194,7 @@ class TestRender:
         with pytest.raises(EmptyPartition):
             render_ferrers(DistinctPartition(), 2)
 
-    @given(partition_with_m(max_part=16, max_n=5))
+    @given(partition_with_m(max_part=16, max_n=5, min_n=1))
     @settings(max_examples=60, deadline=None)
     def test_shape_and_alphabet(self, pm):
         p, m = pm
@@ -218,12 +205,8 @@ class TestRender:
         assert {cell[0] + cell[2] for cell in cells} <= {"[]", "  "}
         assert sum(cell[0] == "[" for cell in cells) == staircase(p, m).length
 
-    def test_every_small_partition_matches_the_cell_classification(self, reference_diagram):
+    def test_every_small_partition_matches_the_cell_classification(self):
         # the kernel draws rows by run length; the reference classifies each cell
-        checked = 0
-        for m in range(7):
-            for total in range(1, 31):
-                for p in enumerate_distinct(total, m):
-                    assert render_ferrers(p, m) == reference_diagram(p, m), (p.parts, m)
-                    checked += 1
+        checked, unlike = diagram_sweep(range(7), 30)
+        assert unlike == []
         assert checked == 4_687  # the knapsack counts of sizes 1..30, summed over m

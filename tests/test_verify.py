@@ -1,19 +1,15 @@
-import inspect
 import json
 import re
 import time
-from operator import add
 
 import pytest
 
-import franklin.cli as cli
 import franklin.involution as involution
 import franklin.partitions as partitions
 import franklin.qseries as qseries
 import franklin.verify as verify
 from franklin.cli import run
-from franklin.partitions import SignedMonomial, base_partition
-from franklin.qseries import rhs_general
+from franklin.partitions import SignedMonomial
 from franklin.verify import (
     check_durfee_decomposition,
     check_fixed_point_formula,
@@ -21,36 +17,21 @@ from franklin.verify import (
     check_sylvester,
 )
 
-
-real_durfee_terms = qseries._durfee_terms
-
-
-def corrupted_durfee_terms(q_order):
-    """The shared Durfee terms with the dimension-2 category-One term off by z^2 q^5."""
-    for d, one, two in real_durfee_terms(q_order):
-        if d == 2:
-            one.columns[2][5] += 1
-        yield d, one, two
-
-
-def durfee_terms_off_at_two_cells(q_order):
-    """The shared Durfee terms with the dimension-2 category-One term off at z^2 q^7 and z^3 q^6.
-
-    A q-major scan meets z^3 q^6 first, a z-major scan z^2 q^7.
-    """
-    for d, one, two in real_durfee_terms(q_order):
-        if d == 2:
-            one.columns[2][7] += 1
-            one.columns[3][6] += 1
-        yield d, one, two
-
-
-def durfee_terms_off_at_six(q_order):
-    """The shared Durfee terms with the dimension-6 category-One term off by z^6 q^51."""
-    for d, one, two in real_durfee_terms(q_order):
-        if d == 6:
-            one.columns[6][51] += 1
-        yield d, one, two
+from faults import (
+    KERNEL_FAULTS,
+    coefficient_plus_one,
+    counts_off,
+    durfee_terms_off,
+    everywhere,
+    family_b_top_plus_one,
+    install,
+    points_replaced,
+    sylvester_rhs_off,
+    tallies_off,
+    tau_counted_as_sigma,
+    three_part_sigma_fixed,
+    total_plus_one,
+)
 
 
 class TestGeneralFormula:
@@ -65,12 +46,7 @@ class TestGeneralFormula:
         assert 0 <= report.elapsed <= wall
 
     def test_fault_injection(self, monkeypatch):
-        def corrupted(m, order):
-            series = rhs_general(m, order)
-            series.coeffs[7] += 1
-            return series
-
-        monkeypatch.setattr(verify, "rhs_general", corrupted)
+        install(monkeypatch, [(verify, "rhs_general", coefficient_plus_one(7))])
         report = check_general_formula(0, 40)
         assert report.verdict == "Fail"
         assert report.first_mismatch["exponent"] == 7
@@ -78,15 +54,7 @@ class TestGeneralFormula:
 
     def test_euler_sum_fault(self, monkeypatch):
         # the knapsack and the closed form agree; the route expand prints does not
-        real = qseries._distinct_counts
-
-        def corrupted(m, order, sign=1):
-            c = real(m, order, sign)
-            if sign < 0 and order >= 9:
-                c[9] += 1
-            return c
-
-        monkeypatch.setattr(qseries, "_distinct_counts", corrupted)
+        install(monkeypatch, [(qseries, "_distinct_counts", counts_off(-1, 9))])
         report = check_general_formula(1, 40)
         assert report.verdict == "Fail"
         mismatch = report.first_mismatch
@@ -172,16 +140,7 @@ class TestPartitionCountLaw:
     @staticmethod
     def corrupt_stats_counts(monkeypatch):
         """One too many partitions of the largest size, on the route behind `stats`."""
-        real = qseries._distinct_counts
-
-        def corrupted(m, order, sign=1):
-            c = real(m, order, sign)
-            if sign > 0:
-                c[-1] += 1
-            return c
-
-        monkeypatch.setattr(qseries, "_distinct_counts", corrupted)
-        monkeypatch.setattr(involution, "_distinct_counts", corrupted)
+        install(monkeypatch, everywhere("_distinct_counts", counts_off(1, -1)))
 
     @pytest.mark.parametrize("suite", ["involution", "all"])
     def test_sign_plus_fault_exits_1(self, monkeypatch, capsys, suite):
@@ -212,14 +171,7 @@ class TestPartitionCountLaw:
 
 class TestFixedCountLaw:
     def test_parity_fault_is_reported_with_size_and_parity(self, monkeypatch, capsys):
-        real = qseries._fixed_point_tallies
-
-        def corrupted(m, order):
-            even, odd = real(m, order)
-            odd[5] += 1
-            return even, odd
-
-        monkeypatch.setattr(involution, "_fixed_point_tallies", corrupted)
+        install(monkeypatch, [(involution, "_fixed_point_tallies", tallies_off(5, "odd"))])
         argv = ["verify", "--suite", "involution", "--m", "0", "--max-size", "8"]
         assert run(argv + ["--json"]) == 1
         [report] = json.loads(capsys.readouterr().out)
@@ -236,16 +188,8 @@ class TestFixedCountLaw:
 
 class TestPairCountLaw:
     def test_moved_count_fault_names_size_and_both_counts(self, monkeypatch, capsys):
-        real = involution._audit_one
-
-        def corrupted(size, m, violations):
-            tau_n, sigma_n, *fixed = real(size, m, violations)
-            if size == 9:  # one tau-moved partition counted as sigma-moved
-                tau_n, sigma_n = tau_n - 1, sigma_n + 1
-            return tau_n, sigma_n, *fixed
-
-        tau_n, sigma_n, *_ = real(9, 1, [])
-        monkeypatch.setattr(involution, "_audit_one", corrupted)
+        tau_n, sigma_n, *_ = involution._audit_one(9, 1, [])
+        install(monkeypatch, [(involution, "_audit_one", tau_counted_as_sigma(9))])
         argv = ["verify", "--suite", "involution", "--m", "1", "--max-size", "14", "--json"]
         assert run(argv) == 1
         [report] = json.loads(capsys.readouterr().out)
@@ -270,13 +214,7 @@ class TestAuditTotalLaw:
     )
     def test_one_total_off_fails_only_the_audit(self, monkeypatch, capsys, field, total, shift):
         # shift: the count the law holds the named total against, less the total reported
-        real = verify.orbit_audit
-
-        def corrupted(m, max_size):
-            report = real(m, max_size)
-            return report._replace(**{field: getattr(report, field) + 1})
-
-        monkeypatch.setattr(verify, "orbit_audit", corrupted)
+        install(monkeypatch, [(verify, "orbit_audit", total_plus_one(field))])
         argv = ["verify", "--suite", "all", "--m", "1", "--order", "20", "--max-size", "16"]
         assert run(argv + ["--json"]) == 1
         failed = [r for r in json.loads(capsys.readouterr().out) if r["verdict"] == "Fail"]
@@ -311,9 +249,7 @@ class TestFixedPointFormula:
 
     def test_point_off_its_weight_fails_only_this_check(self, monkeypatch, capsys):
         # the first family-B point, (2m + 2,), is listed as (2m + 3,) in its old box
-        monkeypatch.setattr(
-            verify, "_fixed_point_blocks", _family_b_top_plus_one(verify._fixed_point_blocks)
-        )
+        install(monkeypatch, [(verify, "_fixed_point_blocks", family_b_top_plus_one)])
         assert run(["verify", "--suite", "general", "--json"]) == 1
         reports = json.loads(capsys.readouterr().out)
         failed = [r for r in reports if r["verdict"] == "Fail"]
@@ -324,8 +260,7 @@ class TestFixedPointFormula:
 
     @staticmethod
     def replaced(monkeypatch, points):
-        fault = _points_replaced(points)
-        monkeypatch.setattr(verify, "_fixed_point_blocks", fault(verify._fixed_point_blocks))
+        install(monkeypatch, [(verify, "_fixed_point_blocks", points_replaced(points))])
 
     def test_moved_point_fails_the_guard_law(self, monkeypatch):
         # (7, 3) has the weight of (6, 4) at m = 1, but the walk finds a move for it
@@ -376,49 +311,27 @@ class TestSylvester:
         assert check_sylvester(2).verdict == "Pass"
 
     def test_fault_injection(self, monkeypatch):
-        real = verify.sylvester_sides
-
-        def corrupted(q_order):
-            lhs, rhs = real(q_order)
-            rhs.columns[1][3] += 1
-            return lhs, rhs
-
-        monkeypatch.setattr(verify, "sylvester_sides", corrupted)
+        install(monkeypatch, [(verify, "sylvester_sides", sylvester_rhs_off((1, 3)))])
         report = check_sylvester(8)
         assert report.verdict == "Fail"
         assert report.first_mismatch["qExponent"] == 3
         assert report.first_mismatch["zExponent"] == 1
 
     def test_durfee_term_fault(self, monkeypatch):
-        monkeypatch.setattr(qseries, "_durfee_terms", corrupted_durfee_terms)
+        install(monkeypatch, [(qseries, "_durfee_terms", durfee_terms_off(2, (2, 5)))])
         report = check_sylvester(8)
         assert report.verdict == "Fail"
         assert (report.first_mismatch["qExponent"], report.first_mismatch["zExponent"]) == (5, 2)
 
     def test_first_mismatch_scans_q_major(self, monkeypatch):
-        real = verify.sylvester_sides
-
-        def corrupted(q_order):
-            lhs, rhs = real(q_order)
-            rhs.columns[1][4] += 1  # z q^4
-            rhs.columns[2][3] += 1  # z^2 q^3: first in q-major order, second in z-major
-            return lhs, rhs
-
-        monkeypatch.setattr(verify, "sylvester_sides", corrupted)
+        # z q^4 and z^2 q^3 off: z^2 q^3 is first in q-major order, second in z-major
+        install(monkeypatch, [(verify, "sylvester_sides", sylvester_rhs_off((1, 4), (2, 3)))])
         report = check_sylvester(8)
         assert report.verdict == "Fail"
         assert (report.first_mismatch["qExponent"], report.first_mismatch["zExponent"]) == (3, 2)
 
     def test_first_mismatch_takes_the_lower_z_power_at_one_q_power(self, monkeypatch):
-        real = verify.sylvester_sides
-
-        def corrupted(q_order):
-            lhs, rhs = real(q_order)
-            rhs.columns[2][5] += 1
-            rhs.columns[1][5] += 1
-            return lhs, rhs
-
-        monkeypatch.setattr(verify, "sylvester_sides", corrupted)
+        install(monkeypatch, [(verify, "sylvester_sides", sylvester_rhs_off((2, 5), (1, 5)))])
         mismatch = check_sylvester(8).first_mismatch
         assert (mismatch["qExponent"], mismatch["zExponent"]) == (5, 1)
 
@@ -452,14 +365,14 @@ class TestDurfee:
         assert report.params == {"order": 0, "maxDimension": 0}
 
     def test_fault_injection(self, monkeypatch):
-        monkeypatch.setattr(verify, "_durfee_terms", corrupted_durfee_terms)
+        install(monkeypatch, [(verify, "_durfee_terms", durfee_terms_off(2, (2, 5)))])
         report = check_durfee_decomposition(14)
         assert report.verdict == "Fail"
         assert report.first_mismatch["dimension"] == 2
 
     def test_fault_at_dimension_six(self, monkeypatch, capsys):
         # the lowest size with Durfee dimension 6 is 51, so order 60 must reach it
-        monkeypatch.setattr(verify, "_durfee_terms", durfee_terms_off_at_six)
+        install(monkeypatch, [(verify, "_durfee_terms", durfee_terms_off(6, (6, 51)))])
         report = check_durfee_decomposition(60)
         assert report.verdict == "Fail"
         assert report.first_mismatch["dimension"] == 6
@@ -470,7 +383,8 @@ class TestDurfee:
         assert cli_report["firstMismatch"]["dimension"] == 6
 
     def test_first_mismatch_scans_q_major(self, monkeypatch):
-        monkeypatch.setattr(verify, "_durfee_terms", durfee_terms_off_at_two_cells)
+        # z^2 q^7 and z^3 q^6 off: a q-major scan meets z^3 q^6 first, a z-major scan z^2 q^7
+        install(monkeypatch, [(verify, "_durfee_terms", durfee_terms_off(2, (2, 7), (3, 6)))])
         report = check_durfee_decomposition(14)
         assert report.verdict == "Fail"
         mismatch = report.first_mismatch
@@ -537,330 +451,12 @@ class TestSuiteTable:
         assert [(r["identity"], r["params"]) for r in json.loads(capsys.readouterr().out)] == table
 
 
-
-def _plus_one_at_seven(real):
-    def corrupted(*args):
-        c = real(*args)
-        c[7] += 1
-        return c
-
-    return corrupted
-
-
-def _counts_off(sign):
-    """A fault on `_distinct_counts`: the size-7 coefficient of one sign one too high."""
-
-    def fault(real):
-        def corrupted(m, order, s=1):
-            c = real(m, order, s)
-            if s == sign:
-                c[7] += 1
-            return c
-
-        return corrupted
-
-    return fault
-
-
-def _both_parities_off(real):
-    """A fault on `_fixed_point_tallies`: one fixed point too many of each parity at size 7.
-
-    The fixed-point generating function reads only their difference, so it is unmoved.
-    """
-
-    def corrupted(m, order):
-        even, odd = real(m, order)
-        if order >= 7:
-            even[7] += 1
-            odd[7] += 1
-        return even, odd
-
-    return corrupted
-
-
-def _column_two_off(real):
-    def corrupted(m, order, lead):
-        for n, e, column in real(m, order, lead):
-            yield n, e, column if n != 2 else [column[0] + 1, *column[1:]]
-
-    return corrupted
-
-
-def _family_b_top_plus_one(real):
-    """Fixed-point boxes whose family-B points (mu_1 = m + 1) have their top part one too high.
-
-    Each point stays in its box, with the box's part count and weight, so the
-    weight tally alone cannot see the fault.
-    """
-
-    def bumped(box, top):
-        for parts in box:
-            yield (top + 1, *parts[1:]) if parts[0] == top else parts
-
-    def corrupted(m, max_size):
-        for n, w, box in real(m, max_size):
-            yield n, w, bumped(box, base_partition(n, m).parts[0] + m + 1) if n else box
-
-    return corrupted
-
-
-def _points_replaced(points):
-    """A fault on the fixed-point boxes: each point in `points` replaced by its list, boxes kept."""
-
-    def fault(real):
-        def corrupted(m, max_size):
-            for n, w, box in real(m, max_size):
-                yield n, w, (q for parts in box for q in points.get(parts, [parts]))
-
-        return corrupted
-
-    return fault
-
-
-def _drops_last_of(real, at):
-    """An enumerator whose call with these leading arguments loses its last item."""
-
-    def corrupted(*args):
-        found = list(real(*args))
-        return iter(found[:-1] if args[: len(at)] == at else found)
-
-    return corrupted
-
-
-def _source_edit(old, new):
-    """A fault that recompiles the kernel from its source with the one `old` made `new`.
-
-    The edited function reads a copy of its module's globals, so only the
-    patch that installs it changes what the program calls.
-    """
-
-    def fault(real):
-        source = inspect.getsource(real)
-        assert source.count(old) == 1
-        module = inspect.getmodule(real)
-        scope = {}
-        exec(compile(source.replace(old, new), module.__file__, "exec"), dict(vars(module)), scope)
-        return scope[real.__name__]
-
-    return fault
-
-
-def _category_swapped_at_two(real):
-    # `_durfee` grades Two as True: the fault flips it at dimension 2
-    def corrupted(parts):
-        d, two = real(parts)
-        return d, two != (d == 2)
-
-    return corrupted
-
-
-def _zq_step_off(real):
-    def corrupted(columns, i):
-        real(columns, i)
-        if i == 2:
-            columns[1][5] += 1
-
-    return corrupted
-
-
-def _zq_step_shifted(real):
-    # q^{i+1} for q^i: both sides of sylvester read this kernel
-    def corrupted(columns, i):
-        for k in range(len(columns) - 1, 0, -1):
-            qseries._add_shifted(columns[k], columns[k - 1], i + 1, add)
-
-    return corrupted
-
-
-def _overlap_plus_one(real):
-    def corrupted(parts, m):
-        s, overlap = real(parts, m)
-        return s, overlap + 1 if overlap else 0
-
-    return corrupted
-
-
-def _bottom_plus_one(real):
-    def corrupted(*args):
-        image = real(*args)
-        return (image[0] + 1,) + image[1:]
-
-    return corrupted
-
-
-def _drops_top(real):
-    def corrupted(*args):
-        return real(*args)[:-1]
-
-    return corrupted
-
-
-def _flipped_on_pairs(real):
-    def corrupted(parts, m):
-        return real(parts, m) != (len(parts) == 2)
-
-    return corrupted
-
-
-def _three_part_sigma_fixed(real):
-    # the decision every route reads: a wrapper on `involute` alone passes verify
-    def corrupted(parts, m):
-        case, image, s, overlap = real(parts, m)
-        if case is involution.InvolutionCase.SIGMA_MOVED and len(parts) == 3:
-            return involution.InvolutionCase.FIXED, parts, s, overlap
-        return case, image, s, overlap
-
-    return corrupted
-
-
 _SUITE_ARGS = {
     "general": ["--m", "1", "--order", "20"],
     "sylvester": ["--order", "14"],
     "durfee": ["--order", "14"],
     "involution": ["--m", "1", "--max-size", "16"],
     "all": [],  # every suite at its defaults
-}
-
-
-def _box_fault(fault):
-    """Patches that put `fault` on the fixed-point boxes in every module that reads them."""
-    return [(module, "_fixed_point_blocks", fault) for module in (involution, verify, cli)]
-
-
-# kernel: (patches as (module, name, fault of the real kernel), suites the kernel feeds,
-# each failing identity with the audit law that fails first, if any)
-KERNEL_FAULTS = {
-    "_product_coeffs": (
-        [(verify, "_product_coeffs", _plus_one_at_seven)],
-        ["general"],
-        {"general-product-formula": None, "fixed-point-formula": None},
-    ),
-    # a knapsack window one entry short: each update writes one entry fewer, cutting c
-    "_product_coeffs window": (
-        [(verify, "_product_coeffs", _source_edit(": order - k + 1]", ": order - k]"))],
-        ["general"],
-        {"general-product-formula": None, "fixed-point-formula": None},
-    ),
-    "_distinct_counts +1": (
-        [(module, "_distinct_counts", _counts_off(1)) for module in (qseries, involution)],
-        ["general", "involution"],
-        {"involution-audit": "partition-count"},
-    ),
-    "_distinct_counts -1": (
-        [(module, "_distinct_counts", _counts_off(-1)) for module in (qseries, involution)],
-        ["general", "involution"],
-        {"general-product-formula": None},
-    ),
-    "_fixed_point_tallies": (
-        [(module, "_fixed_point_tallies", _both_parities_off) for module in (qseries, involution)],
-        ["general", "involution"],
-        {"involution-audit": "fixed-count"},
-    ),
-    "_gauss_columns": (
-        [(qseries, "_gauss_columns", _column_two_off)],
-        ["general"],
-        {"general-product-formula": None, "fixed-point-formula": None},
-    ),
-    "_box_lex": (
-        [(involution, "_box_lex", lambda real: _drops_last_of(real, ((4, 3), 1, 1)))],
-        ["general"],
-        {"fixed-point-formula": None},
-    ),
-    # one fault per law of fixed-point-formula
-    "_fixed_point_blocks family-B top": (
-        _box_fault(_family_b_top_plus_one),
-        ["general"],
-        {"fixed-point-formula": "point-weight"},
-    ),
-    "_fixed_point_blocks moved point": (
-        # (7, 3) has the weight of (6, 4) at m = 1, but the walk finds a move for it
-        _box_fault(_points_replaced({(6, 4): [(7, 3)]})),
-        ["general"],
-        {"fixed-point-formula": "point-guard"},
-    ),
-    "_fixed_point_blocks repeated point": (
-        _box_fault(_points_replaced({(5, 4): [(5, 4)] * 2})),
-        ["general"],
-        {"fixed-point-formula": "point-order"},
-    ),
-    "_parts_below": (
-        [(partitions, "_parts_below", lambda real: _drops_last_of(real, (9,)))],
-        ["durfee", "involution"],
-        {"durfee-decomposition": None, "involution-audit": "partition-count"},
-    ),
-    # a deep level (more than _TAIL left to fill) that leaves exactly its own part repeats
-    # it, first at size 2 * (_TAIL + 1) = 34 (17 + 17): the involution suite's default
-    "_parts_below deep level": (
-        [(partitions, "_parts_below", _source_edit("part = left, left if left <", "part = left, left if left <="))],
-        ["all"],
-        {"involution-audit": "sigma-image-guard"},
-    ),
-    # a stop test that drops the box or term whose size equals the order: the general
-    # suite's default 117 is base_partition(9, 0)'s size, sylvester's 35 the fifth Durfee lead
-    "_fixed_point_blocks stop": (
-        _box_fault(_source_edit(").parts)) <= max_size:", ").parts)) < max_size:")),
-        ["all"],
-        {"fixed-point-formula": None},
-    ),
-    "_durfee_terms stop": (
-        [
-            (module, "_durfee_terms", _source_edit("// 2) <= q_order:", "// 2) < q_order:"))
-            for module in (qseries, verify)
-        ],
-        ["all"],
-        {"sylvester": None},
-    ),
-    "_durfee": (
-        [(verify, "_durfee", _category_swapped_at_two)],
-        ["durfee"],
-        {"durfee-decomposition": None},
-    ),
-    "_durfee_terms": (
-        [(module, "_durfee_terms", lambda real: corrupted_durfee_terms) for module in (qseries, verify)],
-        ["sylvester", "durfee"],
-        {"sylvester": None, "durfee-decomposition": None},
-    ),
-    "_times_one_plus_zq": (
-        [(qseries, "_times_one_plus_zq", _zq_step_off)],
-        ["sylvester", "durfee"],
-        {"sylvester": None},
-    ),
-    # a window that starts one entry late: each column loses the step's lowest term
-    "_times_one_plus_zq window": (
-        [(qseries, "_times_one_plus_zq", _source_edit("k * (k - 1) // 2", "k * (k - 1) // 2 + 1"))],
-        ["all"],
-        {"sylvester": None, "durfee-decomposition": None},
-    ),
-    "_times_one_plus_zq shift": (
-        [(qseries, "_times_one_plus_zq", _zq_step_shifted)],
-        ["sylvester", "durfee"],
-        {"sylvester": None, "durfee-decomposition": None},
-    ),
-    "_walk": (
-        [(involution, "_walk", _overlap_plus_one)],
-        ["involution"],
-        {"involution-audit": "taxicab"},
-    ),
-    "_tau_tuple": (
-        [(involution, "_tau_tuple", _bottom_plus_one)],
-        ["involution"],
-        {"involution-audit": "tau-sigma-roundtrip"},
-    ),
-    "_sigma_tuple": (
-        [(involution, "_sigma_tuple", _drops_top)],
-        ["involution"],
-        {"involution-audit": "sigma-image"},
-    ),
-    "_fixed_criterion": (
-        [(involution, "_fixed_criterion", _flipped_on_pairs)],
-        ["involution"],
-        {"involution-audit": "fixed-criterion"},
-    ),
-    "_move 3-part sigma reported fixed": (
-        [(involution, "_move", _three_part_sigma_fixed)],
-        ["involution", "general"],
-        {"involution-audit": "fixed-criterion"},
-    ),
 }
 
 
@@ -877,8 +473,7 @@ class TestKernelFaultMatrix:
     @pytest.mark.parametrize("kernel", list(KERNEL_FAULTS))
     def test_fault_fails_the_named_identities(self, monkeypatch, capsys, kernel):
         patches, suites, failing = KERNEL_FAULTS[kernel]
-        for module, name, fault in patches:
-            monkeypatch.setattr(module, name, fault(getattr(module, name)))
+        install(monkeypatch, patches)
         failed = {}
         for suite in suites:
             code = run(["verify", "--suite", suite, *_SUITE_ARGS[suite], "--json"])
@@ -891,6 +486,6 @@ class TestKernelFaultMatrix:
     def test_decision_fault_is_what_involve_prints(self, monkeypatch, capsys):
         assert run(["involve", "--partition", "11,10,8", "--m", "1"]) == 0
         assert capsys.readouterr().out.startswith("case: SigmaMoved\n")
-        monkeypatch.setattr(involution, "_move", _three_part_sigma_fixed(involution._move))
+        install(monkeypatch, [(involution, "_move", three_part_sigma_fixed)])
         assert run(["involve", "--partition", "11,10,8", "--m", "1"]) == 0
         assert capsys.readouterr().out == "case: Fixed\nimage: 11,10,8\n"
