@@ -268,11 +268,11 @@ def _add_shifted(out: list[int], c: Sequence[int], shift: int, op) -> None:
 def _times_one_plus_zq(columns: list[list[int]], i: int) -> None:
     """Multiply z-columns by (1 + z q^i) in place, highest power of z first.
 
-    Steps only each column's support: column k-1 vanishes below
-    q^{k(k-1)/2}, as k-1 distinct parts sum to at least that (the ZQSeries
-    invariant), so the step for column k reads column k-1 from there and
-    adds it from q^{i + k(k-1)/2}; a column whose start passes the
-    truncation is left alone.
+    The Durfee side's step.  Column k-1 vanishes below q^{k(k-1)/2}, as
+    k-1 distinct parts sum to at least that (the ZQSeries invariant), so
+    the step for column k reads column k-1 from there and adds it from
+    q^{i + k(k-1)/2}; a column whose start passes the truncation is left
+    alone.
     """
     end = len(columns[0])
     for k in range(len(columns) - 1, 0, -1):
@@ -281,39 +281,77 @@ def _times_one_plus_zq(columns: list[list[int]], i: int) -> None:
             columns[k][start:] = map(add, columns[k][start:], columns[k - 1][start - i : end - i])
 
 
-def _shifted(columns: list[list[int]], lead: int, z_shift: int, q_order: int) -> ZQSeries:
-    """z^{z_shift} q^{lead} times the z-columns, as a truncated ZQSeries."""
-    pad = [0] * lead
-    return ZQSeries(q_order, [[]] * z_shift + [(pad + c)[: q_order + 1] for c in columns])
+def _neg_zq_step(columns: list[list[int]], i: int) -> None:
+    """Multiply the z-columns of prod_{i<j<=n} (1 + z q^j) by (1 + z q^i) in place.
+
+    The product side's step, for factors put in largest first.  After it,
+    column k counts sets of k distinct parts each at least i, which sum to
+    at least s(k) = ki + k(k-1)/2, so the step for column k adds column
+    k-1 from q^{s(k)} on, reading it from q^{s(k) - i}, below which it is
+    zero.  Columns 2 <= k <= top, the largest k with s(k) within the
+    truncation, are stepped, highest first so that each reads the old
+    column k-1.  Column 0 is the constant 1, so column 1 gains q^i alone.
+    """
+    end = len(columns[0])
+    b = 2 * i - 1
+    top = (isqrt(b * b + 8 * (end - 1)) - b) // 2  # the largest k with s(k) < end
+    for k in range(top, 1, -1):
+        start = k * i + k * (k - 1) // 2
+        columns[k][start:] = map(add, columns[k][start:], columns[k - 1][start - i : end - i])
+    columns[1][i] += 1
 
 
 def pochhammer_neg_zq(n: int, q_order: int) -> ZQSeries:
-    """(-zq)_n = product of (1 + z q**i) for 1 <= i <= n, truncated."""
+    """(-zq)_n = product of (1 + z q**i) for 1 <= i <= n, truncated.
+
+    The factors go in largest first through `_neg_zq_step`; a factor past
+    the truncation is 1.
+    """
     _nonnegative(n=n, q_order=q_order)
     series = ZQSeries.one(q_order)
-    for i in range(1, min(n, q_order) + 1):
-        _times_one_plus_zq(series.columns, i)
+    for i in range(min(n, q_order), 0, -1):
+        _neg_zq_step(series.columns, i)
     return series
 
 
-def _durfee_terms(q_order: int) -> Iterator[tuple[int, ZQSeries, ZQSeries]]:
-    """Yield (d, one, two) for d >= 1 while z^d q^{(3d^2-d)/2} stays in the truncation.
+def _durfee_terms(q_order: int) -> Iterator[tuple[int, int, list[list[int]]]]:
+    """Yield (d, (3d^2-d)/2, columns) for d >= 1 while q^{(3d^2-d)/2} stays in the truncation.
 
-    one = z^d q^{(3d^2-d)/2} (-zq)_{d-1} / (q)_d counts the distinct-part
-    partitions of Durfee dimension d in category One, two = z q^{2d} one
-    those in category Two; every later term is zero within the truncation.
-    One list of z-columns is stepped in place: divided by (1 - q^d) it holds
-    (-zq)_{d-1} / (q)_d for the yield, then times (1 + z q^d) it is set for d + 1.
+    columns are the z-columns 0..d-1 of (-zq)_{d-1} / (q)_d, cut to the
+    q^0..q^{q_order - lead} that a term at lead = (3d^2-d)/2 reads:
+    z^d q^lead times them counts the distinct-part partitions of Durfee
+    dimension d in category One, z^{d+1} q^{lead + 2d} times them those in
+    category Two, and every later term is zero within the truncation.  One
+    list is stepped in place, so each yield holds until the next: cut and
+    divided by (1 - q^d) for the yield, then given column d and multiplied
+    by (1 + z q^d) by `_times_one_plus_zq` for d + 1.  Exact, since both
+    steps read only lower entries.
     """
-    columns = ZQSeries.one(q_order).columns
+    columns = [[1]]
     d = 1
     while (lead := (3 * d * d - d) // 2) <= q_order:
+        size = q_order - lead + 1
         for c in columns:
+            c[size:] = [0] * (size - len(c))  # past the end: appends
             _divide_step(c, d)
-        one = _shifted(columns, lead, d, q_order)
-        yield d, one, _shifted(columns, lead + 2 * d, d + 1, q_order)
+        yield d, lead, columns
+        columns.append([0] * size)
         _times_one_plus_zq(columns, d)
         d += 1
+
+
+def _add_term(out: list[list[int]], columns: list[list[int]], lead: int, z_shift: int) -> None:
+    """Add z^{z_shift} q^{lead} times the z-columns into the stored columns `out`, in place.
+
+    A nonzero coefficient that would land within the truncation on a power
+    of z past the stored ones raises ValueError, as ZQSeries does.
+    """
+    end = len(out[0])
+    for k, c in enumerate(columns, z_shift):
+        if k < len(out):
+            _add_shifted(out[k], c, lead, add)
+        elif lead < end and any(c[: end - lead]):
+            raise ValueError(f"nonzero z power above max_distinct_parts({end - 1})")
 
 
 def gauss_binomial(a: int, b: int) -> QSeries:
@@ -373,15 +411,15 @@ def sylvester_sides(q_order: int) -> tuple[ZQSeries, ZQSeries]:
     """Both sides of Sylvester's Durfee-square identity, truncated alike.
 
     Left: product of (1 + z q**n) for n >= 1.  Right: 1 plus the sum over
-    n >= 1 of z^n q^{(3n^2-n)/2} (1 + z q^{2n}) (-zq)_{n-1} / (q)_n, the
-    terms of `_durfee_terms`.
+    n >= 1 of z^n q^{(3n^2-n)/2} (1 + z q^{2n}) (-zq)_{n-1} / (q)_n, each
+    term's columns from `_durfee_terms` added in place by `_add_term`.
     """
     _nonnegative(q_order=q_order)
     lhs = pochhammer_neg_zq(q_order, q_order)
     rhs = ZQSeries.one(q_order)
-    for _, one, two in _durfee_terms(q_order):
-        rhs += one
-        rhs += two
+    for d, lead, columns in _durfee_terms(q_order):
+        _add_term(rhs.columns, columns, lead, d)
+        _add_term(rhs.columns, columns, lead + 2 * d, d + 1)
     return lhs, rhs
 
 

@@ -25,7 +25,9 @@ holds each suite's flags, defaults and m sweep, in `--suite all`'s order.
 The first side of both product checks is the `_product_coeffs` knapsack,
 which shares no kernel with the others.  Euler's sum and the closed forms
 share only `_divide_step`, so a fault there moves both and still shows
-against the knapsack.
+against the knapsack.  The two sides of sylvester share no step kernel:
+the product side steps by `_neg_zq_step`, largest factor first, and the
+Durfee side by `_divide_step` and `_times_one_plus_zq`.
 
 Checks report a verdict instead of raising: Fail is data, not an
 exception.  Arguments are checked before any route runs, so a usage
@@ -44,6 +46,7 @@ from .involution import FIXED, _fixed_point_blocks, _move, cancellation_stats, o
 from .partitions import DurfeeCategory, _distinct_tuples, _durfee, _parts_text
 from .qseries import (
     ZQSeries,
+    _add_term,
     _durfee_terms,
     _nonnegative,
     _product_coeffs,
@@ -205,9 +208,10 @@ def check_durfee_decomposition(order: int) -> VerificationReport:
                 counted[graded].columns[n][size] = count
         # dimension 0 is the empty partition alone, category One
         terms = {(0, False): ZQSeries.one(order)}
-        for d, one, two in _durfee_terms(order):
-            terms[d, False] = one
-            terms[d, True] = two
+        for d, lead, columns in _durfee_terms(order):
+            for two, shift, z_shift in ((False, lead, d), (True, lead + 2 * d, d + 1)):
+                terms[d, two] = ZQSeries(order)
+                _add_term(terms[d, two].columns, columns, shift, z_shift)
         top = params["maxDimension"] = max(d for d, _ in counted.keys() | terms.keys())
         for d in range(top + 1):
             for category in DurfeeCategory:

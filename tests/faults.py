@@ -204,15 +204,20 @@ def column_two_off(columns, m, order, lead):
 
 
 def durfee_terms_off(d, *cells):
-    """Durfee terms whose dimension-d category-One term is one too high at each (z power, q power)."""
+    """Durfee terms whose dimension-d columns are one too high where its category-One term
+    has each (z power, q power); the category-Two term moves with them.
+
+    The fault bumps a copy, since the terms that follow are stepped from the yielded list.
+    """
 
     @on_result
     def fault(terms, q_order):
-        for dim, one, two in terms:
+        for dim, lead, columns in terms:
             if dim == d:
+                columns = [list(c) for c in columns]
                 for k, j in cells:
-                    one.columns[k][j] += 1
-            yield dim, one, two
+                    columns[k - d][j - lead] += 1
+            yield dim, lead, columns
 
     return fault
 
@@ -236,14 +241,29 @@ def category_swapped_at_two(graded, parts):
     return d, two != (d == 2)
 
 
-@on_result
-def zq_step_off(_, columns, i):
-    if i == 2:
-        columns[1][5] += 1
+def zq_step_off(at, k, j):
+    """A fault on a (1 + z q^i) step: z^k q^j one too high after the step for factor i = at."""
+
+    @on_result
+    def fault(_, columns, i):
+        if i == at:
+            columns[k][j] += 1
+
+    return fault
+
+
+def skips_top_factor(real):
+    """A product-side step that leaves out the factor at the truncation, the largest of (-zq)_N."""
+
+    def corrupted(columns, i):
+        if i < len(columns[0]) - 1:
+            real(columns, i)
+
+    return corrupted
 
 
 def zq_step_shifted(real):
-    # q^{i+1} for q^i: both sides of sylvester read this kernel
+    # q^{i+1} for q^i: the Durfee side of sylvester and the Durfee terms read this kernel
     def corrupted(columns, i):
         for k in range(len(columns) - 1, 0, -1):
             qseries._add_shifted(columns[k], columns[k - 1], i + 1, add)
@@ -426,15 +446,33 @@ KERNEL_FAULTS = {
         ["sylvester", "durfee"],
         {"sylvester": None, "durfee-decomposition": None},
     ),
-    "_times_one_plus_zq": (
-        [(qseries, "_times_one_plus_zq", zq_step_off)],
+    # the product side's step, which the Durfee side does not read
+    "_neg_zq_step": (
+        [(qseries, "_neg_zq_step", zq_step_off(2, 1, 5))],
         ["sylvester", "durfee"],
         {"sylvester": None},
+    ),
+    # a start one entry late: each column k >= 2 loses the step's lowest term
+    "_neg_zq_step start": (
+        [(qseries, "_neg_zq_step", source_edit("k * (k - 1) // 2", "k * (k - 1) // 2 + 1"))],
+        ["sylvester", "all"],
+        {"sylvester": None},
+    ),
+    "_neg_zq_step largest factor": (
+        [(qseries, "_neg_zq_step", skips_top_factor)],
+        ["sylvester", "all"],
+        {"sylvester": None},
+    ),
+    # the Durfee side's step: z^3 q^6 of the dimension-2 category-One term one too high
+    "_times_one_plus_zq": (
+        [(qseries, "_times_one_plus_zq", zq_step_off(1, 1, 1))],
+        ["sylvester", "durfee"],
+        {"sylvester": None, "durfee-decomposition": None},
     ),
     # a window that starts one entry late: each column loses the step's lowest term
     "_times_one_plus_zq window": (
         [(qseries, "_times_one_plus_zq", source_edit("k * (k - 1) // 2", "k * (k - 1) // 2 + 1"))],
-        ["all"],
+        ["sylvester", "durfee", "all"],
         {"sylvester": None, "durfee-decomposition": None},
     ),
     "_times_one_plus_zq shift": (

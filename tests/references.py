@@ -129,6 +129,29 @@ def cell_by_cell_diagram(p, m):
     )
 
 
+def distinct_by_part_count(q_order, largest=None):
+    """Partitions of each j <= q_order into exactly k distinct parts, as columns [k][j].
+
+    With `largest`, each part is at most that.  Taking 1 from each of k
+    distinct parts leaves k distinct parts of j - k, or k - 1 if the
+    smallest was 1, each one smaller: Q(j, k) = Q(j - k, k) + Q(j - k, k - 1)
+    among parts at most L, read from the table of parts at most L - 1.
+    From the empty partition alone (L = 0), L runs up to `largest`, or to
+    q_order, past which no part of a counted partition lies.  Column k is
+    kept while k distinct parts fit: 1 + 2 + ... + k <= q_order.
+    """
+    top = 0
+    while (top + 1) * (top + 2) // 2 <= q_order:
+        top += 1
+    table = [[1] + [0] * q_order] + [[0] * (q_order + 1) for _ in range(top)]
+    for _ in range(q_order if largest is None else min(largest, q_order)):
+        table = [table[0]] + [
+            [0] * k + [table[k][j - k] + table[k - 1][j - k] for j in range(k, q_order + 1)]
+            for k in range(1, top + 1)
+        ]
+    return table
+
+
 def fixed_point_reference(n, m):
     """(-1)^n q^{(3n^2-n)/2 + nm} (box(n, m) + q^{n+m} box(n-1, m)), boxes enumerated."""
     if n == 0:

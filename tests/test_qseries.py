@@ -1,3 +1,4 @@
+import sys
 from itertools import combinations
 from math import comb
 
@@ -29,7 +30,7 @@ from franklin.qseries import (
 )
 from franklin.verify import check_general_formula
 
-from references import enumerated_fixed_points, fixed_point_reference
+from references import distinct_by_part_count, enumerated_fixed_points, fixed_point_reference
 
 ORDER = 24
 
@@ -285,6 +286,50 @@ class TestPochhammer:
     def test_neg_zq_one(self):
         assert pochhammer_neg_zq(1, 3) == ZQSeries(3, [[1], [0, 1]])
 
+    def test_columns_count_distinct_parts_by_part_count(self):
+        for q_order in range(61):
+            for n in {0, 1, max(q_order - 1, 0), q_order, q_order + 3}:
+                expected = distinct_by_part_count(q_order, n)
+                assert pochhammer_neg_zq(n, q_order).columns == expected, (n, q_order)
+
+
+def qseries_calls(route):
+    """Names of the franklin.qseries functions that route() calls.
+
+    A generator expression is counted as the function that runs it.
+    """
+    called = set()
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename == qseries.__file__:
+            if code.co_name.startswith("<"):
+                code = frame.f_back.f_code
+            called.add(code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        route()
+    finally:
+        sys.setprofile(None)
+    return called
+
+
+class TestRouteIndependence:
+    # what both sides may call: neither computes a coefficient
+    SHARED = {
+        "_nonnegative",  # the argument check
+        "max_distinct_parts",  # the count of stored z-columns
+        "__init__",  # ZQSeries' zero-padded storage
+        "one",  # ZQSeries.one, the series 1
+    }
+
+    def test_sylvester_sides_share_no_step_kernel(self):
+        product = qseries_calls(lambda: pochhammer_neg_zq(35, 35))
+        durfee = qseries_calls(lambda: list(_durfee_terms(35)))
+        assert "_neg_zq_step" in product and "_times_one_plus_zq" in durfee
+        assert not (product & durfee) - self.SHARED, product & durfee
+
 
 class TestZQSeries:
     def test_mismatch_rejected(self):
@@ -485,8 +530,10 @@ class TestSylvester:
         assert rhs.columns[2][5] == 2
 
     def test_sides_agree(self):
-        lhs, rhs = sylvester_sides(30)
-        assert lhs == rhs
+        # order 60 passes the lead of every Durfee dimension up to 6, (3 * 36 - 6) / 2 = 51
+        for order in range(61):
+            lhs, rhs = sylvester_sides(order)
+            assert lhs == rhs, order
 
     def test_lhs_counts_distinct_partitions(self):
         cap = 30
@@ -547,12 +594,16 @@ TRUNCATIONS = [0, 7, 6, 8, 5, 12, 10, 26, 30]
 class TestSteppedColumns:
     @pytest.mark.parametrize("q_order", TRUNCATIONS)
     def test_durfee_terms_match_inversion(self, q_order):
-        terms = list(_durfee_terms(q_order))
-        last = len(terms)
-        assert [d for d, _, _ in terms] == list(range(1, last + 1))
-        for d, one, two in terms:
+        last = 0
+        for d, lead, columns in _durfee_terms(q_order):
+            assert (d, lead) == (last + 1, (3 * d * d - d) // 2)
+            assert [len(c) for c in columns] == [q_order - lead + 1] * d
+            one = ZQSeries(q_order, [[]] * d + [[0] * lead + c for c in columns])
+            shifted = [([0] * (lead + 2 * d) + c)[: q_order + 1] for c in columns]
+            two = ZQSeries(q_order, [[]] * (d + 1) + shifted)
             assert one == durfee_term_by_inversion(d, 0, 0, q_order)
             assert two == durfee_term_by_inversion(d, 2 * d, 1, q_order)
+            last = d
         zero = ZQSeries(q_order)
         for d in range(last + 1, last + 4):
             assert durfee_term_by_inversion(d, 0, 0, q_order) == zero

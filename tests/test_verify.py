@@ -480,6 +480,9 @@ class TestKernelFaultMatrix:
             reports = json.loads(capsys.readouterr().out)
             fails = {r["identity"]: r["firstMismatch"].get("law") for r in reports if r["verdict"] == "Fail"}
             assert code == (1 if fails else 0)
+            # each named identity fails in every suite run that checks it
+            named = {r["identity"] for r in reports} & failing.keys()
+            assert fails == {identity: failing[identity] for identity in named}
             failed |= fails
         assert failed == failing
 
