@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Record one benchmark run of every workload as ``BENCH_<tag>.json`` at the repository root.
 
-    python scripts/bench_record.py --tag 43                 # 20 s per workload, seed 1
+    python scripts/bench_record.py --tag 43                 # 20 s per workload
     python scripts/bench_record.py --tag ci --seconds 1
 
-Runs ``bench/run.py --workload all --trace 0`` from the root in a child
-process that writes no bytecode, so nothing is written under ``bench/``.
+Runs ``bench/run.py --workload all --seed 1 --trace 0`` from the root in a
+child process that writes no bytecode, so nothing is written under ``bench/``.
 The child's last stdout line is its JSON result; the record adds the git
 revision of the checkout (with ``-dirty`` when tracked files differ from
 it), the Python version, ``platform.processor()``, ``os.cpu_count()`` and
@@ -48,10 +48,9 @@ def revision() -> str | None:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--tag", required=True, type=_tag, help="names the file BENCH_<tag>.json")
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=20.0)
     args = parser.parse_args()
-    argv = ["bench/run.py", "--workload", "all", "--seed", str(args.seed),
+    argv = ["bench/run.py", "--workload", "all", "--seed", "1",
             "--seconds", str(args.seconds), "--trace", "0"]
     done = subprocess.run([sys.executable, *argv], cwd=ROOT, capture_output=True, text=True,
                           env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})

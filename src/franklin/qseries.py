@@ -126,12 +126,6 @@ class ZQSeries:
         if self.q_order != other.q_order:
             raise TruncationMismatch(f"q orders differ: {self.q_order} vs {other.q_order}")
 
-    def __iadd__(self, other: "ZQSeries") -> "ZQSeries":
-        self._check(other)
-        for total, c in zip(self.columns, other.columns):
-            total[:] = map(add, total, c)
-        return self
-
     def __mul__(self, other: "ZQSeries") -> "ZQSeries":
         self._check(other)
         n = self.q_order
@@ -288,16 +282,15 @@ def _neg_zq_step(columns: list[list[int]], i: int) -> None:
     column k counts sets of k distinct parts each at least i, which sum to
     at least s(k) = ki + k(k-1)/2, so the step for column k adds column
     k-1 from q^{s(k)} on, reading it from q^{s(k) - i}, below which it is
-    zero.  Columns 2 <= k <= top, the largest k with s(k) within the
-    truncation, are stepped, highest first so that each reads the old
-    column k-1.  Column 0 is the constant 1, so column 1 gains q^i alone.
+    zero.  Columns k >= 2 are stepped highest first, so that each reads
+    the old column k-1, and a column whose start passes the truncation is
+    left alone.  Column 0 is the constant 1, so column 1 gains q^i alone.
     """
     end = len(columns[0])
-    b = 2 * i - 1
-    top = (isqrt(b * b + 8 * (end - 1)) - b) // 2  # the largest k with s(k) < end
-    for k in range(top, 1, -1):
+    for k in range(len(columns) - 1, 1, -1):
         start = k * i + k * (k - 1) // 2
-        columns[k][start:] = map(add, columns[k][start:], columns[k - 1][start - i : end - i])
+        if start < end:
+            columns[k][start:] = map(add, columns[k][start:], columns[k - 1][start - i : end - i])
     columns[1][i] += 1
 
 
